@@ -8,6 +8,7 @@
 
 #include "harness/table.hpp"
 #include "mutex/sim_mutex.hpp"
+#include "sim/passage.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -15,15 +16,6 @@ namespace {
 
 using namespace rwr;
 using namespace rwr::harness;
-
-sim::SimTask<void> passages(mutex::SimMutex& mx, sim::Process& p,
-                            std::uint32_t slot, int count) {
-    for (int i = 0; i < count; ++i) {
-        co_await mx.enter(p, slot);
-        co_await p.local_step();
-        co_await mx.exit(p, slot);
-    }
-}
 
 struct Point {
     double steps_per_passage;
@@ -51,9 +43,11 @@ template <typename MutexT>
 Point measure(Protocol proto, std::uint32_t m, int count) {
     sim::System sys(proto);
     MutexT mx = make_mutex<MutexT>(sys.memory(), m);
+    mutex::MutexPassage target{mx};
+    sim::DriveConfig dc;
+    dc.passages = static_cast<std::uint64_t>(count);
     for (std::uint32_t s = 0; s < m; ++s) {
-        sim::Process& p = sys.add_process(sim::Role::Writer);
-        p.set_task(passages(mx, p, s, count));
+        sim::install(target, sys.add_process(sim::Role::Writer), dc);
     }
     sim::RoundRobinScheduler rr;
     sim::run(sys, rr, 100'000'000);

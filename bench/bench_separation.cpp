@@ -50,6 +50,7 @@
 #include "harness/table.hpp"
 #include "mutex/sim_mutex.hpp"
 #include "recover/recoverable_jjj_mutex.hpp"
+#include "sim/passage.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -119,25 +120,6 @@ MxVariant ablation_of(MxVariant v) {
     }
 }
 
-sim::SimTask<void> mutex_passages(mutex::SimMutex& mx, sim::Process& p,
-                                  std::uint32_t slot, int count) {
-    for (int i = 0; i < count; ++i) {
-        co_await mx.enter(p, slot);
-        co_await p.local_step();
-        co_await mx.exit(p, slot);
-    }
-}
-
-sim::SimTask<void> jjj_passages(recover::RecoverableJJJMutex& mx,
-                                sim::Process& p, std::uint32_t slot,
-                                int count) {
-    for (int i = 0; i < count; ++i) {
-        co_await mx.enter(p, slot);
-        co_await p.local_step();
-        co_await mx.exit_slot(p, slot);
-    }
-}
-
 struct MxPoint {
     double mean_passage_rmrs = 0;
     std::vector<std::uint64_t> proc_rmrs;
@@ -172,13 +154,21 @@ MxPoint measure_mutex(MxVariant v, Protocol proto, std::uint32_t m) {
                                                                  m);
             break;
     }
-    for (std::uint32_t s = 0; s < m; ++s) {
-        sim::Process& p = sys.add_process(sim::Role::Writer);
-        p.set_task(mx ? mutex_passages(*mx, p, s, kPassages)
-                      : jjj_passages(*jjj, p, s, kPassages));
+    const auto run_writers = [&](auto& target) {
+        sim::DriveConfig dc;
+        dc.passages = kPassages;
+        for (std::uint32_t s = 0; s < m; ++s) {
+            sim::install(target, sys.add_process(sim::Role::Writer), dc);
+        }
+        sim::RoundRobinScheduler rr;
+        sim::run(sys, rr, 500'000'000);
+    };
+    if (mx) {
+        mutex::MutexPassage plain{*mx};
+        run_writers(plain);
+    } else {
+        run_writers(*jjj);
     }
-    sim::RoundRobinScheduler rr;
-    sim::run(sys, rr, 500'000'000);
     MxPoint out;
     out.mean_passage_rmrs = static_cast<double>(mem.total_rmrs()) /
                             (static_cast<double>(m) * kPassages);

@@ -17,7 +17,6 @@
 //                  --max-perf-drop with a wide tolerance).
 //   --jobs N       worker threads (default: hardware concurrency). Cell
 //                  results are bit-identical for every N.
-//   --max-n N      truncate the sweep (CI perf-smoke uses --max-n 256).
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -91,16 +90,13 @@ void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
     results->push_back(std::move(row));
 }
 
-void run_sweep(std::uint32_t max_n, unsigned jobs, json::Value* results) {
+void run_sweep(unsigned jobs, json::Value* results) {
     std::vector<Cell> cells;
     std::vector<ExperimentConfig> cfgs;
     for (const Protocol proto :
          {Protocol::WriteThrough, Protocol::WriteBack}) {
         for (const std::uint32_t n : {8u, 16u, 32u, 64u, 128u, 256u, 512u,
                                       1024u, 2048u, 4096u}) {
-            if (n > max_n) {
-                continue;
-            }
             for (const auto choice :
                  {core::FChoice::One, core::FChoice::Log, core::FChoice::Sqrt,
                   core::FChoice::Linear}) {
@@ -188,12 +184,9 @@ void run_rounding_ablation(unsigned jobs) {
 
 int main(int argc, char** argv) {
     std::string json_path;
-    std::uint32_t max_n = 4096;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
             json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--max-n") == 0 && i + 1 < argc) {
-            max_n = static_cast<std::uint32_t>(std::stoul(argv[++i]));
         }
     }
     const unsigned jobs = parse_jobs(argc, argv);
@@ -205,8 +198,8 @@ int main(int argc, char** argv) {
 
     std::cout << "bench_tradeoff: reproduces the paper's Theorem 18 "
                  "complexity claims for the A_f family (jobs="
-              << jobs << ", max n=" << max_n << ")\n";
-    run_sweep(max_n, jobs, results);
+              << jobs << ")\n";
+    run_sweep(jobs, results);
     run_rounding_ablation(jobs);
 
     if (results != nullptr) {

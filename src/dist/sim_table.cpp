@@ -1,7 +1,7 @@
 #include "dist/sim_table.hpp"
 
 #include "harness/pool.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/passage.hpp"
 #include "sim/system.hpp"
 
 namespace rwr::dist {
@@ -209,37 +209,38 @@ SimTask<void> DistTableSim::reader_release(Process& p, std::uint32_t session,
 
 namespace {
 
-SimTask<void> session_task(DistTableSim& tab, Process& p, std::uint32_t s,
-                           const DistSimConfig& cfg,
-                           std::uint64_t* read_ops, std::uint64_t* write_ops) {
-    OpStream stream(cfg.seed, s);
-    const std::uint32_t num_locks = cfg.table.num_locks();
-    for (std::uint32_t i = 0; i < cfg.ops_per_session; ++i) {
-        const OpStream::LoadOp op = stream.next_op(num_locks, cfg.reader_pct);
-        p.set_section(Section::Entry);
-        if (op.reader) {
-            co_await tab.reader_acquire(p, s, op.lock_index);
-            p.set_section(Section::Critical);
-            for (std::uint32_t c = 0; c < cfg.reader_cs_steps; ++c) {
-                co_await p.local_step();
-            }
-            p.set_section(Section::Exit);
-            co_await tab.reader_release(p, s, op.lock_index);
-            ++*read_ops;
-        } else {
-            co_await tab.writer_acquire(p, s, op.lock_index);
-            p.set_section(Section::Critical);
-            for (std::uint32_t c = 0; c < cfg.writer_cs_steps; ++c) {
-                co_await p.local_step();
-            }
-            p.set_section(Section::Exit);
-            co_await tab.writer_release(p, s, op.lock_index);
-            ++*write_ops;
-        }
-        p.set_section(Section::Remainder);
-        p.note_passage_complete();
+/// drive() target: session s (pid s) runs its OpStream's ops. drive()
+/// draws the next op when it builds the attempt; the op's role picks the
+/// acquire/release pair and the CS dwell.
+struct SessionOps {
+    DistTableSim& tab;
+    const DistSimConfig& cfg;
+    std::vector<OpStream> streams;
+    std::vector<OpStream::LoadOp> current;  ///< Each session's op in flight.
+    std::uint64_t read_ops = 0;
+    std::uint64_t write_ops = 0;
+
+    SimTask<void> entry(Process& p) {
+        const OpStream::LoadOp op = current[p.id()] =
+            streams[p.id()].next_op(cfg.table.num_locks(), cfg.reader_pct);
+        return op.reader ? tab.reader_acquire(p, p.id(), op.lock_index)
+                         : tab.writer_acquire(p, p.id(), op.lock_index);
     }
-}
+    SimTask<void> exit(Process& p) {
+        const OpStream::LoadOp op = current[p.id()];
+        if (op.reader) {
+            co_await tab.reader_release(p, p.id(), op.lock_index);
+            ++read_ops;
+        } else {
+            co_await tab.writer_release(p, p.id(), op.lock_index);
+            ++write_ops;
+        }
+    }
+    [[nodiscard]] std::uint64_t cs_steps(const Process& p) const {
+        return current[p.id()].reader ? cfg.reader_cs_steps
+                                      : cfg.writer_cs_steps;
+    }
+};
 
 }  // namespace
 
@@ -250,20 +251,23 @@ DistSimResult run_dist_sim(const DistSimConfig& cfg) {
     // server_base + shard -- never stepped, so total RMRs are all clients'.
     const auto server_base = static_cast<ProcId>(sessions);
     DistTableSim table(sys.memory(), cfg.table, server_base);
+    SessionOps load{table, cfg, {}, {}};
+    sim::DriveConfig dc;
+    dc.passages = cfg.ops_per_session;
+    for (std::uint32_t s = 0; s < sessions; ++s) {
+        load.streams.emplace_back(cfg.seed, s);
+        load.current.emplace_back();
+        sim::install(load, sys.add_process(sim::Role::Writer), dc);
+    }
+    sim::RunPlan plan;  // Round-robin.
+    plan.max_steps = cfg.max_steps;
+    const sim::PlanResult run = sim::run_plan(sys, plan);
 
     DistSimResult res;
-    for (std::uint32_t s = 0; s < sessions; ++s) {
-        Process& p = sys.add_process(sim::Role::Writer);
-        p.set_task(session_task(table, p, s, cfg, &res.read_ops,
-                                &res.write_ops));
-    }
-
-    sim::RoundRobinScheduler rr;
-    const sim::RunResult run = sim::run(sys, rr, cfg.max_steps);
-    sys.check_failures();
-
-    res.finished = run.all_finished;
+    res.finished = run.finished;
     res.steps = run.steps;
+    res.read_ops = load.read_ops;
+    res.write_ops = load.write_ops;
     res.total_ops = res.read_ops + res.write_ops;
     res.witness_violations = table.witness_violations();
     res.session_rmrs.resize(sessions);

@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace rwr::harness {
 
@@ -24,21 +23,14 @@ BuiltScenario build(const ExperimentConfig& cfg, bool throw_on_violation) {
         std::make_shared<std::vector<std::vector<sim::PassageRecord>>>();
     b.records->resize(cfg.n + cfg.m);
 
-    for (std::uint32_t r = 0; r < cfg.n; ++r) {
-        sim::Process& p = b.sys->add_process(sim::Role::Reader);
-        sim::DriveConfig dc;
-        dc.passages = cfg.passages;
-        dc.cs_steps = cfg.cs_steps;
+    sim::DriveConfig dc;
+    dc.passages = cfg.passages;
+    dc.cs_steps = cfg.cs_steps;
+    for (std::uint32_t i = 0; i < cfg.n + cfg.m; ++i) {
+        sim::Process& p = b.sys->add_process(i < cfg.n ? sim::Role::Reader
+                                                       : sim::Role::Writer);
         dc.records = &(*b.records)[p.id()];
-        p.set_task(sim::drive_passages(*b.lock, p, dc));
-    }
-    for (std::uint32_t w = 0; w < cfg.m; ++w) {
-        sim::Process& p = b.sys->add_process(sim::Role::Writer);
-        sim::DriveConfig dc;
-        dc.passages = cfg.passages;
-        dc.cs_steps = cfg.cs_steps;
-        dc.records = &(*b.records)[p.id()];
-        p.set_task(sim::drive_passages(*b.lock, p, dc));
+        sim::install(*b.lock, p, dc);
     }
     if (cfg.check_mutual_exclusion) {
         b.checker = std::make_unique<sim::MutualExclusionChecker>(
@@ -48,13 +40,18 @@ BuiltScenario build(const ExperimentConfig& cfg, bool throw_on_violation) {
     return b;
 }
 
-void aggregate(const std::vector<std::vector<sim::PassageRecord>>& records,
-               const sim::System& sys, RoleStats* readers,
-               RoleStats* writers) {
+}  // namespace
+
+void fold_roles(const sim::System& sys,
+                const std::vector<std::vector<sim::PassageRecord>>& records,
+                RoleStats* readers, RoleStats* writers) {
     for (ProcId id = 0; id < sys.num_processes(); ++id) {
         RoleStats& rs =
             sys.process(id).is_reader() ? *readers : *writers;
         for (const auto& rec : records[id]) {
+            if (rec.kind != sim::PassageRecord::Kind::Passage) {
+                continue;
+            }
             ++rs.num_passages;
             for (int s = 0; s < kNumSections; ++s) {
                 rs.mean_rmrs[s] += static_cast<double>(rec.delta.rmrs[s]);
@@ -81,12 +78,10 @@ void aggregate(const std::vector<std::vector<sim::PassageRecord>>& records,
     }
 }
 
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     BuiltScenario b = build(cfg, /*throw_on_violation=*/false);
-    ExperimentResult res;
 
+    // Observer order: ME checker (attached by build), injector, progress.
     std::unique_ptr<sim::FaultInjector> injector;
     if (!cfg.faults.empty()) {
         injector = std::make_unique<sim::FaultInjector>(*b.sys, cfg.faults);
@@ -99,58 +94,20 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         b.sys->add_observer(progress.get());
     }
 
-    std::unique_ptr<sim::Scheduler> sched;
-    if (!cfg.replay.empty()) {
-        sched = std::make_unique<sim::ReplayScheduler>(cfg.replay);
-    } else if (cfg.sched == SchedKind::RoundRobin) {
-        sched = std::make_unique<sim::RoundRobinScheduler>();
-    } else {
-        sched = std::make_unique<sim::RandomScheduler>(cfg.seed);
-    }
-    std::unique_ptr<sim::RecordingScheduler> recorder;
-    sim::Scheduler* active = sched.get();
-    if (cfg.record_schedule) {
-        recorder = std::make_unique<sim::RecordingScheduler>(*sched);
-        active = recorder.get();
-    }
-
-    // Run in bounded chunks so a livelocked simulation honours the wall
-    // deadline instead of spinning through all of max_steps. Chunking is
-    // invisible to the schedulers (they are stateful per pick), so recorded
-    // schedules replay identically regardless of chunk boundaries.
-    const auto wall_deadline =
-        cfg.wall_deadline_ms > 0
-            ? std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(cfg.wall_deadline_ms)
-            : std::chrono::steady_clock::time_point::max();
-    constexpr std::uint64_t kChunk = 65536;
-    std::uint64_t remaining = cfg.max_steps;
-    bool finished = false;
-    const auto sim_start = std::chrono::steady_clock::now();
-    while (remaining > 0) {
-        const std::uint64_t chunk = std::min(remaining, kChunk);
-        const auto rr = sim::run(*b.sys, *active, chunk);
-        res.steps += rr.steps;
-        remaining -= rr.steps;
-        finished = rr.all_finished;
-        if (finished || rr.steps < chunk) {
-            break;  // Done, or no process is runnable.
-        }
-        if (std::chrono::steady_clock::now() >= wall_deadline) {
-            res.deadline_expired = true;
-            res.progress_diagnosis +=
-                "wall deadline (" + std::to_string(cfg.wall_deadline_ms) +
-                " ms) expired after " + std::to_string(res.steps) +
-                " steps\n" + sim::ProgressChecker::describe(*b.sys);
-            break;
-        }
-    }
-    res.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - sim_start)
-                      .count();
-    b.sys->check_failures();
-
-    res.finished = finished;
+    sim::PlanResult run = sim::run_plan(
+        *b.sys, {.sched = cfg.sched,
+                 .seed = cfg.seed,
+                 .max_steps = cfg.max_steps,
+                 .replay = cfg.replay,
+                 .record_schedule = cfg.record_schedule,
+                 .wall_deadline_ms = cfg.wall_deadline_ms});
+    ExperimentResult res;
+    res.finished = run.finished;
+    res.steps = run.steps;
+    res.wall_ms = run.wall_ms;
+    res.deadline_expired = run.deadline_expired;
+    res.progress_diagnosis = std::move(run.diagnosis);
+    res.schedule = std::move(run.schedule);
     res.all_surviving_finished = b.sys->all_surviving_finished();
     res.crashed = b.sys->num_crashed();
     res.stalled_at_exit = b.sys->num_stalled();
@@ -168,10 +125,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         res.starvation = progress->starvation_detected();
         res.progress_diagnosis += progress->diagnosis();
     }
-    if (recorder) {
-        res.schedule = recorder->choices();
-    }
-    aggregate(*b.records, *b.sys, &res.readers, &res.writers);
+    fold_roles(*b.sys, *b.records, &res.readers, &res.writers);
     res.proc_rmrs = b.sys->memory().proc_rmrs();
     res.proc_rmrs.resize(cfg.n + cfg.m, 0);
     return res;

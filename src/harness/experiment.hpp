@@ -14,13 +14,14 @@
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"
 #include "sim/fault.hpp"
+#include "sim/passage.hpp"
 #include "sim/rwlock.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
 namespace rwr::harness {
 
-enum class SchedKind { RoundRobin, Random };
+using SchedKind = sim::SchedKind;
 
 struct ExperimentConfig {
     LockKind lock = LockKind::Af;
@@ -105,6 +106,12 @@ struct ExperimentResult {
 
 /// Runs the configured experiment once.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
+
+/// Folds the passages among per-process records (indexed by pid) into
+/// per-role aggregates. Shared with the recoverable runner.
+void fold_roles(const sim::System& sys,
+                const std::vector<std::vector<sim::PassageRecord>>& records,
+                RoleStats* readers, RoleStats* writers);
 
 /// Builds an explorer scenario factory for model checking this config.
 sim::ScenarioFactory scenario_factory(const ExperimentConfig& cfg);

@@ -44,8 +44,10 @@ namespace rwr::harness {
 }
 
 /// Runs fn(i) for every i in [0, count) on (up to) `jobs` worker threads.
-/// Blocks until all cells ran. The first exception thrown by any cell stops
-/// the dispatch of further cells and is rethrown here after the pool joins.
+/// Blocks until all dispatched cells ran. Once the first exception thrown
+/// by any cell is recorded, no further cells are dispatched; cells already
+/// in flight on other workers still finish. That exception is rethrown
+/// here after the pool joins.
 inline void parallel_for(std::size_t count, unsigned jobs,
                          const std::function<void(std::size_t)>& fn) {
     if (count == 0) {

@@ -7,7 +7,6 @@
 #include "sim/checker.hpp"
 #include "sim/por.hpp"
 #include "sim/process.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 #include "sim/task.hpp"
 
@@ -33,78 +32,28 @@ double u01(std::uint64_t& state) {
     return static_cast<double>(state >> 11) * 0x1.0p-53;
 }
 
-struct SlotAccum {
-    AmortizedStats stats;
-    std::vector<AbortEpisode> episodes;
-};
+/// drive() target: an abortable mutex under the seeded abort mix. Each
+/// attempt draws its coin from its slot's stream when drive() builds the
+/// attempt -- once per attempt, before the Entry marker.
+struct AbortMix {
+    AbortableSimMutex* mx;
+    const AbortWorkload& w;
+    std::vector<std::uint64_t> streams;  ///< One SplitMix64 state per slot.
 
-/// The per-slot workload: `passages` completed passages, each possibly
-/// preceded by aborted attempts. Every episode is bracketed by SectionStats
-/// snapshots; deltas feed the amortized ledger.
-sim::SimTask<void> drive(SimMutex& mx, AbortableSimMutex* amx,
-                         sim::Process& p, std::uint32_t slot,
-                         const AbortExperimentConfig& cfg, SlotAccum& acc) {
-    std::uint64_t stream = sim::stream_seed(cfg.workload.seed, slot);
-    const std::uint64_t span =
-        cfg.workload.patience_hi - cfg.workload.patience_lo + 1;
-    for (std::uint64_t k = 0; k < cfg.passages; ++k) {
-        for (;;) {
-            AbortControl ctl = AbortControl::never();
-            if (amx != nullptr && cfg.workload.abort_rate > 0.0) {
-                const double coin = u01(stream);
-                if (coin < cfg.workload.abort_rate) {
-                    stream = sim::splitmix64(stream);
-                    ctl = AbortControl::after(cfg.workload.patience_lo +
-                                              stream % span);
-                }
-            }
-            const SectionStats before = p.stats();
-            p.set_section(Section::Entry);
-            EnterResult r = EnterResult::Acquired;
-            if (amx != nullptr) {
-                r = co_await amx->enter_abortable(p, slot, ctl);
-            } else {
-                co_await mx.enter(p, slot);
-            }
-            if (r == EnterResult::Aborted) {
-                p.set_section(Section::Remainder);
-                const SectionStats d = p.stats() - before;
-                ++acc.stats.episodes;
-                ++acc.stats.aborted_episodes;
-                acc.stats.episode_rmrs += d.total_rmrs();
-                acc.stats.abort_rmrs += d.total_rmrs();
-                acc.stats.abort_rmr_max =
-                    std::max(acc.stats.abort_rmr_max, d.total_rmrs());
-                if (cfg.record_episodes) {
-                    acc.episodes.push_back(
-                        {true, d.total_rmrs(), d.total_steps()});
-                }
-                // One remainder beat between attempts, so consecutive
-                // attempts are distinct scheduling epochs (and the checker
-                // sees us leave the entry section).
-                co_await p.local_step();
-                continue;
-            }
-            p.set_section(Section::Critical);
-            for (std::uint64_t s = 0; s < cfg.cs_steps; ++s) {
-                co_await p.local_step();
-            }
-            p.set_section(Section::Exit);
-            co_await mx.exit(p, slot);
-            p.set_section(Section::Remainder);
-            p.note_passage_complete();
-            const SectionStats d = p.stats() - before;
-            ++acc.stats.episodes;
-            ++acc.stats.passages;
-            acc.stats.episode_rmrs += d.total_rmrs();
-            if (cfg.record_episodes) {
-                acc.episodes.push_back(
-                    {false, d.total_rmrs(), d.total_steps()});
-            }
-            break;
+    sim::SimTask<EnterResult> entry(sim::Process& p) {
+        std::uint64_t& stream = streams[p.role_index()];
+        AbortControl ctl = AbortControl::never();
+        if (u01(stream) < w.abort_rate) {
+            stream = sim::splitmix64(stream);
+            ctl = AbortControl::after(
+                w.patience_lo + stream % (w.patience_hi - w.patience_lo + 1));
         }
+        return mx->enter_abortable(p, p.role_index(), ctl);
     }
-}
+    sim::SimTask<void> exit(sim::Process& p) {
+        return mx->exit(p, p.role_index());
+    }
+};
 
 }  // namespace
 
@@ -114,47 +63,56 @@ AbortExperimentResult run_abort_experiment(const AbortExperimentConfig& cfg) {
     }
     sim::System sys(cfg.protocol);
     std::unique_ptr<SimMutex> mx = cfg.builder(sys.memory());
-    auto* amx = dynamic_cast<AbortableSimMutex*>(mx.get());
-    std::vector<SlotAccum> accs(cfg.m);
+    // A mutex that cannot abort runs plain blocking passages.
+    MutexPassage plain{*mx};
+    AbortMix mix{dynamic_cast<AbortableSimMutex*>(mx.get()), cfg.workload, {}};
+    std::vector<std::vector<sim::PassageRecord>> episodes(cfg.m);
+    sim::DriveConfig dc;
+    dc.passages = cfg.passages;
+    dc.cs_steps = cfg.cs_steps;
     for (std::uint32_t s = 0; s < cfg.m; ++s) {
         sim::Process& p = sys.add_process(sim::Role::Writer);
-        p.set_task(drive(*mx, amx, p, s, cfg, accs[s]));
+        dc.records = &episodes[s];
+        mix.streams.push_back(sim::stream_seed(cfg.workload.seed, s));
+        if (mix.mx != nullptr) {
+            sim::install(mix, p, dc);
+        } else {
+            sim::install(plain, p, dc);
+        }
     }
     sim::MutualExclusionChecker checker(/*throw_on_violation=*/false);
     sys.add_observer(&checker);
 
-    std::unique_ptr<sim::Scheduler> sched;
-    switch (cfg.sched) {
-        case AbortSched::RoundRobin:
-            sched = std::make_unique<sim::RoundRobinScheduler>();
-            break;
-        case AbortSched::ObliviousRandom:
-            sched = std::make_unique<sim::RandomScheduler>(cfg.sched_seed);
-            break;
-        case AbortSched::AdaptiveRmr:
-            sched = std::make_unique<sim::AdaptiveRmrScheduler>(cfg.sched_seed);
-            break;
-    }
-    const sim::RunResult rr = sim::run(sys, *sched, cfg.max_steps);
-    sys.check_failures();
+    sim::RunPlan plan;
+    plan.sched = cfg.sched;
+    plan.seed = cfg.sched_seed;
+    plan.max_steps = cfg.max_steps;
+    const sim::PlanResult run = sim::run_plan(sys, plan);
 
     AbortExperimentResult out;
-    for (auto& acc : accs) {
-        out.amortized.episodes += acc.stats.episodes;
-        out.amortized.aborted_episodes += acc.stats.aborted_episodes;
-        out.amortized.passages += acc.stats.passages;
-        out.amortized.episode_rmrs += acc.stats.episode_rmrs;
-        out.amortized.abort_rmrs += acc.stats.abort_rmrs;
-        out.amortized.abort_rmr_max =
-            std::max(out.amortized.abort_rmr_max, acc.stats.abort_rmr_max);
-        if (cfg.record_episodes) {
-            out.episodes.insert(out.episodes.end(), acc.episodes.begin(),
-                                acc.episodes.end());
+    AmortizedStats& a = out.amortized;
+    for (const auto& slot : episodes) {
+        for (const sim::PassageRecord& e : slot) {
+            const std::uint64_t rmrs = e.delta.total_rmrs();
+            ++a.episodes;
+            a.episode_rmrs += rmrs;
+            const bool aborted = e.kind == sim::PassageRecord::Kind::Aborted;
+            if (aborted) {
+                ++a.aborted_episodes;
+                a.abort_rmrs += rmrs;
+                a.abort_rmr_max = std::max(a.abort_rmr_max, rmrs);
+            } else {
+                ++a.passages;
+            }
+            if (cfg.record_episodes) {
+                out.episodes.push_back(
+                    {aborted, rmrs, e.delta.total_steps()});
+            }
         }
     }
     out.me_violations = checker.violations();
-    out.finished = rr.all_finished;
-    out.steps = rr.steps;
+    out.finished = run.finished;
+    out.steps = run.steps;
     out.memory_rmrs = sys.memory().total_rmrs();
     out.proc_rmrs = sys.memory().proc_rmrs();
     return out;

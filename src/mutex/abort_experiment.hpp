@@ -7,12 +7,13 @@
 // full climb per aborted attempt. Per-passage accounting alone cannot see
 // this: an abort's deferred cleanup (the abandoned queue entry a later
 // release consumes) lands in someone else's passage. So the runner here
-// brackets every acquisition *episode* (one enter_abortable attempt, plus
-// CS + exit when it acquires) with SectionStats snapshots and keeps two
-// ledgers: per-episode deltas and the Memory-side per-history totals. The
-// two must reconcile exactly -- sum(episode RMRs) == Memory::total_rmrs()
-// -- which test_abortable asserts; it is the proof that the amortized
-// numbers charge every RMR exactly once.
+// takes every acquisition *episode* (one enter_abortable attempt, plus
+// CS + exit when it acquires) from the passage driver's per-attempt
+// records (sim/passage.hpp) and keeps two ledgers: per-episode deltas and
+// the Memory-side per-history totals. The two must reconcile exactly --
+// sum(episode RMRs) == Memory::total_rmrs() -- which test_abortable
+// asserts; it is the proof that the amortized numbers charge every RMR
+// exactly once.
 //
 // Abort placement is drawn from a seeded per-slot SplitMix64 stream
 // (sim::stream_seed), patience uniform in [patience_lo, patience_hi]:
@@ -37,6 +38,7 @@
 #include "mutex/abortable.hpp"
 #include "rmr/memory.hpp"
 #include "rmr/types.hpp"
+#include "sim/passage.hpp"
 
 namespace rwr::mutex {
 
@@ -50,8 +52,9 @@ struct AbortWorkload {
     std::uint64_t seed = 1;
 };
 
-/// Adversary model; see header comment.
-enum class AbortSched : std::uint8_t { RoundRobin, ObliviousRandom, AdaptiveRmr };
+/// Adversary model; see header comment. ObliviousRandom is
+/// sim::SchedKind::Random.
+using AbortSched = sim::SchedKind;
 [[nodiscard]] const char* to_string(AbortSched s);
 
 /// Builds the mutex from the run's fresh Memory. If the result is not an

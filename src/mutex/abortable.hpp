@@ -26,6 +26,7 @@
 #include <cstdint>
 
 #include "mutex/sim_mutex.hpp"
+#include "sim/passage.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -44,7 +45,7 @@ struct AbortControl {
     }
 };
 
-enum class EnterResult : std::uint8_t { Acquired, Aborted };
+using EnterResult = sim::EnterResult;
 
 /// A SimMutex whose entry section can give up. `enter` (the non-abortable
 /// base interface) is the never-abort special case, so every abortable

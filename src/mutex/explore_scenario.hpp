@@ -1,12 +1,11 @@
 // Explorer-ready scenarios for the writer-mutex tier.
 //
 // The generic exploration checkers key on Process section markers, which
-// the SimMutex interface (enter/exit) does not maintain itself -- the RW
-// drive_passages helper does that for SimRWLock. This header provides the
-// mutex equivalent: a section-marking passage driver plus a ScenarioFactory
-// so any SimMutex can go through sim::explore()/explore_dfs with mutual
-// exclusion checked on every step. Every participant is modelled as a
-// writer, making the ME predicate "at most one process in the CS".
+// the SimMutex interface (enter/exit) does not maintain itself; the passage
+// driver (sim/passage.hpp) does, so any SimMutex goes through
+// sim::explore()/explore_dfs with mutual exclusion checked on every step.
+// Every participant is modelled as a writer, making the ME predicate "at
+// most one process in the CS".
 #pragma once
 
 #include <atomic>
@@ -18,32 +17,71 @@
 #include "mutex/sim_mutex.hpp"
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"
+#include "sim/passage.hpp"
 #include "sim/system.hpp"
 #include "sim/task.hpp"
 
 namespace rwr::mutex {
 
-/// Drives `passages` lock/unlock cycles with section markers, so the
-/// MutualExclusionChecker sees Critical occupancy exactly as it does for
-/// the RW locks.
-inline sim::SimTask<void> explore_mutex_passages(SimMutex& mx,
-                                                 sim::Process& p,
-                                                 std::uint32_t slot,
-                                                 std::uint64_t passages,
-                                                 std::uint64_t cs_steps) {
-    for (std::uint64_t k = 0; k < passages; ++k) {
-        p.set_section(Section::Entry);
-        co_await mx.enter(p, slot);
-        p.set_section(Section::Critical);
-        for (std::uint64_t s = 0; s < cs_steps; ++s) {
-            co_await p.local_step();
-        }
-        p.set_section(Section::Exit);
-        co_await mx.exit(p, slot);
-        p.set_section(Section::Remainder);
-        p.note_passage_complete();
+namespace detail {
+
+/// m writers driving `extra->target` on `sys`, under a throwing
+/// MutualExclusionChecker; `extra` keeps the mutex and target alive.
+template <class Extra>
+sim::Scenario mutex_scenario(std::unique_ptr<sim::System> sys,
+                             std::shared_ptr<Extra> extra, std::uint32_t m,
+                             std::uint64_t passages, std::uint64_t cs_steps) {
+    sim::Scenario sc;
+    sc.sys = std::move(sys);
+    sim::DriveConfig dc;
+    dc.passages = passages;
+    dc.cs_steps = cs_steps;
+    for (std::uint32_t s = 0; s < m; ++s) {
+        sim::install(extra->target, sc.sys->add_process(sim::Role::Writer),
+                     dc);
     }
+    sc.checker = std::make_unique<sim::MutualExclusionChecker>(
+        /*throw_on_violation=*/true);
+    sc.sys->add_observer(sc.checker.get());
+    sc.extra = std::move(extra);
+    return sc;
 }
+
+/// drive() target for the single-abort-placement sweep: the FIRST
+/// acquisition attempt of `aborter_slot` gives up after `patience` own
+/// entry steps; every other attempt, its retry included, blocks -- so every
+/// schedule still completes its passages and an unfinished run means a
+/// genuine liveness bug, not a scheduled abort. Each abort that actually
+/// fires bumps `fired`: the coverage witness for the sweep (probe patience
+/// j = 0, 1, 2, ... until some j never fires -- then every reachable abort
+/// point has been explored, the exact analogue of the crash adversary's
+/// probe-until-unfired discipline).
+struct FirstAttemptAbort {
+    AbortableSimMutex& mx;
+    std::uint32_t aborter_slot;
+    std::uint64_t patience;
+    std::atomic<std::uint64_t>* fired;
+    bool armed = true;
+
+    sim::SimTask<EnterResult> entry(sim::Process& p) {
+        AbortControl ctl = AbortControl::never();
+        if (armed && p.role_index() == aborter_slot) {
+            armed = false;
+            ctl = AbortControl::after(patience);
+        }
+        const EnterResult r =
+            co_await mx.enter_abortable(p, p.role_index(), ctl);
+        if (r == EnterResult::Aborted && fired != nullptr) {
+            fired->fetch_add(1, std::memory_order_relaxed);
+        }
+        co_return r;
+    }
+    sim::SimTask<void> exit(sim::Process& p) {
+        return mx.exit(p, p.role_index());
+    }
+};
+
+}  // namespace detail
 
 /// Builds the mutex from fresh memory on every call -- the factory
 /// contract of the replay explorer. The SimMutex (not a SimRWLock) rides
@@ -57,78 +95,25 @@ using MutexBuilder =
     return [builder = std::move(builder), m, passages, cs_steps]() {
         struct Extra {
             std::unique_ptr<SimMutex> mx;
+            MutexPassage target{*mx};
         };
-        auto extra = std::make_shared<Extra>();
-        sim::Scenario sc;
-        sc.sys = std::make_unique<sim::System>(Protocol::WriteThrough);
-        extra->mx = builder(sc.sys->memory(), m);
-        for (std::uint32_t s = 0; s < m; ++s) {
-            sim::Process& p = sc.sys->add_process(sim::Role::Writer);
-            p.set_task(explore_mutex_passages(*extra->mx, p, s, passages,
-                                              cs_steps));
-        }
-        sc.checker = std::make_unique<sim::MutualExclusionChecker>(
-            /*throw_on_violation=*/true);
-        sc.sys->add_observer(sc.checker.get());
-        sc.extra = std::move(extra);
-        return sc;
+        auto sys = std::make_unique<sim::System>(Protocol::WriteThrough);
+        auto extra = std::make_shared<Extra>(builder(sys->memory(), m));
+        return detail::mutex_scenario(std::move(sys), std::move(extra), m,
+                                      passages, cs_steps);
     };
-}
-
-/// Like explore_mutex_passages, but the FIRST acquisition attempt runs
-/// under `first_ctl` (subsequent attempts, including the retry after an
-/// abort, block normally -- so every schedule still completes its passages
-/// and an unfinished run means a genuine liveness bug, not a scheduled
-/// abort). Each abort that actually fires bumps `fired`: the coverage
-/// witness for the single-abort-placement sweep (probe patience j = 0, 1,
-/// 2, ... until some j never fires -- then every reachable abort point has
-/// been explored, the exact analogue of the crash adversary's
-/// probe-until-unfired discipline).
-inline sim::SimTask<void> explore_abortable_passages(
-    AbortableSimMutex& mx, sim::Process& p, std::uint32_t slot,
-    std::uint64_t passages, std::uint64_t cs_steps, AbortControl first_ctl,
-    std::atomic<std::uint64_t>* fired) {
-    bool first = true;
-    for (std::uint64_t k = 0; k < passages; ++k) {
-        for (;;) {
-            AbortControl ctl = AbortControl::never();
-            if (first) {
-                ctl = first_ctl;
-                first = false;
-            }
-            p.set_section(Section::Entry);
-            const EnterResult r = co_await mx.enter_abortable(p, slot, ctl);
-            if (r == EnterResult::Aborted) {
-                p.set_section(Section::Remainder);
-                if (fired != nullptr) {
-                    fired->fetch_add(1, std::memory_order_relaxed);
-                }
-                co_await p.local_step();
-                continue;
-            }
-            p.set_section(Section::Critical);
-            for (std::uint64_t s = 0; s < cs_steps; ++s) {
-                co_await p.local_step();
-            }
-            p.set_section(Section::Exit);
-            co_await mx.exit(p, slot);
-            p.set_section(Section::Remainder);
-            p.note_passage_complete();
-            break;
-        }
-    }
 }
 
 using AbortableMutexFactory =
     std::function<std::unique_ptr<AbortableSimMutex>(Memory&, std::uint32_t m)>;
 
 /// Scenario: m writers, with `aborter_slot`'s first attempt impatient
-/// after `patience` own entry steps. Patience is process-local state, so
-/// the abort point commutes with other processes' steps exactly like any
-/// local step -- the scenario stays sound under DPOR (reduction_safe).
-/// `fired` (shared across all schedules of an explore() call -- hence
-/// atomic, the frontier is parallel) witnesses which placements are
-/// reachable at all.
+/// after `patience` own entry steps (detail::FirstAttemptAbort). Patience
+/// is process-local state, so the abort point commutes with other
+/// processes' steps exactly like any local step -- the scenario stays sound
+/// under DPOR (reduction_safe). `fired` (shared across all schedules of an
+/// explore() call -- hence atomic, the frontier is parallel) witnesses
+/// which placements are reachable at all.
 [[nodiscard]] inline sim::ScenarioFactory abortable_mutex_scenario_factory(
     AbortableMutexFactory builder, std::uint32_t m, std::uint64_t passages,
     std::uint64_t cs_steps, std::uint32_t aborter_slot, std::uint64_t patience,
@@ -138,26 +123,17 @@ using AbortableMutexFactory =
         struct Extra {
             std::unique_ptr<AbortableSimMutex> mx;
             std::shared_ptr<std::atomic<std::uint64_t>> fired;
+            detail::FirstAttemptAbort target;
         };
-        auto extra = std::make_shared<Extra>();
-        extra->fired = fired;
-        sim::Scenario sc;
-        sc.sys = std::make_unique<sim::System>(Protocol::WriteThrough);
-        extra->mx = builder(sc.sys->memory(), m);
-        for (std::uint32_t s = 0; s < m; ++s) {
-            sim::Process& p = sc.sys->add_process(sim::Role::Writer);
-            const AbortControl first_ctl = s == aborter_slot
-                                               ? AbortControl::after(patience)
-                                               : AbortControl::never();
-            p.set_task(explore_abortable_passages(*extra->mx, p, s, passages,
-                                                  cs_steps, first_ctl,
-                                                  extra->fired.get()));
-        }
-        sc.checker = std::make_unique<sim::MutualExclusionChecker>(
-            /*throw_on_violation=*/true);
-        sc.sys->add_observer(sc.checker.get());
-        sc.extra = std::move(extra);
-        return sc;
+        auto sys = std::make_unique<sim::System>(Protocol::WriteThrough);
+        std::unique_ptr<AbortableSimMutex> mx = builder(sys->memory(), m);
+        AbortableSimMutex& ref = *mx;
+        auto extra = std::make_shared<Extra>(Extra{
+            std::move(mx), fired,
+            detail::FirstAttemptAbort{ref, aborter_slot, patience,
+                                      fired.get()}});
+        return detail::mutex_scenario(std::move(sys), std::move(extra), m,
+                                      passages, cs_steps);
     };
 }
 

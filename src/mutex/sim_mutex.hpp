@@ -39,6 +39,19 @@ class SimMutex {
     [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// drive() target (sim/passage.hpp) over a SimMutex: every participant is
+/// a writer, and its slot is its role index.
+struct MutexPassage {
+    SimMutex& mx;
+
+    sim::SimTask<void> entry(sim::Process& p) {
+        return mx.enter(p, p.role_index());
+    }
+    sim::SimTask<void> exit(sim::Process& p) {
+        return mx.exit(p, p.role_index());
+    }
+};
+
 class TournamentSimMutex final : public SimMutex {
    public:
     TournamentSimMutex(Memory& mem, const std::string& name, std::uint32_t m);

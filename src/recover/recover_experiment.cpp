@@ -1,9 +1,7 @@
 #include "recover/recover_experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "recover/driver.hpp"
 #include "recover/recoverable_jjj_mutex.hpp"
 #include "recover/recoverable_mutex.hpp"
 #include "recover/recoverable_rwlock.hpp"
@@ -32,12 +30,7 @@ struct BuiltRecoverScenario {
     std::unique_ptr<RmeChecker> rme_checker;
     std::unique_ptr<sim::FaultInjector> injector;
     std::vector<std::vector<sim::PassageRecord>> records;
-    std::vector<std::vector<sim::PassageRecord>> recovery_records;
 };
-
-[[nodiscard]] bool is_mutex_kind(RecoverLockKind k) {
-    return k == RecoverLockKind::Mutex || k == RecoverLockKind::JJJMutex;
-}
 
 std::unique_ptr<BuiltRecoverScenario> build(const RecoverExperimentConfig& cfg,
                                             bool throw_on_violation) {
@@ -71,31 +64,19 @@ std::unique_ptr<BuiltRecoverScenario> build(const RecoverExperimentConfig& cfg,
             break;
     }
     b->records.resize(num_procs);
-    b->recovery_records.resize(num_procs);
 
-    const auto install = [&](sim::Role role) {
-        sim::Process& p = b->sys->add_process(role);
-        RecoverDriveConfig dc;
-        dc.passages = cfg.passages;
-        dc.cs_steps = cfg.cs_steps;
+    // A mutex has no reader/writer distinction (no readers: num_procs is
+    // m); modelling every participant as a writer makes the ME predicate
+    // "at most one in the CS", which is exactly mutual exclusion.
+    const std::uint32_t readers = num_procs - cfg.m;
+    sim::DriveConfig dc;
+    dc.passages = cfg.passages;
+    dc.cs_steps = cfg.cs_steps;
+    for (std::uint32_t i = 0; i < num_procs; ++i) {
+        sim::Process& p = b->sys->add_process(i < readers ? sim::Role::Reader
+                                                          : sim::Role::Writer);
         dc.records = &b->records[p.id()];
-        dc.recovery_records = &b->recovery_records[p.id()];
-        install_recoverable_driver(*b->lock, p, dc);
-    };
-    if (is_mutex_kind(cfg.lock)) {
-        // A mutex has no reader/writer distinction; modelling every
-        // participant as a writer makes the ME predicate "at most one in
-        // the CS", which is exactly mutual exclusion.
-        for (std::uint32_t i = 0; i < cfg.m; ++i) {
-            install(sim::Role::Writer);
-        }
-    } else {
-        for (std::uint32_t r = 0; r < cfg.n; ++r) {
-            install(sim::Role::Reader);
-        }
-        for (std::uint32_t w = 0; w < cfg.m; ++w) {
-            install(sim::Role::Writer);
-        }
+        sim::install(*b->lock, p, dc);
     }
 
     // Observer order matters: the injector must run before the checkers so
@@ -121,42 +102,18 @@ std::unique_ptr<BuiltRecoverScenario> build(const RecoverExperimentConfig& cfg,
 }
 
 void aggregate(const BuiltRecoverScenario& b, RecoverExperimentResult* res) {
-    harness::RoleStats* roles[2] = {&res->readers, &res->writers};
-    for (ProcId id = 0; id < b.sys->num_processes(); ++id) {
-        harness::RoleStats& rs =
-            *roles[b.sys->process(id).is_reader() ? 0 : 1];
-        for (const auto& rec : b.records[id]) {
-            ++rs.num_passages;
-            for (int s = 0; s < kNumSections; ++s) {
-                rs.mean_rmrs[s] += static_cast<double>(rec.delta.rmrs[s]);
-                rs.max_rmrs[s] = std::max(rs.max_rmrs[s], rec.delta.rmrs[s]);
-                rs.mean_steps[s] += static_cast<double>(rec.delta.steps[s]);
-                rs.max_steps[s] =
-                    std::max(rs.max_steps[s], rec.delta.steps[s]);
-            }
-            const auto prmrs = rec.delta.passage_rmrs();
-            rs.mean_passage_rmrs += static_cast<double>(prmrs);
-            rs.max_passage_rmrs = std::max(rs.max_passage_rmrs, prmrs);
-        }
-    }
-    for (harness::RoleStats* rs : roles) {
-        if (rs->num_passages == 0) {
-            continue;
-        }
-        const auto denom = static_cast<double>(rs->num_passages);
-        for (int s = 0; s < kNumSections; ++s) {
-            rs->mean_rmrs[s] /= denom;
-            rs->mean_steps[s] /= denom;
-        }
-        rs->mean_passage_rmrs /= denom;
-        res->total_passages += rs->num_passages;
-    }
+    harness::fold_roles(*b.sys, b.records, &res->readers, &res->writers);
+    res->total_passages =
+        res->readers.num_passages + res->writers.num_passages;
     // Recovery episode distribution: the Recover-section slice of each
     // completed episode, pooled over all processes.
     RecoverySummary& rec = res->recovery;
     constexpr auto kRec = static_cast<std::size_t>(Section::Recover);
-    for (const auto& per_proc : b.recovery_records) {
+    for (const auto& per_proc : b.records) {
         for (const auto& ep : per_proc) {
+            if (ep.kind != sim::PassageRecord::Kind::Recovery) {
+                continue;
+            }
             ++rec.episodes;
             rec.mean_rmrs += static_cast<double>(ep.delta.rmrs[kRec]);
             rec.max_rmrs = std::max(rec.max_rmrs, ep.delta.rmrs[kRec]);
@@ -175,32 +132,18 @@ void aggregate(const BuiltRecoverScenario& b, RecoverExperimentResult* res) {
 RecoverExperimentResult run_recover_experiment(
     const RecoverExperimentConfig& cfg) {
     auto b = build(cfg, /*throw_on_violation=*/false);
+    sim::RunPlan plan;
+    plan.sched = cfg.sched;
+    plan.seed = cfg.seed;
+    plan.max_steps = cfg.max_steps;
+    plan.replay = cfg.replay;
+    plan.record_schedule = cfg.record_schedule;
+    sim::PlanResult run = sim::run_plan(*b->sys, plan);
     RecoverExperimentResult res;
-
-    std::unique_ptr<sim::Scheduler> sched;
-    if (!cfg.replay.empty()) {
-        sched = std::make_unique<sim::ReplayScheduler>(cfg.replay);
-    } else if (cfg.sched == harness::SchedKind::RoundRobin) {
-        sched = std::make_unique<sim::RoundRobinScheduler>();
-    } else {
-        sched = std::make_unique<sim::RandomScheduler>(cfg.seed);
-    }
-    std::unique_ptr<sim::RecordingScheduler> recorder;
-    sim::Scheduler* active = sched.get();
-    if (cfg.record_schedule) {
-        recorder = std::make_unique<sim::RecordingScheduler>(*sched);
-        active = recorder.get();
-    }
-
-    const auto sim_start = std::chrono::steady_clock::now();
-    const auto rr = sim::run(*b->sys, *active, cfg.max_steps);
-    res.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - sim_start)
-                      .count();
-    b->sys->check_failures();
-
-    res.finished = rr.all_finished;
-    res.steps = rr.steps;
+    res.wall_ms = run.wall_ms;
+    res.finished = run.finished;
+    res.steps = run.steps;
+    res.schedule = std::move(run.schedule);
     res.all_surviving_finished = b->sys->all_surviving_finished();
     res.me_violations = b->me_checker->violations();
     res.rme_violations = b->rme_checker->violations();
@@ -217,9 +160,6 @@ RecoverExperimentResult run_recover_experiment(
         // every fault land and some never did -- the run just measured a
         // healthier execution than the one configured.
         b->injector->assert_all_fired();
-    }
-    if (recorder) {
-        res.schedule = recorder->choices();
     }
     aggregate(*b, &res);
     return res;

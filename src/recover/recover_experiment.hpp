@@ -60,7 +60,7 @@ struct RecoverExperimentConfig {
 };
 
 /// Per-recovery-episode cost summary (Recover-section steps/RMRs of each
-/// completed episode, from RecoverDriveConfig::recovery_records).
+/// completed episode, from the driver's Kind::Recovery records).
 struct RecoverySummary {
     std::uint64_t episodes = 0;
     double mean_rmrs = 0;

@@ -12,8 +12,8 @@
 // evidence (per-slot stage words, pid-tagged claims) for recover() to
 // decide how far the crashed attempt got and either finish it or undo it.
 //
-// recover() reports one of three outcomes, which is all the driver
-// (recover/driver.hpp) needs to resume the passage correctly:
+// recover() reports one of three outcomes, which is all the passage
+// driver (sim/passage.hpp) needs to resume the passage correctly:
 //   * None              -- the crash hit outside any passage (or after a
 //                          fully completed one); nothing to repair.
 //   * InCriticalSection -- the process holds the lock NOW: the crashed
@@ -25,22 +25,20 @@
 //   * LockReleased      -- the crashed attempt's passage is finished (the
 //                          crash hit in the exit section; recovery
 //                          completed the release). The passage counts.
+// Every RecoverableLock is a recoverable drive() target as it stands.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "rmr/memory.hpp"
+#include "sim/passage.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
 namespace rwr::recover {
 
-enum class RecoveryOutcome : std::uint8_t {
-    None,
-    InCriticalSection,
-    LockReleased,
-};
+using RecoveryOutcome = sim::RecoveryOutcome;
 
 [[nodiscard]] inline const char* to_string(RecoveryOutcome o) {
     switch (o) {

@@ -12,7 +12,7 @@
 //     and, under the CC protocols, all of its cached copies are evicted;
 //     shared-memory *values* persist. The process then restarts in
 //     Section::Recover running a task built by its restart factory
-//     (Process::set_restart_factory; see recover/driver.hpp).
+//     (Process::set_restart_factory; see sim::install in sim/passage.hpp).
 //   * Stall -- the victim is paused for a given number of *global* steps,
 //     modelling a preempted or swapped-out thread, then resumes.
 //

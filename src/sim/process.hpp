@@ -101,7 +101,8 @@ class Process {
     [[nodiscard]] bool crashed() const { return crashed_; }
 
     /// Builds the replacement task a process runs after a crash-restart
-    /// (typically a recovery driver, see recover/driver.hpp). Installing a
+    /// (the passage driver re-entered in Section::Recover, installed by
+    /// sim::install for recoverable targets; sim/passage.hpp). Installing a
     /// factory is what makes a process restartable; without one a
     /// CrashRestart fault is an error.
     using RestartFactory = std::function<SimTask<void>(Process&)>;

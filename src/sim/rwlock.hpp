@@ -1,16 +1,15 @@
-// Abstract interface for simulated reader-writer locks, plus the standard
-// passage driver that wraps entry/CS/exit with section markers.
+// Abstract interface for simulated reader-writer locks.
 //
 // A lock implementation allocates its shared variables from the System's
 // Memory at construction and expresses its entry/exit sections as SimTask
-// coroutines; each shared access inside them is a scheduling point.
+// coroutines; each shared access inside them is a scheduling point. Every
+// SimRWLock is a drive() target (sim/passage.hpp): the process's role picks
+// the reader or the writer section.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "rmr/stats.hpp"
+#include "sim/passage.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -26,59 +25,20 @@ class SimRWLock {
     virtual SimTask<void> writer_exit(Process& p) = 0;
 
     [[nodiscard]] virtual std::string name() const = 0;
-};
 
-/// Per-passage step/RMR deltas, recorded by the driver.
-struct PassageRecord {
-    SectionStats delta;  ///< Stats accrued during this passage only.
-};
-
-struct DriveConfig {
-    std::uint64_t passages = 1;
-    /// Local steps spent inside the CS per passage (scheduling points while
-    /// the process occupies the CS; >=1 so checkers can observe occupancy).
-    std::uint64_t cs_steps = 1;
-    /// Local steps spent in the remainder section between passages.
-    std::uint64_t remainder_steps = 0;
-    /// Record per-passage stats into `records` if non-null.
-    std::vector<PassageRecord>* records = nullptr;
+    SimTask<void> entry(Process& p) {
+        return p.is_reader() ? reader_entry(p) : writer_entry(p);
+    }
+    SimTask<void> exit(Process& p) {
+        return p.is_reader() ? reader_exit(p) : writer_exit(p);
+    }
 };
 
 /// Standard passage driver: runs `cfg.passages` passages of `p` through
 /// `lock`, maintaining section markers and optional per-passage records.
 inline SimTask<void> drive_passages(SimRWLock& lock, Process& p,
                                     DriveConfig cfg) {
-    for (std::uint64_t k = 0; k < cfg.passages; ++k) {
-        const SectionStats before = p.stats();
-
-        p.set_section(Section::Entry);
-        if (p.is_reader()) {
-            co_await lock.reader_entry(p);
-        } else {
-            co_await lock.writer_entry(p);
-        }
-
-        p.set_section(Section::Critical);
-        for (std::uint64_t s = 0; s < cfg.cs_steps; ++s) {
-            co_await p.local_step();
-        }
-
-        p.set_section(Section::Exit);
-        if (p.is_reader()) {
-            co_await lock.reader_exit(p);
-        } else {
-            co_await lock.writer_exit(p);
-        }
-
-        p.set_section(Section::Remainder);
-        p.note_passage_complete();
-        if (cfg.records != nullptr) {
-            cfg.records->push_back(PassageRecord{p.stats() - before});
-        }
-        for (std::uint64_t s = 0; s < cfg.remainder_steps; ++s) {
-            co_await p.local_step();
-        }
-    }
+    return drive(lock, p, cfg);
 }
 
 }  // namespace rwr::sim

@@ -6,6 +6,8 @@
 
 #include <bit>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "core/af_lock_sim.hpp"
 #include "harness/experiment.hpp"
@@ -73,16 +75,34 @@ TEST(AfLock, SoloWriterPassage) {
     EXPECT_EQ(res.me_violations, 0u);
 }
 
-class AfSweep : public ::testing::TestWithParam<
-                    std::tuple<Protocol, std::uint32_t /*n*/,
-                               std::uint32_t /*m*/, std::uint32_t /*f*/,
-                               std::uint64_t /*seed*/>> {};
+using AfSweepPoint = std::tuple<Protocol, std::uint32_t /*n*/,
+                                std::uint32_t /*m*/, std::uint32_t /*f*/,
+                                std::uint64_t /*seed*/>;
+
+class AfSweep : public ::testing::TestWithParam<AfSweepPoint> {};
+
+/// Every valid (f <= n) point of the sweep.
+std::vector<AfSweepPoint> af_sweep_grid() {
+    std::vector<AfSweepPoint> grid;
+    for (const Protocol proto : {Protocol::WriteThrough, Protocol::WriteBack}) {
+        for (const std::uint32_t n : {1u, 2u, 5u, 8u}) {
+            for (const std::uint32_t m : {1u, 2u, 3u}) {
+                for (const std::uint32_t f : {1u, 2u, 4u, 8u}) {
+                    if (f > n) {
+                        continue;
+                    }
+                    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+                        grid.emplace_back(proto, n, m, f, seed);
+                    }
+                }
+            }
+        }
+    }
+    return grid;
+}
 
 TEST_P(AfSweep, MutualExclusionAndProgress) {
     const auto [proto, n, m, f, seed] = GetParam();
-    if (f > n) {
-        GTEST_SKIP() << "f > n is not a valid parameterization";
-    }
     ExperimentConfig cfg;
     cfg.lock = LockKind::Af;
     cfg.protocol = proto;
@@ -99,14 +119,7 @@ TEST_P(AfSweep, MutualExclusionAndProgress) {
     EXPECT_EQ(res.writers.num_passages, static_cast<std::uint64_t>(m) * 4);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, AfSweep,
-    ::testing::Combine(::testing::Values(Protocol::WriteThrough,
-                                         Protocol::WriteBack),
-                       ::testing::Values(1u, 2u, 5u, 8u),
-                       ::testing::Values(1u, 2u, 3u),
-                       ::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Range<std::uint64_t>(0, 4)));
+INSTANTIATE_TEST_SUITE_P(Sweep, AfSweep, ::testing::ValuesIn(af_sweep_grid()));
 
 TEST(AfLock, ExhaustiveSmallSchedules_N2M1F1) {
     ExperimentConfig cfg;

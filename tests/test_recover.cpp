@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "harness/parallel.hpp"
-#include "recover/driver.hpp"
 #include "recover/recover_experiment.hpp"
 #include "recover/recoverable_mutex.hpp"
 #include "recover/recoverable_rwlock.hpp"
