@@ -36,13 +36,12 @@
 // Regenerating the baseline after an intended algorithm change:
 //   ./build/bench/bench_abortable --smoke --json BENCH_abort.json
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/parallel.hpp"
 #include "harness/seeds.hpp"
 #include "harness/table.hpp"
@@ -195,14 +194,10 @@ void grid_json_row(json::Value* results, const Cell& c,
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", lock_name(c.v));
-    row.set("protocol", rwr::to_string(proto_of(c.v)));
-    row.set("n", 0);
-    row.set("m", c.m);
-    row.set("f", 1);
-    row.set("threads", c.m);
-    row.set("workload", workload_name(c.rate));
+    auto row = bench::key_row({.lock = lock_name(c.v),
+                               .protocol = rwr::to_string(proto_of(c.v)),
+                               .m = c.m, .f = 1, .threads = c.m,
+                               .workload = workload_name(c.rate)});
     auto a = json::Value::object();
     a.set("episodes", res.amortized.episodes);
     a.set("aborted", res.amortized.aborted_episodes);
@@ -222,14 +217,10 @@ void trial_json_row(json::Value* results, const char* lock,
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", lock);
-    row.set("protocol", rwr::to_string(Protocol::WriteBack));
-    row.set("n", 0);
-    row.set("m", m);
-    row.set("f", 1);
-    row.set("threads", m);
-    row.set("workload", std::string("ab50-") + adversary);
+    auto row = bench::key_row({.lock = lock,
+                               .protocol = rwr::to_string(Protocol::WriteBack),
+                               .m = m, .f = 1, .threads = m,
+                               .workload = std::string("ab50-") + adversary});
     auto a = json::Value::object();
     // Trial rows aggregate across runs; the per-run quartet is reported
     // as the per-trial shape (episode counts vary per trial and are not
@@ -246,40 +237,17 @@ void trial_json_row(json::Value* results, const char* lock,
     results->push_back(std::move(row));
 }
 
-// ---- Assertion bookkeeping ----------------------------------------------
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        ++g_failures;
-        std::cerr << "E18 ABORTABLE CHECK FAILED: " << what << "\n";
-    }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        }
-    }
-    const unsigned jobs = parse_jobs(argc, argv);
-    auto doc = bench::make_doc("abortable");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
+    bench::Kit kit("abortable", argc, argv, {"--json", "--smoke", "--jobs"});
+    const bool smoke = kit.smoke();
+    json::Value* results = kit.results();
 
     std::cout << "bench_abortable: amortized writer RMRs under abort-heavy "
                  "workloads, constant-amortized + randomized vs log m "
                  "baselines (E18, jobs="
-              << jobs << (smoke ? ", smoke" : "") << ")\n";
+              << kit.jobs() << (smoke ? ", smoke" : "") << ")\n";
 
     const std::vector<std::uint32_t> ms =
         smoke ? std::vector<std::uint32_t>{2, 8, 64}
@@ -301,19 +269,14 @@ int main(int argc, char** argv) {
         }
     }
     std::vector<AbortExperimentResult> res(cells.size());
-    parallel_for(cells.size(), jobs, [&](std::size_t i) {
+    parallel_for(cells.size(), kit.jobs(), [&](std::size_t i) {
         res[i] = run_abort_experiment(cell_cfg(cells[i]));
     });
 
-    const auto grid_mean = [&](Variant v, double rate,
-                               std::uint32_t m) -> double {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cells[i].v == v && cells[i].rate == rate &&
-                cells[i].m == m) {
-                return res[i].amortized.amortized_rmrs_per_passage();
-            }
-        }
-        return 0;
+    const auto grid_mean = [&](Variant v, double rate, std::uint32_t m) {
+        return bench::lookup(cells, res, [&](const Cell& c) {
+                   return c.v == v && c.rate == rate && c.m == m;
+               }).amortized.amortized_rmrs_per_passage();
     };
 
     std::cout << "\n=== E18: amortized writer RMRs per passage (round-robin, "
@@ -339,11 +302,11 @@ int main(int argc, char** argv) {
         const std::string where = std::string(lock_name(cells[i].v)) + "/" +
                                   workload_name(cells[i].rate) +
                                   " m=" + std::to_string(cells[i].m);
-        check(res[i].finished, where + ": did not finish");
-        check(res[i].me_violations == 0, where + ": mutual exclusion");
+        kit.check(res[i].finished, where + ": did not finish");
+        kit.check(res[i].me_violations == 0, where + ": mutual exclusion");
         if (cells[i].rate > 0.0) {
-            check(res[i].amortized.aborted_episodes > 0,
-                  where + ": abort mix produced no aborts");
+            kit.check(res[i].amortized.aborted_episodes > 0,
+                      where + ": abort mix produced no aborts");
         }
         grid_json_row(results, cells[i], res[i]);
     }
@@ -369,25 +332,25 @@ int main(int argc, char** argv) {
         for (const double rate : {0.0, 0.5}) {
             const double lo = grid_mean(v, rate, m_flat);
             const double hi = grid_mean(v, rate, m_hi);
-            check(hi <= kJjFlatCap * lo,
-                  std::string(lock_name(v)) + "/" + workload_name(rate) +
-                      ": amortized RMRs grew " + fmt(hi / lo, 2) +
-                      "x from m=" + std::to_string(m_flat) +
-                      " (" + fmt(lo, 2) + ") to m=" + std::to_string(m_hi) +
-                      " (" + fmt(hi, 2) + "), cap " + fmt(kJjFlatCap, 1));
+            kit.check(hi <= kJjFlatCap * lo,
+                      std::string(lock_name(v)) + "/" + workload_name(rate) +
+                          ": amortized RMRs grew " + fmt(hi / lo, 2) +
+                          "x from m=" + std::to_string(m_flat) +
+                          " (" + fmt(lo, 2) + ") to m=" + std::to_string(m_hi) +
+                          " (" + fmt(hi, 2) + "), cap " + fmt(kJjFlatCap, 1));
         }
     }
     // Head-to-head at the largest cell: the log m baselines must sit at
     // least kGrowthFloor above JJ in their own protocol (the separation
     // the amortized construction buys, stated absolutely).
-    check(grid_mean(Variant::TournamentCc, 0.5, m_hi) >=
-              kGrowthFloor * grid_mean(Variant::JjCc, 0.5, m_hi),
-          "tournament/ab50 not >= " + fmt(kGrowthFloor, 1) +
-              "x jj/ab50 at m=" + std::to_string(m_hi));
-    check(grid_mean(Variant::YaDsm, 0.0, m_hi) >=
-              kGrowthFloor * grid_mean(Variant::JjDsm, 0.0, m_hi),
-          "ya-dsm/ab0 not >= " + fmt(kGrowthFloor, 1) +
-              "x jj-dsm/ab0 at m=" + std::to_string(m_hi));
+    kit.check(grid_mean(Variant::TournamentCc, 0.5, m_hi) >=
+                  kGrowthFloor * grid_mean(Variant::JjCc, 0.5, m_hi),
+              "tournament/ab50 not >= " + fmt(kGrowthFloor, 1) +
+                  "x jj/ab50 at m=" + std::to_string(m_hi));
+    kit.check(grid_mean(Variant::YaDsm, 0.0, m_hi) >=
+                  kGrowthFloor * grid_mean(Variant::JjDsm, 0.0, m_hi),
+              "ya-dsm/ab0 not >= " + fmt(kGrowthFloor, 1) +
+                  "x jj-dsm/ab0 at m=" + std::to_string(m_hi));
     const struct {
         Variant v;
         double rate;
@@ -398,11 +361,11 @@ int main(int argc, char** argv) {
     for (const auto& g : growers) {
         const double lo = grid_mean(g.v, g.rate, m_lo);
         const double hi = grid_mean(g.v, g.rate, m_hi);
-        check(hi >= kGrowthFloor * lo,
-              std::string(lock_name(g.v)) + "/" + workload_name(g.rate) +
-                  ": grew only " + fmt(hi / std::max(1.0, lo), 2) +
-                  "x from m=" + std::to_string(m_lo) + " to m=" +
-                  std::to_string(m_hi) + ", floor " + fmt(kGrowthFloor, 1));
+        kit.check(hi >= kGrowthFloor * lo,
+                  std::string(lock_name(g.v)) + "/" + workload_name(g.rate) +
+                      ": grew only " + fmt(hi / std::max(1.0, lo), 2) +
+                      "x from m=" + std::to_string(m_lo) + " to m=" +
+                      std::to_string(m_hi) + ", floor " + fmt(kGrowthFloor, 1));
     }
 
     // -- Randomized section: expectation vs the deterministic curve -------
@@ -444,11 +407,11 @@ int main(int argc, char** argv) {
                 fmt(pw.ci95, 2), fmt(pw.worst, 2)});
         t2.row({to_string(sched), "e18-tournament", fmt(tr.mean, 2),
                 fmt(tr.ci95, 2), fmt(tr.worst, 2)});
-        check(pw.mean + pw.ci95 < tr.mean,
-              std::string("pw vs tournament under ") + to_string(sched) +
-                  ": mean " + fmt(pw.mean, 2) + " + ci95 " +
-                  fmt(pw.ci95, 2) + " not below deterministic-curve mean " +
-                  fmt(tr.mean, 2));
+        kit.check(pw.mean + pw.ci95 < tr.mean,
+                  std::string("pw vs tournament under ") + to_string(sched) +
+                      ": mean " + fmt(pw.mean, 2) + " + ci95 " +
+                      fmt(pw.ci95, 2) + " not below deterministic-curve mean " +
+                      fmt(tr.mean, 2));
         trial_json_row(results, "e18-pw",
                        sched == AbortSched::ObliviousRandom ? "oblivious"
                                                             : "adaptive",
@@ -460,24 +423,8 @@ int main(int argc, char** argv) {
     }
     t2.print();
 
-    if (results != nullptr) {
-        try {
-            bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_abortable --json failed: " << e.what()
-                      << "\n";
-            return 1;
-        }
-    }
-    if (g_failures > 0) {
-        std::cerr << g_failures
-                  << " abortable check(s) failed -- the amortized/randomized "
-                     "reproduction regressed\n";
-        return 1;
-    }
-    std::cout << "\nAll abortable checks passed: JJ amortized stays flat "
-                 "under aborts, the log m baselines grow, and PW beats the "
-                 "deterministic curve in expectation.\n";
-    return 0;
+    return kit.finish(
+        "\nAll abortable checks passed: JJ amortized stays flat "
+        "under aborts, the log m baselines grow, and PW beats the "
+        "deterministic curve in expectation.\n");
 }

@@ -1,26 +1,27 @@
 // Perf-trajectory regression check over "rwr-bench-v1" JSON files.
 //
 //   bench_compare --check FILE.json          validate schema, exit 0/1
-//   bench_compare OLD.json NEW.json [--max-drop 0.10] [--max-perf-drop 0.50]
+//   bench_compare OLD.json NEW.json [--max-perf-drop 0.50]
 //
-// Compare mode joins rows on (bench, lock, protocol, n, m, f, threads) and
-// flags: throughput_ops drops beyond --max-drop (noisy, wall-clock),
-// sim_rmr mean-passage *increases* beyond the same fraction (deterministic
-// counts -- any growth is a real protocol regression), and
-// sim_perf.steps_per_sec drops beyond --max-perf-drop (simulator engine
-// speed; wall-clock and machine-dependent, hence the much wider default
-// tolerance -- it guards against order-of-magnitude engine regressions,
-// not noise). Rows where either run spent less than --min-perf-ms (default
-// 5 ms) of wall time are exempt from the perf gate: sub-millisecond cells
-// measure scheduler jitter, not the engine.
+// Compare mode joins rows on the row key (bench_json.hpp RowKey) and
+// flags: throughput_ops drops beyond 10% (bench_diff.hpp kMaxDrop),
+// exact counts (sim_rmr means, explore schedules, dist network RMRs,
+// amortized RMRs) *increasing* beyond the same fraction -- any growth is a
+// real protocol regression -- and wall-clock rates (steps_per_sec,
+// schedules_per_sec, ops_per_sec) dropping beyond --max-perf-drop
+// (machine-dependent, hence the much wider default tolerance -- it guards
+// against order-of-magnitude engine regressions, not noise). Rows where
+// either run spent less than 5 ms (kMinPerfMs) of wall time are exempt from
+// the wall-clock gate: they measure scheduler jitter, not the engine.
 //
-// Baseline rows MISSING from the new run are a hard error, one message per
-// row: a vanished row means the new binary silently dropped a
-// configuration, which would let a regression hide by deleting its row.
-// Rows only the new run has are informational ([new]).
+// Baseline rows MISSING from the new run, and baseline fields a matched
+// new row lacks, are a hard error, one message each: the checked-in
+// baseline is the manifest of what a run must produce, so nothing can
+// hide a regression by deleting its row or field. Rows only the new run
+// has are informational ([new]).
 //
-// Exit 1 iff any row regressed or went missing, so CI or a local loop can
-// gate on it:
+// Exit 1 iff anything regressed or went missing, so CI or a local loop
+// can gate on it:
 //
 //   bench_native_throughput --json new.json && bench_compare BENCH_native.json new.json
 //
@@ -46,12 +47,11 @@ int compare(const Value& oldd, const Value& newd,
         std::cout << "  [new]     " << key << "\n";
     }
     std::cout << rep.joined << " rows joined, " << rep.regressions.size()
-              << " regression(s) beyond " << opts.max_drop * 100 << "%, "
-              << rep.missing.size() << " missing row(s)\n";
+              << " regression(s), " << rep.missing.size()
+              << " missing row(s)/field(s)\n";
     for (const auto& key : rep.missing) {
         std::cout << "  [MISSING] " << key
-                  << ": present in baseline but absent from the new run "
-                     "(dropped configuration?)\n";
+                  << ": present in baseline but absent from the new run\n";
     }
     for (const auto& f : rep.regressions) {
         std::cout << "  [REGRESS] " << f.key << " " << f.metric << ": "
@@ -63,8 +63,8 @@ int compare(const Value& oldd, const Value& newd,
 
 int usage() {
     std::cerr << "usage: bench_compare --check FILE.json\n"
-                 "       bench_compare OLD.json NEW.json [--max-drop FRAC] "
-                 "[--max-perf-drop FRAC] [--min-perf-ms MS]\n";
+                 "       bench_compare OLD.json NEW.json "
+                 "[--max-perf-drop FRAC]\n";
     return 2;
 }
 
@@ -77,14 +77,9 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--check") == 0) {
             check_only = true;
-        } else if (std::strcmp(argv[i], "--max-drop") == 0 && i + 1 < argc) {
-            opts.max_drop = std::stod(argv[++i]);
         } else if (std::strcmp(argv[i], "--max-perf-drop") == 0 &&
                    i + 1 < argc) {
             opts.max_perf_drop = std::stod(argv[++i]);
-        } else if (std::strcmp(argv[i], "--min-perf-ms") == 0 &&
-                   i + 1 < argc) {
-            opts.min_perf_ms = std::stod(argv[++i]);
         } else {
             files.emplace_back(argv[i]);
         }

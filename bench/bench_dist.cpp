@@ -36,7 +36,6 @@
 // Regenerating the baseline after an intended protocol change:
 //   ./build/bench/bench_dist --smoke --sim-only --json BENCH_dist.json
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -47,8 +46,7 @@
 #include "dist/loopback.hpp"
 #include "dist/native_table.hpp"
 #include "dist/sim_table.hpp"
-#include "harness/bench_json.hpp"
-#include "harness/pool.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/table.hpp"
 
 namespace {
@@ -57,16 +55,8 @@ using namespace rwr;
 using namespace rwr::dist;
 using harness::fmt;
 using harness::Table;
+namespace bench = rwr::harness::bench;
 namespace json = rwr::harness::json;
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        ++g_failures;
-        std::cout << "CHECK FAILED: " << what << "\n";
-    }
-}
 
 // ---- Assertion thresholds (sim counts are exact; margins absorb only
 // intended-protocol-change retuning, not noise) ----------------------------
@@ -123,24 +113,12 @@ void sim_json_row(json::Value* results, const SimCell& cell,
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    bool smoke = false;
-    bool sim_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--sim-only") == 0) {
-            sim_only = true;
-        }
-    }
-    const unsigned jobs = harness::parse_jobs(argc, argv);
-    auto doc = harness::bench::make_doc("dist");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
+    bench::Kit kit("dist", argc, argv,
+                   {"--json", "--smoke", "--sim-only", "--jobs"});
+    const bool smoke = kit.smoke();
+    const bool sim_only = kit.has("--sim-only");
+    const unsigned jobs = kit.jobs();
+    json::Value* results = kit.results();
 
     std::cout << "bench_dist: sharded lock table over one-sided verbs, "
                  "homed vs unhomed, sim + loopback (E17, jobs="
@@ -192,25 +170,21 @@ int main(int argc, char** argv) {
         t.row({c.name, fmt(c.cfg.table.shards), fmt(c.cfg.table.sessions),
                fmt(c.cfg.reader_pct), fmt(r.total_ops),
                fmt(r.network_rmrs_per_op, 2), fmt(r.witness_violations)});
-        check(r.finished, c.name + " s=" +
-                              std::to_string(c.cfg.table.sessions) +
-                              ": run did not finish (deadlock?)");
-        check(r.witness_violations == 0,
-              c.name + " s=" + std::to_string(c.cfg.table.sessions) +
-                  ": witness violations");
+        kit.check(r.finished, c.name + " s=" +
+                                  std::to_string(c.cfg.table.sessions) +
+                                  ": run did not finish (deadlock?)");
+        kit.check(r.witness_violations == 0,
+                  c.name + " s=" + std::to_string(c.cfg.table.sessions) +
+                      ": witness violations");
         sim_json_row(results, c, r);
     }
     t.print();
 
     const auto cell_rmrs = [&](const std::string& name,
-                               std::uint32_t sessions) -> double {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cells[i].name == name &&
-                cells[i].cfg.table.sessions == sessions) {
-                return rs[i].network_rmrs_per_op;
-            }
-        }
-        return 0;
+                               std::uint32_t sessions) {
+        return bench::lookup(cells, rs, [&](const SimCell& c) {
+                   return c.name == name && c.cfg.table.sessions == sessions;
+               }).network_rmrs_per_op;
     };
     const std::uint32_t s_lo = session_grid.front();
     const std::uint32_t s_hi = session_grid.back();
@@ -221,26 +195,26 @@ int main(int argc, char** argv) {
         const double homed_hi = cell_rmrs("e17-dist-homed", s_hi);
         const double abl_lo = cell_rmrs("e17-dist-unhomed", s_lo);
         const double abl_hi = cell_rmrs("e17-dist-unhomed", s_hi);
-        check(homed_hi <= kHomedFlatCap * homed_lo,
-              "homed not flat: " + fmt(homed_hi, 2) + " at s=" +
-                  std::to_string(s_hi) + " vs " + fmt(homed_lo, 2) +
-                  " at s=" + std::to_string(s_lo));
-        check(abl_hi >= kGrowthFloor * abl_lo,
-              "unhomed did not grow: " + fmt(abl_hi, 2) + " at s=" +
-                  std::to_string(s_hi) + " vs " + fmt(abl_lo, 2) + " at s=" +
-                  std::to_string(s_lo));
-        check(abl_hi >= kSeparationFloor * homed_hi,
-              "no separation at s=" + std::to_string(s_hi) + ": unhomed " +
-                  fmt(abl_hi, 2) + " vs homed " + fmt(homed_hi, 2));
+        kit.check(homed_hi <= kHomedFlatCap * homed_lo,
+                  "homed not flat: " + fmt(homed_hi, 2) + " at s=" +
+                      std::to_string(s_hi) + " vs " + fmt(homed_lo, 2) +
+                      " at s=" + std::to_string(s_lo));
+        kit.check(abl_hi >= kGrowthFloor * abl_lo,
+                  "unhomed did not grow: " + fmt(abl_hi, 2) + " at s=" +
+                      std::to_string(s_hi) + " vs " + fmt(abl_lo, 2) +
+                      " at s=" + std::to_string(s_lo));
+        kit.check(abl_hi >= kSeparationFloor * homed_hi,
+                  "no separation at s=" + std::to_string(s_hi) + ": unhomed " +
+                      fmt(abl_hi, 2) + " vs homed " + fmt(homed_hi, 2));
     }
     // The separation, reader-heavy grid.
     {
         const double homed_hi = cell_rmrs("e17-dist-homed-r90", s_hi);
         const double abl_hi = cell_rmrs("e17-dist-unhomed-r90", s_hi);
-        check(abl_hi >= kMixedSeparationFloor * homed_hi,
-              "no r90 separation at s=" + std::to_string(s_hi) +
-                  ": unhomed " + fmt(abl_hi, 2) + " vs homed " +
-                  fmt(homed_hi, 2));
+        kit.check(abl_hi >= kMixedSeparationFloor * homed_hi,
+                  "no r90 separation at s=" + std::to_string(s_hi) +
+                      ": unhomed " + fmt(abl_hi, 2) + " vs homed " +
+                      fmt(homed_hi, 2));
     }
 
     // ---- Native loopback ------------------------------------------------
@@ -299,19 +273,19 @@ int main(int argc, char** argv) {
                     fmt(res.merged.percentile_us(0.99), 1),
                     fmt(res.witness_violations)});
 
-            check(res.witness_violations == 0,
-                  nc.name + " s=" + std::to_string(nc.cfg.sessions) +
-                      ": witness violations on loopback");
+            kit.check(res.witness_violations == 0,
+                      nc.name + " s=" + std::to_string(nc.cfg.sessions) +
+                          ": witness violations on loopback");
             const CtrlReply st = client.stats();
-            check(st.ok == 1 &&
-                      st.tickets_issued == res.merged.write_ops &&
-                      st.witness_nonzero == 0 && st.readers_active == 0,
-                  nc.name + ": daemon-side stats disagree with client "
-                            "counts after quiesce");
+            kit.check(st.ok == 1 &&
+                          st.tickets_issued == res.merged.write_ops &&
+                          st.witness_nonzero == 0 && st.readers_active == 0,
+                      nc.name + ": daemon-side stats disagree with client "
+                                "counts after quiesce");
             if (nc.cfg.sessions >= 1024) {
-                check(res.merged.total_ops() >= 1'000'000,
-                      "loopback load bar: expected >=1M ops, got " +
-                          std::to_string(res.merged.total_ops()));
+                kit.check(res.merged.total_ops() >= 1'000'000,
+                          "loopback load bar: expected >=1M ops, got " +
+                              std::to_string(res.merged.total_ops()));
             }
             if (results != nullptr) {
                 DistRowMetrics m;
@@ -331,14 +305,5 @@ int main(int argc, char** argv) {
         nt.print();
     }
 
-    if (results != nullptr) {
-        harness::bench::write_file(json_path, doc);
-        std::cout << "\nwrote " << json_path << "\n";
-    }
-    if (g_failures != 0) {
-        std::cout << g_failures << " check(s) FAILED\n";
-        return 1;
-    }
-    std::cout << "\nall E17 checks passed\n";
-    return 0;
+    return kit.finish("\nall E17 checks passed\n");
 }

@@ -21,12 +21,14 @@
 //                  DSM numbers reach bench_compare gating like every other
 //                  experiment. E11b rows disambiguate the hold duration
 //                  via the "workload" key field ("holdN").
-#include <cstring>
+//
+// Regenerating the checked-in baseline after an intended change:
+//   ./build/bench/bench_dsm --json BENCH_dsm.json
 #include <iostream>
 #include <memory>
 #include <string>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "knowledge/awareness.hpp"
@@ -37,73 +39,30 @@ namespace {
 using namespace rwr;
 using namespace rwr::harness;
 
-struct DsmPoint {
-    double rd = 0, wr = 0;
-    std::uint64_t lemma1_free_expansions = 0;
-    std::vector<std::uint64_t> proc_rmrs;
-};
-
-DsmPoint measure(Protocol proto, std::uint32_t n, std::uint32_t f) {
-    sim::System sys(proto);
-    auto lock = make_sim_lock(LockKind::Af, sys.memory(), n, 1, f);
-    std::vector<std::vector<sim::PassageRecord>> records(n + 1);
-    for (std::uint32_t r = 0; r < n; ++r) {
-        sim::Process& p = sys.add_process(sim::Role::Reader);
-        sim::DriveConfig dc;
-        dc.passages = 2;
-        dc.records = &records[p.id()];
-        p.set_task(sim::drive_passages(*lock, p, dc));
-    }
-    sim::Process& w = sys.add_process(sim::Role::Writer);
-    sim::DriveConfig dcw;
-    dcw.passages = 2;
-    dcw.records = &records[w.id()];
-    w.set_task(sim::drive_passages(*lock, w, dcw));
-
-    knowledge::AwarenessTracker tracker(n + 1, sys.memory().num_variables());
-    sys.add_observer(&tracker);
-
-    sim::RoundRobinScheduler rr;
-    sim::run(sys, rr, 100'000'000);
-
-    DsmPoint out;
-    std::uint64_t rd_passages = 0, wr_passages = 0;
-    for (ProcId id = 0; id <= n; ++id) {
-        for (const auto& rec : records[id]) {
-            if (sys.process(id).is_reader()) {
-                out.rd += static_cast<double>(rec.delta.passage_rmrs());
-                ++rd_passages;
-            } else {
-                out.wr += static_cast<double>(rec.delta.passage_rmrs());
-                ++wr_passages;
-            }
-        }
-    }
-    out.rd /= std::max<std::uint64_t>(1, rd_passages);
-    out.wr /= std::max<std::uint64_t>(1, wr_passages);
-    out.lemma1_free_expansions = tracker.lemma1_violations();
-    out.proc_rmrs = sys.memory().proc_rmrs();
-    out.proc_rmrs.resize(n + 1, 0);
-    return out;
+/// E11a cell: n readers + 1 writer, 2 passages each, round-robin.
+ExperimentResult measure(Protocol proto, std::uint32_t n, std::uint32_t f) {
+    ExperimentConfig cfg;
+    cfg.lock = LockKind::Af;
+    cfg.protocol = proto;
+    cfg.n = n;
+    cfg.m = 1;
+    cfg.f = f;
+    cfg.passages = 2;
+    cfg.sched = SchedKind::RoundRobin;
+    cfg.check_mutual_exclusion = false;
+    return run_experiment(cfg);
 }
 
 void e11a_row(json::Value* results, Protocol proto, std::uint32_t n,
-              std::uint32_t f, const DsmPoint& pt) {
+              std::uint32_t f, const ExperimentResult& res) {
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", "e11-af");
-    row.set("protocol", to_string(proto));
-    row.set("n", n);
-    row.set("m", 1);
-    row.set("f", f);
-    row.set("threads", n + 1);
-    auto rmr = json::Value::object();
-    rmr.set("reader_mean_passage", pt.rd);
-    rmr.set("writer_mean_passage", pt.wr);
-    row.set("sim_rmr", std::move(rmr));
-    row.set("proc_rmr", bench::proc_rmr_to_json(pt.proc_rmrs, n));
+    auto row = bench::key_row({.lock = "e11-af", .protocol = to_string(proto),
+                               .n = n, .m = 1, .f = f, .threads = n + 1});
+    row.set("sim_rmr", bench::sim_rmr(res.readers.mean_passage_rmrs,
+                                      res.writers.mean_passage_rmrs));
+    row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, n));
     results->push_back(std::move(row));
 }
 
@@ -144,18 +103,8 @@ std::pair<std::uint64_t, std::uint64_t> waiting_cost(Protocol proto,
 }
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        }
-    }
-    auto doc = rwr::harness::bench::make_doc("dsm");
-    rwr::harness::json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results =
-            &doc.set("results", rwr::harness::json::Value::array());
-    }
+    bench::Kit kit("dsm", argc, argv, {"--json"});
+    json::Value* results = kit.results();
 
     std::cout << "bench_dsm: A_f under cache-coherent write-back vs DSM "
                  "accounting (E11)\n";
@@ -172,9 +121,12 @@ int main(int argc, char** argv) {
         const auto dsm = measure(Protocol::Dsm, n, f);
         e11a_row(results, Protocol::WriteBack, n, f, cc);
         e11a_row(results, Protocol::Dsm, n, f, dsm);
-        t.row({fmt(n), fmt(f), fmt(cc.rd), fmt(dsm.rd),
-               fmt(dsm.rd / std::max(1.0, cc.rd), 1), fmt(cc.wr),
-               fmt(dsm.wr)});
+        const double cc_rd = cc.readers.mean_passage_rmrs;
+        const double dsm_rd = dsm.readers.mean_passage_rmrs;
+        t.row({fmt(n), fmt(f), fmt(cc_rd), fmt(dsm_rd),
+               fmt(dsm_rd / std::max(1.0, cc_rd), 1),
+               fmt(cc.writers.mean_passage_rmrs),
+               fmt(dsm.writers.mean_passage_rmrs)});
     }
     t.print();
 
@@ -189,21 +141,14 @@ int main(int argc, char** argv) {
             for (const auto& [proto, cost] :
                  {std::pair{Protocol::WriteBack, cc.first},
                   std::pair{Protocol::Dsm, dsm.first}}) {
-                auto row = rwr::harness::json::Value::object();
-                row.set("lock", "e11b-wait");
-                row.set("protocol", to_string(proto));
-                row.set("n", 1);
-                row.set("m", 1);
-                row.set("f", 1);
-                row.set("threads", 2);
                 // The hold duration is part of the bench_diff row key.
-                row.set("workload", "hold" + std::to_string(hold));
-                auto rmr = rwr::harness::json::Value::object();
+                auto row = bench::key_row(
+                    {.lock = "e11b-wait", .protocol = to_string(proto),
+                     .n = 1, .m = 1, .f = 1, .threads = 2,
+                     .workload = "hold" + std::to_string(hold)});
                 // Entry RMRs of the single waiting reader for the whole
                 // (one-passage) wait -- the E11b separation metric.
-                rmr.set("reader_mean_passage", cost);
-                rmr.set("writer_mean_passage", 0);
-                row.set("sim_rmr", std::move(rmr));
+                row.set("sim_rmr", bench::sim_rmr(cost, 0));
                 results->push_back(std::move(row));
             }
         }
@@ -243,14 +188,5 @@ int main(int argc, char** argv) {
                   << ", RMR-free expansions=" << tr.lemma1_violations()
                   << "  (in CC this is impossible -- Lemma 1)\n";
     }
-    if (results != nullptr) {
-        try {
-            rwr::harness::bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_dsm --json failed: " << e.what() << "\n";
-            return 1;
-        }
-    }
-    return 0;
+    return kit.finish();
 }

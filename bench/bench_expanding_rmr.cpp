@@ -6,9 +6,14 @@
 // hits (expansions RMR-explained by an earlier blind write; see
 // knowledge/awareness.hpp), and the fraction of RMRs that are expanding --
 // i.e. how much of the RMR cost is knowledge acquisition.
+//
+// Exit 1 (check named on stderr) on any Lemma 1 violation or on a run
+// that hits its step budget.
 #include <iostream>
 #include <memory>
+#include <string>
 
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "knowledge/awareness.hpp"
@@ -64,7 +69,8 @@ Outcome run_tracked(LockKind kind, Protocol proto, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    bench::Kit kit("expanding_rmr", argc, argv, {});
     std::cout << "bench_expanding_rmr: Lemma 1 audited over randomized "
                  "executions (n=12, m=3, 5 passages each, 8 seeds)\n";
     for (const Protocol proto :
@@ -93,15 +99,16 @@ int main() {
                    fmt(total.violations) +
                        (total.violations == 0 ? "" : "  <-- BUG"),
                    fmt(total.blind)});
-            if (!all_finished) {
-                std::cerr << "warning: some runs hit the step budget for "
-                          << to_string(kind) << "\n";
-            }
+            const std::string at = to_string(proto) + " " + to_string(kind);
+            kit.check(total.violations == 0,
+                      at + ": " + std::to_string(total.violations) +
+                          " Lemma 1 violation(s)");
+            kit.check(all_finished, at + ": some runs hit the step budget");
         }
         t.print();
     }
     std::cout << "\nLemma 1 violations must be 0 everywhere. Blind hits are "
                  "expansions whose RMR was paid by an earlier blind write "
                  "(write-back corner; see knowledge/awareness.hpp).\n";
-    return 0;
+    return kit.finish();
 }

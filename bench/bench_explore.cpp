@@ -28,15 +28,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
-#include "harness/pool.hpp"
 #include "harness/table.hpp"
 #include "mutex/explore_scenario.hpp"
 #include "mutex/sim_mutex.hpp"
@@ -172,31 +170,17 @@ std::vector<Cell> build_grid(bool smoke) {
     return cells;
 }
 
-// ---- Assertion bookkeeping ----------------------------------------------
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        ++g_failures;
-        std::cerr << "E16 EXPLORE CHECK FAILED: " << what << "\n";
-    }
-}
-
 void json_row(json::Value* results, const Cell& c, const char* mode,
               const sim::ExploreResult& res, double ms, double factor) {
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", "e16-" + c.lock);
-    row.set("n", c.n);
-    row.set("m", c.m);
-    row.set("f", c.f);
-    row.set("threads", c.n + c.m);
     // The mode/depth pair rides in "workload", the row-key field already
     // reserved for sub-configuration labels.
-    row.set("workload", std::string(mode) + "-d" + std::to_string(c.depth));
+    auto row = bench::key_row(
+        {.lock = "e16-" + c.lock, .n = c.n, .m = c.m, .f = c.f,
+         .threads = c.n + c.m,
+         .workload = std::string(mode) + "-d" + std::to_string(c.depth)});
     auto e = json::Value::object();
     e.set("schedules_explored", res.schedules_explored);
     e.set("violations", res.violations);
@@ -213,21 +197,10 @@ void json_row(json::Value* results, const Cell& c, const char* mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        }
-    }
-    const unsigned jobs = parse_jobs(argc, argv);
-    auto doc = bench::make_doc("explore");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
+    bench::Kit kit("explore", argc, argv, {"--json", "--smoke", "--jobs"});
+    const bool smoke = kit.smoke();
+    const unsigned jobs = kit.jobs();
+    json::Value* results = kit.results();
 
     std::cout << "bench_explore: full vs partial-order-reduced exhaustive "
                  "exploration (E16, jobs="
@@ -250,12 +223,12 @@ int main(int argc, char** argv) {
             timed_explore(cells[0], /*reduce=*/false, 1, &t);
         const auto serial_red =
             timed_explore(cells[0], /*reduce=*/true, 1, &t);
-        check(serial_full == ms[0].full,
-              "full results differ between --jobs 1 and --jobs " +
-                  std::to_string(jobs));
-        check(serial_red == ms[0].reduced,
-              "reduced results differ between --jobs 1 and --jobs " +
-                  std::to_string(jobs));
+        kit.check(serial_full == ms[0].full,
+                  "full results differ between --jobs 1 and --jobs " +
+                      std::to_string(jobs));
+        kit.check(serial_red == ms[0].reduced,
+                  "reduced results differ between --jobs 1 and --jobs " +
+                      std::to_string(jobs));
     }
 
     Table t({"lock", "n", "m", "depth", "full scheds", "por scheds",
@@ -279,22 +252,22 @@ int main(int argc, char** argv) {
         const Cell& c = cells[i];
         const Measurement& m = ms[i];
         const std::string at = c.lock + " d" + std::to_string(c.depth);
-        check((m.full.violations > 0) == (m.reduced.violations > 0),
-              at + ": reduced search changed the verdict (full " +
-                  std::to_string(m.full.violations) + ", reduced " +
-                  std::to_string(m.reduced.violations) + ")");
-        check(m.full.truncated_runs == 0 && m.reduced.truncated_runs == 0,
-              at + ": truncated subtrees (exploration not exhaustive)");
-        check(m.reduced.schedules_explored <= m.full.schedules_explored,
-              at + ": reduction explored MORE schedules than full");
+        kit.check((m.full.violations > 0) == (m.reduced.violations > 0),
+                  at + ": reduced search changed the verdict (full " +
+                      std::to_string(m.full.violations) + ", reduced " +
+                      std::to_string(m.reduced.violations) + ")");
+        kit.check(m.full.truncated_runs == 0 && m.reduced.truncated_runs == 0,
+                  at + ": truncated subtrees (exploration not exhaustive)");
+        kit.check(m.reduced.schedules_explored <= m.full.schedules_explored,
+                  at + ": reduction explored MORE schedules than full");
         if (c.expect_violation) {
-            check(m.full.violations > 0,
-                  at + ": mutant not caught by full enumeration");
-            check(m.reduced.violations > 0,
-                  at + ": mutant not caught by reduced search");
+            kit.check(m.full.violations > 0,
+                      at + ": mutant not caught by full enumeration");
+            kit.check(m.reduced.violations > 0,
+                      at + ": mutant not caught by reduced search");
         } else {
-            check(m.full.violations == 0,
-                  at + ": unexpected violation: " + m.full.first_violation);
+            kit.check(m.full.violations == 0,
+                      at + ": unexpected violation: " + m.full.first_violation);
         }
         if (!cells[i].expect_violation &&
             m.full.schedules_explored >
@@ -311,26 +284,11 @@ int main(int argc, char** argv) {
                   << ms[largest].full.schedules_explored << " -> "
                   << ms[largest].reduced.schedules_explored
                   << " schedules, factor " << fmt(f, 1) << ")\n";
-        check(f >= kLargestCellFactor,
-              "largest cell (" + c.lock + " d" + std::to_string(c.depth) +
-                  "): reduction factor " + fmt(f, 1) + " below " +
-                  fmt(kLargestCellFactor, 1) + "x");
+        kit.check(f >= kLargestCellFactor,
+                  "largest cell (" + c.lock + " d" + std::to_string(c.depth) +
+                      "): reduction factor " + fmt(f, 1) + " below " +
+                      fmt(kLargestCellFactor, 1) + "x");
     }
 
-    if (results != nullptr) {
-        try {
-            bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_explore --json failed: " << e.what() << "\n";
-            return 1;
-        }
-    }
-    if (g_failures > 0) {
-        std::cerr << g_failures
-                  << " explore check(s) failed -- the reduction engine "
-                     "regressed\n";
-        return 1;
-    }
-    return 0;
+    return kit.finish();
 }

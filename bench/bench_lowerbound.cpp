@@ -13,12 +13,22 @@
 //
 // Each adversary construction is independent (own System + Memory), so all
 // cells run on the parallel sweep runner (--jobs N).
+//
+// Exit-code checks (exit 1 on any failure, named on stderr):
+//   * every A_f cell completes the construction;
+//   * on every completed cell: 0 Lemma 1 violations, Lemma 4 holds, and
+//     exit max >= survivor;
+//   * on every completed cell of a read/write/CAS lock (all but faa):
+//     r >= log3(n/f), and growth <= 3 (Lemma 2);
+//   * faa still escapes the bound (growth > 3);
+//   * E2c: M(E'_j) <= 3^j at every iteration j.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "adversary/adversary.hpp"
 #include "core/af_params.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
 
@@ -63,6 +73,35 @@ void print_row(Table& t, const Cell& c) {
                (res.lemma4_holds ? "ok" : "VIOLATED")});
 }
 
+void check_cell(bench::Kit& kit, const Cell& c) {
+    const AdversaryResult& res = c.res;
+    const std::string at = c.label + " " + to_string(c.cfg.protocol) +
+                           " n=" + std::to_string(c.cfg.n) +
+                           " f=" + std::to_string(c.cfg.f);
+    if (c.cfg.lock == LockKind::Af) {
+        kit.check(res.completed, at + ": construction did not complete");
+    }
+    if (!res.completed) {
+        return;
+    }
+    kit.check(res.lemma1_violations == 0, at + ": Lemma 1 violated");
+    kit.check(res.lemma4_holds, at + ": Lemma 4 violated");
+    kit.check(res.max_reader_exit_rmrs >= res.survivor_expanding_steps,
+              at + ": exit max below survivor");
+    if (c.cfg.lock == LockKind::Faa) {
+        kit.check(res.max_growth_factor > 3,
+                  at + ": faa no longer escapes the bound (growth " +
+                      fmt(res.max_growth_factor, 2) + " <= 3)");
+        return;
+    }
+    kit.check(static_cast<double>(res.r) >= res.log3_bound,
+              at + ": r = " + std::to_string(res.r) + " below log3(n/f) = " +
+                  fmt(res.log3_bound, 1));
+    kit.check(res.max_growth_factor <= 3,
+              at + ": growth " + fmt(res.max_growth_factor, 2) +
+                  " exceeds 3 (Lemma 2)");
+}
+
 std::vector<std::string> columns() {
     return {"lock", "n", "f", "r", "log3(n/f)", "survivor", "exit max",
             "wr entry", "growth", "L1/L4"};
@@ -71,10 +110,10 @@ std::vector<std::string> columns() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const unsigned jobs = parse_jobs(argc, argv);
+    bench::Kit kit("lowerbound", argc, argv, {"--jobs"});
     std::cout << "bench_lowerbound: the Theorem 5 adversarial construction "
                  "(E = E1 E2 E3) against every lock (jobs="
-              << jobs << ")\n";
+              << kit.jobs() << ")\n";
 
     // Build every cell up front; run them all on one pool.
     std::vector<Cell> e2;  // Per-protocol A_f grid.
@@ -113,9 +152,12 @@ int main(int argc, char** argv) {
             all.push_back(&c);
         }
     }
-    parallel_for(all.size(), jobs, [&](std::size_t i) {
+    parallel_for(all.size(), kit.jobs(), [&](std::size_t i) {
         all[i]->res = run_adversary(all[i]->cfg);
     });
+    for (const Cell* c : all) {
+        check_cell(kit, *c);
+    }
 
     std::size_t i = 0;
     for (const Protocol proto :
@@ -150,7 +192,10 @@ int main(int argc, char** argv) {
         g.row({fmt(j + 1), fmt(it.batch_size), fmt(it.readers_left),
                fmt(it.max_knowledge), fmt(cap, 0),
                fmt(it.growth_factor, 2)});
+        kit.check(static_cast<double>(it.max_knowledge) <= cap,
+                  "E2c iteration " + std::to_string(j + 1) + ": M(E'_j) = " +
+                      std::to_string(it.max_knowledge) + " exceeds 3^j");
     }
     g.print();
-    return 0;
+    return kit.finish();
 }

@@ -201,13 +201,11 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         cfg.workload = c.workload;
         const auto res = perf::run_perf(cfg);
 
-        auto row = rwr::harness::json::Value::object();
-        row.set("lock", perf::to_string(c.lock));
-        row.set("n", c.readers);
-        row.set("m", c.writers);
-        row.set("f", cfg.resolved_f());
-        row.set("threads", c.readers + c.writers);
-        row.set("workload", cfg.workload);
+        auto row = bench::key_row({.lock = perf::to_string(c.lock),
+                                   .n = c.readers, .m = c.writers,
+                                   .f = cfg.resolved_f(),
+                                   .threads = c.readers + c.writers,
+                                   .workload = cfg.workload});
         row.set("duration_ms", ms);
         row.set("warmup_ms", cfg.warmup_ms);
         row.set("think_us", cfg.think_us);

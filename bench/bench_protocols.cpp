@@ -9,6 +9,7 @@
 #include <iostream>
 #include <vector>
 
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
@@ -25,10 +26,10 @@ double log2_of(std::uint32_t x) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const unsigned jobs = parse_jobs(argc, argv);
+    bench::Kit kit("protocols", argc, argv, {"--jobs"});
     std::cout << "bench_protocols: A_f RMRs under write-through vs "
                  "write-back (same workload, f = sqrt n, jobs="
-              << jobs << ")\n\n";
+              << kit.jobs() << ")\n\n";
 
     const std::vector<std::uint32_t> ns = {16u, 64u, 256u, 1024u};
     std::vector<ExperimentConfig> cfgs;
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
             cfgs.push_back(cfg);
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = run_experiments(cfgs, kit.jobs());
 
     Table t({"n", "f", "rd WT", "rd WB", "WT/WB", "wr WT", "wr WB",
              "rdWT/logK", "rdWB/logK"});
@@ -72,5 +73,5 @@ int main(int argc, char** argv) {
     t.print();
     std::cout << "\n(WT/WB ratio stays a bounded constant; both ratio "
                  "columns stay flat -> same asymptotics.)\n";
-    return 0;
+    return kit.finish();
 }

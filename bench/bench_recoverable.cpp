@@ -42,15 +42,16 @@
 //                  max_recovery_steps, recover-section mean RMRs,
 //                  chain-recovery max, recovery-episode count/mean/max}.
 //   --jobs N       worker threads (default: hardware concurrency).
-//   --max-n N      truncate the rrw reader sweep.
 //   --smoke        CI-sized grid (seconds, not minutes).
+//
+// Regenerating the checked-in baseline after an intended change:
+//   ./build/bench/bench_recoverable --smoke --json BENCH_recover.json
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
 #include "recover/crash_adversary.hpp"
@@ -127,27 +128,15 @@ json::Value* json_row(json::Value* results, const std::string& lock,
         return nullptr;
     }
     const bool mutex = is_mutex_kind(cfg.lock);
-    auto row = json::Value::object();
-    row.set("lock", lock);
-    row.set("protocol", to_string(cfg.protocol));
-    row.set("n", mutex ? 0U : cfg.n);
-    row.set("m", cfg.m);
-    row.set("f", cfg.f);
-    row.set("threads", mutex ? cfg.m : cfg.n + cfg.m);
-    auto rmr = json::Value::object();
-    rmr.set("reader_mean_passage", res.readers.mean_passage_rmrs);
-    rmr.set("reader_max_passage", res.readers.max_passage_rmrs);
-    rmr.set("writer_mean_passage", res.writers.mean_passage_rmrs);
-    rmr.set("writer_max_passage", res.writers.max_passage_rmrs);
-    row.set("sim_rmr", std::move(rmr));
-    auto perf = json::Value::object();
-    perf.set("steps", res.steps);
-    perf.set("wall_ms", res.wall_ms);
-    perf.set("steps_per_sec",
-             res.wall_ms > 0 ? static_cast<double>(res.steps) /
-                                   (res.wall_ms / 1000.0)
-                             : 0.0);
-    row.set("sim_perf", std::move(perf));
+    auto row = bench::key_row({.lock = lock,
+                               .protocol = to_string(cfg.protocol),
+                               .n = mutex ? 0U : cfg.n, .m = cfg.m, .f = cfg.f,
+                               .threads = mutex ? cfg.m : cfg.n + cfg.m});
+    row.set("sim_rmr", bench::sim_rmr(res.readers.mean_passage_rmrs,
+                                      res.readers.max_passage_rmrs,
+                                      res.writers.mean_passage_rmrs,
+                                      res.writers.max_passage_rmrs));
+    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms));
     // Recoverable-tier extras: not interpreted by bench_compare (which only
     // gates the standard metric blocks) but recorded for the E12 tables.
     auto rec = json::Value::object();
@@ -168,24 +157,18 @@ json::Value* json_row(json::Value* results, const std::string& lock,
     return &results->push_back(std::move(row));
 }
 
-/// Checks one finished cell; prints and counts any failure.
-bool cell_ok(const std::string& what, const RecoverExperimentResult& res) {
-    if (!res.finished) {
-        std::cerr << "FAIL " << what << ": run did not finish\n";
-        return false;
-    }
-    if (res.me_violations != 0 || res.rme_violations != 0) {
-        std::cerr << "FAIL " << what << ": " << res.me_violations << " ME + "
-                  << res.rme_violations
-                  << " RME violation(s); first: " << res.first_violation
-                  << "\n";
-        return false;
-    }
-    return true;
+/// Checks one cell: it ran to the end with no ME/RME violation.
+void check_cell(bench::Kit& kit, const std::string& what,
+                const RecoverExperimentResult& res) {
+    kit.check(res.finished, what + ": run did not finish");
+    kit.check(res.me_violations == 0 && res.rme_violations == 0,
+              what + ": " + std::to_string(res.me_violations) + " ME + " +
+                  std::to_string(res.rme_violations) +
+                  " RME violation(s); first: " + res.first_violation);
 }
 
-bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
-              json::Value* results) {
+void run_grid(bench::Kit& kit) {
+    const bool smoke = kit.smoke();
     std::vector<Cell> cells;
     const std::vector<std::uint32_t> crash_counts =
         smoke ? std::vector<std::uint32_t>{0, 2}
@@ -200,9 +183,6 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
     for (const std::uint32_t n :
          smoke ? std::vector<std::uint32_t>{4}
                : std::vector<std::uint32_t>{4, 8, 16}) {
-        if (n > max_n) {
-            continue;
-        }
         for (const std::uint32_t f : {1U, 2U, n}) {
             if (f > n) {
                 continue;
@@ -218,7 +198,7 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
         cfgs.push_back(config_for(c));
     }
     std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
+    parallel_for(cfgs.size(), kit.jobs(), [&](std::size_t i) {
         res[i] = recover::run_recover_experiment(cfgs[i]);
     });
 
@@ -228,16 +208,15 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
                  "rd/wr rec = mean RMRs in the recovery section)\n";
     Table t({"lock", "n", "m", "f", "crashes", "restarts", "max rec steps",
              "rd mean", "wr mean", "rd rec", "wr rec", "passages"});
-    bool ok = true;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell& c = cells[i];
         const RecoverExperimentResult& r = res[i];
-        ok = cell_ok(lock_name(c) + " n=" + std::to_string(c.n) +
-                         " m=" + std::to_string(c.m) +
-                         " f=" + std::to_string(c.f),
-                     r) &&
-             ok;
-        json_row(results, lock_name(c), cfgs[i], r);
+        check_cell(kit,
+                   lock_name(c) + " n=" + std::to_string(c.n) +
+                       " m=" + std::to_string(c.m) +
+                       " f=" + std::to_string(c.f),
+                   r);
+        json_row(kit.results(), lock_name(c), cfgs[i], r);
         t.row({lock_name(c), fmt(c.n), fmt(c.m), fmt(c.f), fmt(c.crashes),
                fmt(r.restarts), fmt(r.max_recovery_steps),
                fmt(r.readers.mean_passage_rmrs),
@@ -247,7 +226,6 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
                fmt(r.total_passages)});
     }
     t.print();
-    return ok;
 }
 
 // ---- Phase 2: brute-force worst-case crash placement ----------------------
@@ -257,9 +235,8 @@ bool run_grid(std::uint32_t max_n, bool smoke, unsigned jobs,
 /// length (ties: most recovery-section RMRs). Placements past the end of a
 /// victim's section never fire (restarts == 0) and are skipped -- reaching
 /// them proves the step range covered the whole section.
-bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
-                    std::uint64_t max_step, unsigned jobs,
-                    json::Value* results) {
+void run_worst_case(bench::Kit& kit, const std::string& label,
+                    RecoverExperimentConfig base, std::uint64_t max_step) {
     static constexpr Section kSections[3] = {Section::Entry, Section::Critical,
                                              Section::Exit};
     const std::uint32_t procs = base.lock == RecoverLockKind::Mutex
@@ -278,17 +255,15 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
         }
     }
     std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
+    parallel_for(cfgs.size(), kit.jobs(), [&](std::size_t i) {
         res[i] = recover::run_recover_experiment(cfgs[i]);
     });
 
-    bool ok = true;
     std::size_t best = placements.size();
     std::size_t fired = 0;
     for (std::size_t i = 0; i < placements.size(); ++i) {
-        ok = cell_ok(label + " worst-case placement #" + std::to_string(i),
-                     res[i]) &&
-             ok;
+        check_cell(kit, label + " worst-case placement #" + std::to_string(i),
+                   res[i]);
         if (res[i].restarts == 0) {
             continue;  // Placement past the end of the section: no fault.
         }
@@ -304,9 +279,9 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
     std::cout << "\n=== E12b: worst single crash placement, " << label
               << " (" << placements.size() << " placements, " << fired
               << " fired) ===\n";
+    kit.check(best != placements.size(), label + ": no placement fired");
     if (best == placements.size()) {
-        std::cerr << "FAIL " << label << ": no placement fired\n";
-        return false;
+        return;
     }
     const Placement& p = placements[best];
     const RecoverExperimentResult& r = res[best];
@@ -319,8 +294,7 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
            fmt(r.writers.mean_passage_rmrs)});
     t.print();
 
-    json_row(results, label + "-worst", cfgs[best], r, &p);
-    return ok;
+    json_row(kit.results(), label + "-worst", cfgs[best], r, &p);
 }
 
 // ---- Phase 3 (E14): tournament vs JJJ, crash rates + adversary ------------
@@ -330,7 +304,8 @@ bool run_worst_case(const std::string& label, RecoverExperimentConfig base,
 /// separation check is part of the binary: at the largest crash-free m the
 /// JJJ mean passage RMRs must sit strictly below the tournament's (the
 /// height term log m vs log m / log log m is what E14 exists to show).
-bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
+void run_e14_grid(bench::Kit& kit) {
+    const bool smoke = kit.smoke();
     // Smoke tops out at m=16: the first size where the JJJ tree is strictly
     // shorter than the tournament's (height 2 vs 4) by enough to beat its
     // larger per-node constant. (At m=8 and m=32 the ceil() height steps
@@ -369,7 +344,7 @@ bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
         cfgs.push_back(cfg);
     }
     std::vector<RecoverExperimentResult> res(cfgs.size());
-    parallel_for(cfgs.size(), jobs, [&](std::size_t i) {
+    parallel_for(cfgs.size(), kit.jobs(), [&](std::size_t i) {
         res[i] = recover::run_recover_experiment(cfgs[i]);
     });
 
@@ -379,14 +354,13 @@ bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
                  "and recovery episode RMRs)\n";
     Table t({"lock", "m", "crashes", "mean passage", "max passage",
              "restarts", "rec episodes", "rec mean rmrs", "rec max rmrs"});
-    bool ok = true;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const E14Cell& c = cells[i];
         const RecoverExperimentResult& r = res[i];
         const std::string name = "e14-" + to_string(c.lock) + "-c" +
                                  std::to_string(c.crashes);
-        ok = cell_ok(name + " m=" + std::to_string(c.m), r) && ok;
-        json_row(results, name, cfgs[i], r);
+        check_cell(kit, name + " m=" + std::to_string(c.m), r);
+        json_row(kit.results(), name, cfgs[i], r);
         t.row({to_string(c.lock), fmt(c.m), fmt(c.crashes),
                fmt(r.writers.mean_passage_rmrs),
                fmt(r.writers.max_passage_rmrs), fmt(r.restarts),
@@ -408,24 +382,21 @@ bool run_e14_grid(bool smoke, unsigned jobs, json::Value* results) {
     }
     std::cout << "separation @ m=" << top_m << " (crash-free): rmx "
               << fmt(rmx_mean) << " vs rjjj " << fmt(rjjj_mean) << "\n";
-    if (!(rjjj_mean < rmx_mean)) {
-        std::cerr << "FAIL e14: JJJ mean passage RMRs (" << fmt(rjjj_mean)
-                  << ") not below the tournament's (" << fmt(rmx_mean)
-                  << ") at m=" << top_m << "\n";
-        ok = false;
-    }
-    return ok;
+    kit.check(rjjj_mean < rmx_mean,
+              "e14: JJJ mean passage RMRs (" + fmt(rjjj_mean) +
+                  ") not below the tournament's (" + fmt(rmx_mean) +
+                  ") at m=" + std::to_string(top_m));
 }
 
 /// Adversarial crash schedules (nested, storms, round-robin victims) for
 /// both mutexes; reports the worst schedule found and the pooled passage /
 /// recovery RMR distributions, and fails on any ME/CSR/bound violation.
-bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
+void run_e14_adversary(bench::Kit& kit) {
+    const bool smoke = kit.smoke();
     std::cout << "\n=== E14b: adversarial crash schedules (nested + storms "
                  "+ round-robin victims) ===\n";
     Table t({"lock", "m", "candidates", "unfired", "worst schedule", "score",
              "psg mean", "psg max", "rec mean", "rec max", "restarts"});
-    bool ok = true;
     for (const RecoverLockKind kind :
          {RecoverLockKind::Mutex, RecoverLockKind::JJJMutex}) {
         recover::CrashAdversaryConfig acfg;
@@ -444,23 +415,22 @@ bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
         // bit-identical for any --jobs).
         const auto candidates = recover::enumerate_candidates(acfg);
         std::vector<recover::AdversaryOutcome> outcomes(candidates.size());
-        parallel_for(candidates.size(), jobs, [&](std::size_t i) {
+        parallel_for(candidates.size(), kit.jobs(), [&](std::size_t i) {
             outcomes[i] = recover::evaluate_candidate(acfg, candidates[i], i);
         });
         const auto rep = recover::reduce_outcomes(outcomes);
 
         const std::string label = "e14adv-" + to_string(kind);
-        if (rep.me_violations != 0 || rep.rme_violations != 0) {
-            std::cerr << "FAIL " << label << ": " << rep.me_violations
-                      << " ME + " << rep.rme_violations
-                      << " RME violation(s) across " << rep.candidates
-                      << " adversarial schedules; first: "
-                      << rep.first_violation << "\n";
-            ok = false;
-        }
+        kit.check(rep.me_violations == 0 && rep.rme_violations == 0,
+                  label + ": " + std::to_string(rep.me_violations) +
+                      " ME + " + std::to_string(rep.rme_violations) +
+                      " RME violation(s) across " +
+                      std::to_string(rep.candidates) +
+                      " adversarial schedules; first: " +
+                      rep.first_violation);
+        kit.check(rep.candidates != rep.discarded_unfired,
+                  label + ": no schedule fully fired");
         if (rep.candidates == rep.discarded_unfired) {
-            std::cerr << "FAIL " << label << ": no schedule fully fired\n";
-            ok = false;
             continue;
         }
         t.row({to_string(kind), fmt(acfg.base.m), fmt(rep.candidates),
@@ -469,12 +439,12 @@ bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
                fmt(rep.passage_rmrs.max), fmt(rep.recovery_rmrs.mean),
                fmt(rep.recovery_rmrs.max), fmt(rep.total_restarts)});
 
-        if (results != nullptr) {
+        if (kit.results() != nullptr) {
             RecoverExperimentConfig worst_cfg = acfg.base;
             worst_cfg.faults = rep.worst.candidate.plan;
             // Augment the worst-case row with the search-wide summary.
             json::Value& row =
-                *json_row(results, label, worst_cfg, rep.worst.result);
+                *json_row(kit.results(), label, worst_cfg, rep.worst.result);
             auto adv = json::Value::object();
             adv.set("candidates", rep.candidates);
             adv.set("discarded_unfired", rep.discarded_unfired);
@@ -491,37 +461,18 @@ bool run_e14_adversary(bool smoke, unsigned jobs, json::Value* results) {
         }
     }
     t.print();
-    return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    std::uint32_t max_n = 16;
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--max-n") == 0 && i + 1 < argc) {
-            max_n = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        }
-    }
-    const unsigned jobs = parse_jobs(argc, argv);
-    auto doc = bench::make_doc("recoverable");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
-
+    bench::Kit kit("recoverable", argc, argv, {"--json", "--smoke", "--jobs"});
     std::cout << "bench_recoverable: recoverable mutex/RW lock passages "
                  "under crash-restart faults (jobs="
-              << jobs << (smoke ? ", smoke" : "") << ")\n";
-    bool ok = run_grid(max_n, smoke, jobs, results);
+              << kit.jobs() << (kit.smoke() ? ", smoke" : "") << ")\n";
+    run_grid(kit);
 
-    const std::uint64_t max_step = smoke ? 3 : 6;
+    const std::uint64_t max_step = kit.smoke() ? 3 : 6;
     {
         RecoverExperimentConfig base;
         base.lock = RecoverLockKind::Mutex;
@@ -531,7 +482,7 @@ int main(int argc, char** argv) {
         base.passages = 2;
         base.cs_steps = 2;
         base.sched = SchedKind::RoundRobin;
-        ok = run_worst_case("rmx", base, max_step, jobs, results) && ok;
+        run_worst_case(kit, "rmx", base, max_step);
     }
     {
         RecoverExperimentConfig base;
@@ -542,25 +493,10 @@ int main(int argc, char** argv) {
         base.passages = 2;
         base.cs_steps = 2;
         base.sched = SchedKind::RoundRobin;
-        ok = run_worst_case("rrw", base, max_step, jobs, results) && ok;
+        run_worst_case(kit, "rrw", base, max_step);
     }
 
-    ok = run_e14_grid(smoke, jobs, results) && ok;
-    ok = run_e14_adversary(smoke, jobs, results) && ok;
-
-    if (results != nullptr) {
-        try {
-            bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_recoverable --json failed: " << e.what()
-                      << "\n";
-            return 1;
-        }
-    }
-    if (!ok) {
-        std::cerr << "bench_recoverable: FAILED (see messages above)\n";
-        return 1;
-    }
-    return 0;
+    run_e14_grid(kit);
+    run_e14_adversary(kit);
+    return kit.finish();
 }

@@ -38,13 +38,12 @@
 // Regenerating the baseline after an intended protocol/algorithm change:
 //   ./build/bench/bench_separation --smoke --json BENCH_separation.json
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
@@ -182,17 +181,10 @@ void mx_json_row(json::Value* results, MxVariant v, Protocol proto,
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", std::string("e15-") + to_string(v));
-    row.set("protocol", rwr::to_string(proto));
-    row.set("n", m);
-    row.set("m", m);
-    row.set("f", 1);
-    row.set("threads", m);
-    auto rmr = json::Value::object();
-    rmr.set("reader_mean_passage", 0);
-    rmr.set("writer_mean_passage", pt.mean_passage_rmrs);
-    row.set("sim_rmr", std::move(rmr));
+    auto row = bench::key_row({.lock = std::string("e15-") + to_string(v),
+                               .protocol = rwr::to_string(proto),
+                               .n = m, .m = m, .f = 1, .threads = m});
+    row.set("sim_rmr", bench::sim_rmr(0, pt.mean_passage_rmrs));
     row.set("proc_rmr", bench::proc_rmr_to_json(pt.proc_rmrs,
                                                 /*num_readers=*/0));
     results->push_back(std::move(row));
@@ -220,53 +212,25 @@ void af_json_row(json::Value* results, const ExperimentConfig& cfg,
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock",
-            cfg.lock == LockKind::AfDsm ? "e15-af-dsm" : "e15-af");
-    row.set("protocol", rwr::to_string(cfg.protocol));
-    row.set("n", cfg.n);
-    row.set("m", cfg.m);
-    row.set("f", cfg.f);
-    row.set("threads", cfg.n + cfg.m);
-    auto rmr = json::Value::object();
-    rmr.set("reader_mean_passage", res.readers.mean_passage_rmrs);
-    rmr.set("reader_max_passage", res.readers.max_passage_rmrs);
-    rmr.set("writer_mean_passage", res.writers.mean_passage_rmrs);
-    rmr.set("writer_max_passage", res.writers.max_passage_rmrs);
-    row.set("sim_rmr", std::move(rmr));
+    auto row = bench::key_row(
+        {.lock = cfg.lock == LockKind::AfDsm ? "e15-af-dsm" : "e15-af",
+         .protocol = rwr::to_string(cfg.protocol), .n = cfg.n, .m = cfg.m,
+         .f = cfg.f, .threads = cfg.n + cfg.m});
+    row.set("sim_rmr", bench::sim_rmr(res.readers.mean_passage_rmrs,
+                                      res.readers.max_passage_rmrs,
+                                      res.writers.mean_passage_rmrs,
+                                      res.writers.max_passage_rmrs));
     row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, cfg.n));
     results->push_back(std::move(row));
-}
-
-// ---- Assertion bookkeeping ----------------------------------------------
-
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        ++g_failures;
-        std::cerr << "E15 SEPARATION CHECK FAILED: " << what << "\n";
-    }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        }
-    }
-    const unsigned jobs = parse_jobs(argc, argv);
-    auto doc = bench::make_doc("separation");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
+    bench::Kit kit("separation", argc, argv, {"--json", "--smoke", "--jobs"});
+    const bool smoke = kit.smoke();
+    const unsigned jobs = kit.jobs();
+    json::Value* results = kit.results();
 
     std::cout << "bench_separation: CC vs DSM per-passage RMRs, homed "
                  "variants vs unhomed-spin ablations (E15, jobs="
@@ -298,15 +262,10 @@ int main(int argc, char** argv) {
     parallel_for(cells.size(), jobs, [&](std::size_t i) {
         pts[i] = measure_mutex(cells[i].v, cells[i].proto, cells[i].m);
     });
-    const auto mx_mean = [&](MxVariant v, Protocol proto,
-                             std::uint32_t m) -> double {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cells[i].v == v && cells[i].proto == proto &&
-                cells[i].m == m) {
-                return pts[i].mean_passage_rmrs;
-            }
-        }
-        return 0;
+    const auto mx_mean = [&](MxVariant v, Protocol proto, std::uint32_t m) {
+        return bench::lookup(cells, pts, [&](const MxCell& c) {
+                   return c.v == v && c.proto == proto && c.m == m;
+               }).mean_passage_rmrs;
     };
 
     std::cout << "\n=== E15a: mutex per-passage RMRs (m contenders, "
@@ -332,26 +291,30 @@ int main(int argc, char** argv) {
             for (const auto m : ms) {
                 const double cc = mx_mean(v, Protocol::WriteBack, m);
                 const double dsm = mx_mean(v, Protocol::Dsm, m);
-                check(dsm <= kHomedRatioCap * cc,
-                      std::string(to_string(v)) + " m=" + std::to_string(m) +
-                          ": DSM mean " + fmt(dsm, 1) + " exceeds " +
-                          fmt(kHomedRatioCap, 1) + "x CC mean " + fmt(cc, 1));
+                kit.check(dsm <= kHomedRatioCap * cc,
+                          std::string(to_string(v)) +
+                              " m=" + std::to_string(m) + ": DSM mean " +
+                              fmt(dsm, 1) + " exceeds " +
+                              fmt(kHomedRatioCap, 1) + "x CC mean " +
+                              fmt(cc, 1));
             }
             const double dsm_hi = mx_mean(v, Protocol::Dsm, m_hi);
             const double abl_hi =
                 mx_mean(ablation_of(v), Protocol::Dsm, m_hi);
-            check(abl_hi >= kSeparationFloor * dsm_hi,
-                  std::string(to_string(ablation_of(v))) + " vs " +
-                      to_string(v) + " at m=" + std::to_string(m_hi) +
-                      ": ablation " + fmt(abl_hi, 1) + " not >= " +
-                      fmt(kSeparationFloor, 1) + "x homed " + fmt(dsm_hi, 1));
+            kit.check(abl_hi >= kSeparationFloor * dsm_hi,
+                      std::string(to_string(ablation_of(v))) + " vs " +
+                          to_string(v) + " at m=" + std::to_string(m_hi) +
+                          ": ablation " + fmt(abl_hi, 1) + " not >= " +
+                          fmt(kSeparationFloor, 1) + "x homed " +
+                          fmt(dsm_hi, 1));
         } else {
             const double lo = mx_mean(v, Protocol::Dsm, m_lo);
             const double hi = mx_mean(v, Protocol::Dsm, m_hi);
-            check(hi >= kAblationGrowthFloor * lo,
-                  std::string(to_string(v)) + ": DSM mean grew only " +
-                      fmt(hi / std::max(1.0, lo), 2) + "x from m=" +
-                      std::to_string(m_lo) + " to m=" + std::to_string(m_hi));
+            kit.check(hi >= kAblationGrowthFloor * lo,
+                      std::string(to_string(v)) + ": DSM mean grew only " +
+                          fmt(hi / std::max(1.0, lo), 2) + "x from m=" +
+                          std::to_string(m_lo) +
+                          " to m=" + std::to_string(m_hi));
         }
     }
     // -- E15b -------------------------------------------------------------
@@ -387,14 +350,11 @@ int main(int argc, char** argv) {
     }
     const auto ares = run_experiments(acfgs, jobs);
     const auto af_mean = [&](LockKind lock, Protocol proto, std::uint32_t n,
-                             std::uint32_t f) -> double {
-        for (std::size_t i = 0; i < acells.size(); ++i) {
-            if (acells[i].lock == lock && acells[i].proto == proto &&
-                acells[i].n == n && acells[i].f == f) {
-                return ares[i].readers.mean_passage_rmrs;
-            }
-        }
-        return 0;
+                             std::uint32_t f) {
+        return bench::lookup(acells, ares, [&](const AfCell& c) {
+                   return c.lock == lock && c.proto == proto && c.n == n &&
+                          c.f == f;
+               }).readers.mean_passage_rmrs;
     };
 
     std::cout << "\n=== E15b: A_f reader per-passage RMRs (writer dwells "
@@ -414,9 +374,9 @@ int main(int argc, char** argv) {
     t2.print();
     for (std::size_t i = 0; i < acells.size(); ++i) {
         if (!ares[i].finished) {
-            check(false, "E15b cell did not finish (lock=" +
-                             harness::to_string(acells[i].lock) +
-                             " n=" + std::to_string(acells[i].n) + ")");
+            kit.check(false, "E15b cell did not finish (lock=" +
+                                 harness::to_string(acells[i].lock) +
+                                 " n=" + std::to_string(acells[i].n) + ")");
             continue;
         }
         af_json_row(results, acfgs[i], ares[i]);
@@ -426,40 +386,24 @@ int main(int argc, char** argv) {
             const double cc = af_mean(LockKind::AfDsm, Protocol::WriteBack,
                                       n, f);
             const double dsm = af_mean(LockKind::AfDsm, Protocol::Dsm, n, f);
-            check(dsm <= kAfRatioCap * cc,
-                  "af+dsm n=" + std::to_string(n) + " f=" +
-                      std::to_string(f) + ": reader DSM mean " +
-                      fmt(dsm, 1) + " exceeds " + fmt(kAfRatioCap, 1) +
-                      "x CC mean " + fmt(cc, 1));
+            kit.check(dsm <= kAfRatioCap * cc,
+                      "af+dsm n=" + std::to_string(n) + " f=" +
+                          std::to_string(f) + ": reader DSM mean " +
+                          fmt(dsm, 1) + " exceeds " + fmt(kAfRatioCap, 1) +
+                          "x CC mean " + fmt(cc, 1));
         }
     }
     {
         const std::uint32_t n_lo = ns.front(), n_hi = ns.back();
         const double lo = af_mean(LockKind::Af, Protocol::Dsm, n_lo, 1);
         const double hi = af_mean(LockKind::Af, Protocol::Dsm, n_hi, 1);
-        check(hi >= kAfGrowthFloor * lo,
-              "plain af ablation: reader DSM mean grew only " +
-                  fmt(hi / std::max(1.0, lo), 2) + "x from n=" +
-                  std::to_string(n_lo) + " to n=" + std::to_string(n_hi));
+        kit.check(hi >= kAfGrowthFloor * lo,
+                  "plain af ablation: reader DSM mean grew only " +
+                      fmt(hi / std::max(1.0, lo), 2) + "x from n=" +
+                      std::to_string(n_lo) + " to n=" + std::to_string(n_hi));
     }
 
-    if (results != nullptr) {
-        try {
-            bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_separation --json failed: " << e.what()
-                      << "\n";
-            return 1;
-        }
-    }
-    if (g_failures > 0) {
-        std::cerr << g_failures
-                  << " separation check(s) failed -- the CC-vs-DSM "
-                     "reproduction regressed\n";
-        return 1;
-    }
-    std::cout << "\nAll separation checks passed: homed variants hold CC "
-                 "levels under DSM; unhomed ablations grow.\n";
-    return 0;
+    return kit.finish(
+        "\nAll separation checks passed: homed variants hold CC "
+        "levels under DSM; unhomed ablations grow.\n");
 }

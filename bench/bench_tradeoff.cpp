@@ -17,15 +17,16 @@
 //                  --max-perf-drop with a wide tolerance).
 //   --jobs N       worker threads (default: hardware concurrency). Cell
 //                  results are bit-identical for every N.
+//
+// Exit 1 when a cell does not finish (or the JSON cannot be written).
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/af_params.hpp"
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
@@ -65,32 +66,19 @@ void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
     if (results == nullptr) {
         return;
     }
-    auto row = json::Value::object();
-    row.set("lock", "af");
-    row.set("protocol", to_string(c.proto));
-    row.set("n", cfg.n);
-    row.set("m", cfg.m);
-    row.set("f", cfg.f);
-    row.set("threads", cfg.n + cfg.m);
-    auto rmr = json::Value::object();
-    rmr.set("reader_mean_passage", res.readers.mean_passage_rmrs);
-    rmr.set("reader_max_passage", res.readers.max_passage_rmrs);
-    rmr.set("writer_mean_passage", res.writers.mean_passage_rmrs);
-    rmr.set("writer_max_passage", res.writers.max_passage_rmrs);
-    row.set("sim_rmr", std::move(rmr));
-    auto perf = json::Value::object();
-    perf.set("steps", res.steps);
-    perf.set("wall_ms", res.wall_ms);
-    perf.set("steps_per_sec",
-             res.wall_ms > 0 ? static_cast<double>(res.steps) /
-                                   (res.wall_ms / 1000.0)
-                             : 0.0);
-    row.set("sim_perf", std::move(perf));
+    auto row = bench::key_row({.lock = "af", .protocol = to_string(c.proto),
+                               .n = cfg.n, .m = cfg.m, .f = cfg.f,
+                               .threads = cfg.n + cfg.m});
+    row.set("sim_rmr", bench::sim_rmr(res.readers.mean_passage_rmrs,
+                                      res.readers.max_passage_rmrs,
+                                      res.writers.mean_passage_rmrs,
+                                      res.writers.max_passage_rmrs));
+    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms));
     row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, cfg.n));
     results->push_back(std::move(row));
 }
 
-void run_sweep(unsigned jobs, json::Value* results) {
+void run_sweep(bench::Kit& kit) {
     std::vector<Cell> cells;
     std::vector<ExperimentConfig> cfgs;
     for (const Protocol proto :
@@ -105,7 +93,7 @@ void run_sweep(unsigned jobs, json::Value* results) {
             }
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = run_experiments(cfgs, kit.jobs());
 
     for (const Protocol proto :
          {Protocol::WriteThrough, Protocol::WriteBack}) {
@@ -121,12 +109,14 @@ void run_sweep(unsigned jobs, json::Value* results) {
             }
             const Cell& c = cells[i];
             const ExperimentResult& r = res[i];
+            kit.check(r.finished, "E1 " + to_string(proto) +
+                                      " n=" + std::to_string(c.n) + " f=" +
+                                      std::to_string(c.f) +
+                                      ": experiment did not finish");
             if (!r.finished) {
-                std::cerr << "experiment did not finish: n=" << c.n
-                          << " f=" << c.f << "\n";
                 continue;
             }
-            json_row(results, c, cfgs[i], r);
+            json_row(kit.results(), c, cfgs[i], r);
             const std::uint32_t K = (c.n + c.f - 1) / c.f;
             const double rd_pred = log2_of(K);
             const double wr_pred = static_cast<double>(c.f);
@@ -147,7 +137,7 @@ void run_sweep(unsigned jobs, json::Value* results) {
     }
 }
 
-void run_rounding_ablation(unsigned jobs) {
+void run_rounding_ablation(bench::Kit& kit) {
     // Group-size rounding ablation (DESIGN.md §6): K = ceil(n/f) leaves
     // some groups partially filled when f does not divide n; show the
     // constants are unaffected.
@@ -168,10 +158,13 @@ void run_rounding_ablation(unsigned jobs) {
             cfgs.push_back(cfg);
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = run_experiments(cfgs, kit.jobs());
     Table t({"n", "f", "K", "groups", "rd mean", "wr mean"});
     for (std::size_t i = 0; i < nf.size(); ++i) {
         const auto [n, f] = nf[i];
+        kit.check(res[i].finished, "E1b n=" + std::to_string(n) + " f=" +
+                                       std::to_string(f) +
+                                       ": experiment did not finish");
         const std::uint32_t K = (n + f - 1) / f;
         t.row({fmt(n), fmt(f), fmt(K), fmt((n + K - 1) / K),
                fmt(res[i].readers.mean_passage_rmrs),
@@ -183,34 +176,11 @@ void run_rounding_ablation(unsigned jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        }
-    }
-    const unsigned jobs = parse_jobs(argc, argv);
-    auto doc = bench::make_doc("tradeoff");
-    json::Value* results = nullptr;
-    if (!json_path.empty()) {
-        results = &doc.set("results", json::Value::array());
-    }
-
+    bench::Kit kit("tradeoff", argc, argv, {"--json", "--jobs"});
     std::cout << "bench_tradeoff: reproduces the paper's Theorem 18 "
                  "complexity claims for the A_f family (jobs="
-              << jobs << ")\n";
-    run_sweep(jobs, results);
-    run_rounding_ablation(jobs);
-
-    if (results != nullptr) {
-        try {
-            bench::write_file(json_path, doc);
-            std::cerr << "wrote " << json_path << "\n";
-        } catch (const std::exception& e) {
-            std::cerr << "bench_tradeoff --json failed: " << e.what()
-                      << "\n";
-            return 1;
-        }
-    }
-    return 0;
+              << kit.jobs() << ")\n";
+    run_sweep(kit);
+    run_rounding_ablation(kit);
+    return kit.finish();
 }

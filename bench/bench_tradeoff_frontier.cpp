@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "harness/table.hpp"
@@ -57,10 +58,10 @@ void frontier_row(Table& t, const FrontierCell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const unsigned jobs = parse_jobs(argc, argv);
+    bench::Kit kit("tradeoff_frontier", argc, argv, {"--jobs"});
     std::cout << "bench_tradeoff_frontier: every lock against the curve "
                  "reader-exit >= log3(n / writer-entry) (jobs="
-              << jobs << ")\n";
+              << kit.jobs() << ")\n";
 
     std::vector<FrontierCell> cells;
     auto add = [&cells](const std::string& label, LockKind kind,
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
         add("reader-pref", LockKind::ReaderPref, n, 1);
         add("faa (non-CAS!)", LockKind::Faa, n, 1);
     }
-    parallel_for(cells.size(), jobs, [&](std::size_t i) {
+    parallel_for(cells.size(), kit.jobs(), [&](std::size_t i) {
         cells[i].res = adversary::run_adversary(cells[i].cfg);
     });
 
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
             cfgs.push_back(cfg);
         }
     }
-    const auto res = run_experiments(cfgs, jobs);
+    const auto res = run_experiments(cfgs, kit.jobs());
     Table t({"lock", "n", "m", "rd passage max", "wr passage max",
              "log2(max(n,m))"});
     for (std::size_t j = 0; j < e3b_cells.size(); ++j) {
@@ -130,5 +131,5 @@ int main(int argc, char** argv) {
                    std::bit_width(std::max(n, 8u)) - 1))});
     }
     t.print();
-    return 0;
+    return kit.finish();
 }

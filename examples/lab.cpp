@@ -300,12 +300,10 @@ int cmd_metrics(const std::map<std::string, std::string>& f) try {
     if (jit != f.end()) {
         auto doc = bench::make_doc("metrics");
         auto& results = doc.set("results", json::Value::array());
-        auto row = json::Value::object();
-        row.set("lock", perf::to_string(cfg.lock));
-        row.set("n", cfg.readers);
-        row.set("m", cfg.writers);
-        row.set("f", cfg.resolved_f());
-        row.set("threads", cfg.readers + cfg.writers);
+        auto row = bench::key_row({.lock = perf::to_string(cfg.lock),
+                                   .n = cfg.readers, .m = cfg.writers,
+                                   .f = cfg.resolved_f(),
+                                   .threads = cfg.readers + cfg.writers});
         row.set("duration_ms", cfg.duration_ms);
         row.set("reader_ops", res.reader_ops);
         row.set("writer_ops", res.writer_ops);

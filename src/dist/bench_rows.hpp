@@ -17,7 +17,7 @@
 #include <string>
 
 #include "dist/layout.hpp"
-#include "harness/json.hpp"
+#include "harness/bench_json.hpp"
 
 namespace rwr::dist {
 
@@ -38,14 +38,10 @@ inline harness::json::Value dist_row(const std::string& lock,
                                      unsigned threads,
                                      const DistRowMetrics& m) {
     namespace json = harness::json;
-    json::Value row = json::Value::object();
-    row.set("lock", lock);
-    row.set("protocol", protocol);
-    row.set("n", cfg.sessions);
-    row.set("m", cfg.shards);
-    row.set("f", cfg.num_locks());
-    row.set("threads", threads);
-    row.set("workload", "r" + std::to_string(reader_pct));
+    json::Value row = harness::bench::key_row(
+        {.lock = lock, .protocol = protocol, .n = cfg.sessions,
+         .m = cfg.shards, .f = cfg.num_locks(), .threads = threads,
+         .workload = "r" + std::to_string(reader_pct)});
     json::Value d = json::Value::object();
     d.set("ops", m.ops);
     d.set("network_rmrs_per_op", m.network_rmrs_per_op);

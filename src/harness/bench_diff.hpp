@@ -1,8 +1,9 @@
 // Row-join + regression logic behind bench_compare, extracted so tests can
 // drive it on in-memory documents (tests/test_bench_diff.cpp).
 //
-// diff() joins two rwr-bench-v1 documents on (bench, lock, protocol, n, m,
-// f, threads, workload) and reports three things:
+// diff() joins two rwr-bench-v1 documents on the bench name and the row
+// key (bench_json.hpp RowKey: lock, protocol, n, m, f, threads, workload)
+// and reports three things:
 //   * regressions -- metric moved beyond tolerance in the bad direction
 //     (throughput_ops / sim_rmr means / sim_perf.steps_per_sec /
 //     explore.schedules_explored and .schedules_per_sec /
@@ -10,11 +11,15 @@
 //     amortized.writer_amortized_rmrs and .expected_rmr, see
 //     bench_json.hpp for which direction is bad for each);
 //   * missing    -- rows present in the baseline but absent from the new
-//     run. A vanished row means the new binary silently stopped covering a
-//     configuration (a renamed lock, a dropped sweep cell), which would
-//     otherwise let a regression hide by deleting its row -- so missing
-//     rows are a HARD comparison failure (DiffReport::ok() is false), not
-//     an informational note;
+//     run, and fields a baseline row has but its matched new row lacks. A
+//     vanished row or field means the new binary silently stopped covering
+//     something (a renamed lock, a dropped sweep cell, a dropped payload
+//     field), which would otherwise let a regression hide by deleting it
+//     -- so missing entries are a HARD comparison failure
+//     (DiffReport::ok() is false), not an informational note. The
+//     checked-in baselines are thereby the manifest of required rows and
+//     fields. Fields under latency_ns are exempt: a native histogram with
+//     no samples is left out of its row;
 //   * added      -- rows only the new run has (informational: new coverage
 //     is fine).
 #pragma once
@@ -28,16 +33,19 @@
 
 namespace rwr::harness::bench {
 
+/// Tolerated fractional worsening of throughput_ops (drop) and of the
+/// exact counts (increase): sim_rmr means, explore schedule counts, dist
+/// network RMRs, amortized RMRs.
+inline constexpr double kMaxDrop = 0.10;
+/// Rows where either run's wall_ms is below this floor are exempt from the
+/// wall-clock gates (sub-floor cells measure jitter).
+inline constexpr double kMinPerfMs = 5.0;
+
 struct DiffOptions {
-    /// Tolerated fractional worsening of throughput_ops (drop) and sim_rmr
-    /// means (increase).
-    double max_drop = 0.10;
-    /// Tolerated fractional drop of sim_perf.steps_per_sec (wall-clock
-    /// noise, hence much wider).
+    /// Tolerated fractional drop of the wall-clock rates (sim_perf
+    /// steps_per_sec, explore schedules_per_sec, dist ops_per_sec): noise,
+    /// hence much wider than kMaxDrop.
     double max_perf_drop = 0.50;
-    /// Rows where either run's sim_perf.wall_ms is below this floor are
-    /// exempt from the perf gate (sub-floor cells measure jitter).
-    double min_perf_ms = 5.0;
 };
 
 struct DiffFlag {
@@ -51,10 +59,12 @@ struct DiffFlag {
 struct DiffReport {
     std::size_t joined = 0;
     std::vector<DiffFlag> regressions;
-    std::vector<std::string> missing;  ///< Baseline rows the new run lacks.
+    /// Baseline rows the new run lacks ("<row key>"), and baseline fields
+    /// a matched new row lacks ("<row key> <dotted field path>").
+    std::vector<std::string> missing;
     std::vector<std::string> added;    ///< New rows the baseline lacks.
 
-    /// Comparison passes only with zero regressions AND zero missing rows.
+    /// Comparison passes only with zero regressions AND nothing missing.
     [[nodiscard]] bool ok() const {
         return regressions.empty() && missing.empty();
     }
@@ -62,18 +72,20 @@ struct DiffReport {
 
 inline std::string row_key(const std::string& bench_name,
                            const json::Value& row) {
-    auto field = [&row](const char* k) -> std::string {
-        const json::Value* v = row.find(k);
+    std::string key = bench_name;
+    for (const auto& [field, tag] : kRowKeyFields) {
+        const json::Value* v = row.find(field);
+        key += "/";
+        key += tag;
         if (v == nullptr) {
-            return "-";
+            key += "-";
+        } else if (v->type() == json::Value::Type::String) {
+            key += v->as_string();
+        } else {
+            key += std::to_string(v->as_uint());
         }
-        return v->type() == json::Value::Type::String
-                   ? v->as_string()
-                   : std::to_string(v->as_uint());
-    };
-    return bench_name + "/" + field("lock") + "/" + field("protocol") +
-           "/n" + field("n") + "/m" + field("m") + "/f" + field("f") +
-           "/t" + field("threads") + "/w" + field("workload");
+    }
+    return key;
 }
 
 inline std::map<std::string, const json::Value*> index_rows(
@@ -102,6 +114,22 @@ inline void diff_metric(const std::string& key, const char* metric,
     }
 }
 
+/// Appends `prefix` + the dotted path of every field under `base` that
+/// `now` lacks, descending into objects except latency_ns.
+inline void missing_fields(const json::Value& base, const json::Value& now,
+                           const std::string& prefix,
+                           std::vector<std::string>* out) {
+    for (const auto& [name, value] : base.members()) {
+        const json::Value* mine = now.find(name);
+        if (mine == nullptr) {
+            out->push_back(prefix + name);
+        } else if (value.type() == json::Value::Type::Object &&
+                   name != "latency_ns") {
+            missing_fields(value, *mine, prefix + name + ".", out);
+        }
+    }
+}
+
 }  // namespace detail
 
 /// Both documents must already be validate()d.
@@ -118,12 +146,13 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
         }
         ++rep.joined;
         const json::Value* new_row = it->second;
+        detail::missing_fields(*old_row, *new_row, key + " ", &rep.missing);
         const json::Value* old_t = old_row->find("throughput_ops");
         const json::Value* new_t = new_row->find("throughput_ops");
         if (old_t != nullptr && new_t != nullptr) {
             detail::diff_metric(key, "throughput_ops", old_t->as_double(),
                                 new_t->as_double(), /*drop_is_bad=*/true,
-                                opts.max_drop, &rep.regressions);
+                                kMaxDrop, &rep.regressions);
         }
         const json::Value* old_r = old_row->find("sim_rmr");
         const json::Value* new_r = new_row->find("sim_rmr");
@@ -135,7 +164,7 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                 if (ov != nullptr && nv != nullptr) {
                     detail::diff_metric(key, m, ov->as_double(),
                                         nv->as_double(),
-                                        /*drop_is_bad=*/false, opts.max_drop,
+                                        /*drop_is_bad=*/false, kMaxDrop,
                                         &rep.regressions);
                 }
             }
@@ -153,7 +182,7 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             if (oc != nullptr && nc != nullptr) {
                 detail::diff_metric(key, "explore.schedules_explored",
                                     oc->as_double(), nc->as_double(),
-                                    /*drop_is_bad=*/false, opts.max_drop,
+                                    /*drop_is_bad=*/false, kMaxDrop,
                                     &rep.regressions);
             }
             const json::Value* ov = old_e->find("schedules_per_sec");
@@ -161,8 +190,8 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             const json::Value* ow = old_e->find("wall_ms");
             const json::Value* nw = new_e->find("wall_ms");
             const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= opts.min_perf_ms &&
-                                    nw->as_double() >= opts.min_perf_ms;
+                                    ow->as_double() >= kMinPerfMs &&
+                                    nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
                 detail::diff_metric(key, "explore.schedules_per_sec",
                                     ov->as_double(), nv->as_double(),
@@ -183,7 +212,7 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             if (on != nullptr && nn != nullptr) {
                 detail::diff_metric(key, "dist.network_rmrs_per_op",
                                     on->as_double(), nn->as_double(),
-                                    /*drop_is_bad=*/false, opts.max_drop,
+                                    /*drop_is_bad=*/false, kMaxDrop,
                                     &rep.regressions);
             }
             const json::Value* ov = old_d->find("ops_per_sec");
@@ -191,8 +220,8 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             const json::Value* ow = old_d->find("wall_ms");
             const json::Value* nw = new_d->find("wall_ms");
             const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= opts.min_perf_ms &&
-                                    nw->as_double() >= opts.min_perf_ms;
+                                    ow->as_double() >= kMinPerfMs &&
+                                    nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
                 detail::diff_metric(key, "dist.ops_per_sec", ov->as_double(),
                                     nv->as_double(),
@@ -213,7 +242,7 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                 if (ov != nullptr && nv != nullptr) {
                     detail::diff_metric(key, m, ov->as_double(),
                                         nv->as_double(),
-                                        /*drop_is_bad=*/false, opts.max_drop,
+                                        /*drop_is_bad=*/false, kMaxDrop,
                                         &rep.regressions);
                 }
             }
@@ -229,8 +258,8 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             // steps_per_sec is dominated by scheduling noise, not engine
             // speed, so only rows where both runs spent real time qualify.
             const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= opts.min_perf_ms &&
-                                    nw->as_double() >= opts.min_perf_ms;
+                                    ow->as_double() >= kMinPerfMs &&
+                                    nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
                 detail::diff_metric(key, "sim_perf.steps_per_sec",
                                     ov->as_double(), nv->as_double(),

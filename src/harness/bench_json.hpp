@@ -27,12 +27,15 @@
 //                                      worst_case_rmr? } } ]
 //   }
 //
-// A row must carry at least one payload group (throughput_ops, sim_rmr,
-// sim_perf, explore, dist or amortized); validate() enforces exactly this and is shared by the writers
-// (so a binary can never emit an invalid file) and by `bench_compare
-// --check`. sim_rmr counts are exact (any diff is a protocol change);
-// sim_perf.steps is exact too, but wall_ms / steps_per_sec are wall-clock
-// and machine-dependent -- bench_compare gates them with a much wider
+// Every writer starts a row with key_row(): the row key (lock, protocol?,
+// n, m, f, threads, workload?) that bench_compare joins runs on, defined
+// once below. A row must carry at least one payload group
+// (throughput_ops, sim_rmr, sim_perf, explore, dist or amortized);
+// validate() enforces exactly this and is shared by the writers (so a
+// binary can never emit an invalid file) and by `bench_compare --check`.
+// sim_rmr counts are exact (any diff is a protocol change); sim_perf.steps
+// is exact too, but wall_ms / steps_per_sec are wall-clock and
+// machine-dependent -- bench_compare gates them with a much wider
 // tolerance (--max-perf-drop) than the sim-RMR gate.
 #pragma once
 
@@ -42,6 +45,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/json.hpp"
@@ -57,6 +61,73 @@ inline json::Value make_doc(const std::string& bench_name) {
     doc.set("bench", bench_name);
     doc.set("results", json::Value::array());
     return doc;
+}
+
+/// The row key: the fields bench_compare joins rows of two runs on
+/// (bench_diff.hpp row_key). Every row writer starts from key_row().
+struct RowKey {
+    std::string lock;
+    std::string protocol = {};  ///< Omitted from the row when empty.
+    std::uint64_t n = 0;
+    std::uint64_t m = 0;
+    std::uint64_t f = 0;
+    std::uint64_t threads = 0;
+    std::string workload = {};  ///< Omitted from the row when empty.
+};
+
+/// The RowKey fields in document order, with the tag row_key() prints
+/// before each value.
+inline constexpr std::pair<const char*, const char*> kRowKeyFields[] = {
+    {"lock", ""}, {"protocol", ""}, {"n", "n"},       {"m", "m"},
+    {"f", "f"},   {"threads", "t"}, {"workload", "w"}};
+
+/// A results row holding just its key, fields in kRowKeyFields order;
+/// the payload groups are set() after it.
+inline json::Value key_row(const RowKey& key) {
+    json::Value row = json::Value::object();
+    row.set("lock", key.lock);
+    if (!key.protocol.empty()) {
+        row.set("protocol", key.protocol);
+    }
+    row.set("n", key.n);
+    row.set("m", key.m);
+    row.set("f", key.f);
+    row.set("threads", key.threads);
+    if (!key.workload.empty()) {
+        row.set("workload", key.workload);
+    }
+    return row;
+}
+
+/// "sim_rmr" payload, per-passage means only. Values keep their JSON
+/// type: an integer 0 stays "0", a double 0 prints "0.0".
+inline json::Value sim_rmr(json::Value reader_mean, json::Value writer_mean) {
+    json::Value rmr = json::Value::object();
+    rmr.set("reader_mean_passage", std::move(reader_mean));
+    rmr.set("writer_mean_passage", std::move(writer_mean));
+    return rmr;
+}
+
+/// "sim_rmr" payload, per-passage means and maxes of each role.
+inline json::Value sim_rmr(double reader_mean, std::uint64_t reader_max,
+                           double writer_mean, std::uint64_t writer_max) {
+    json::Value rmr = json::Value::object();
+    rmr.set("reader_mean_passage", reader_mean);
+    rmr.set("reader_max_passage", reader_max);
+    rmr.set("writer_mean_passage", writer_mean);
+    rmr.set("writer_max_passage", writer_max);
+    return rmr;
+}
+
+/// "sim_perf" payload: simulated steps and the wall time they took.
+inline json::Value sim_perf(std::uint64_t steps, double wall_ms) {
+    json::Value perf = json::Value::object();
+    perf.set("steps", steps);
+    perf.set("wall_ms", wall_ms);
+    perf.set("steps_per_sec",
+             wall_ms > 0 ? static_cast<double>(steps) / (wall_ms / 1000.0)
+                         : 0.0);
+    return perf;
 }
 
 inline json::Value telemetry_to_json(const native::TelemetrySnapshot& snap) {

@@ -9,7 +9,7 @@
 // bit-identical for any --jobs value (test_parallel.cpp proves it for
 // jobs=1 vs jobs=8, including recorded schedules).
 //
-// The pool itself (default_jobs / parse_jobs / parallel_for) is inline in
+// The pool itself (default_jobs / parallel_for) is inline in
 // harness/pool.hpp so the sim explorer can share it without a harness link.
 #pragma once
 

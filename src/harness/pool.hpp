@@ -13,11 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstring>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,20 +25,6 @@ namespace rwr::harness {
 [[nodiscard]] inline unsigned default_jobs() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-/// Extracts `--jobs N` from the command line (0 or absent -> default_jobs()).
-[[nodiscard]] inline unsigned parse_jobs(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            const int n = std::stoi(argv[i + 1]);
-            if (n > 0) {
-                return static_cast<unsigned>(n);
-            }
-            return default_jobs();
-        }
-    }
-    return default_jobs();
 }
 
 /// Runs fn(i) for every i in [0, count) on (up to) `jobs` worker threads.

@@ -1,11 +1,13 @@
 // Unit tests for the bench_compare join/diff engine (harness/bench_diff.hpp)
 // on in-memory documents. The load-bearing behaviour: rows present in the
-// baseline but absent from the new run are a HARD failure (a vanished row
-// would let a regression hide by deleting its row), while rows only the new
-// run has are informational.
+// baseline but absent from the new run, and fields a baseline row has but
+// its matched new row lacks, are a HARD failure (a vanished row or field
+// would let a regression hide by deleting it), while rows only the new run
+// has are informational.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "harness/bench_diff.hpp"
 #include "harness/bench_json.hpp"
@@ -75,6 +77,51 @@ TEST(BenchDiff, MissingBaselineRowIsAHardFailure) {
     ASSERT_EQ(rep.missing.size(), 1u);
     // The message names the vanished row precisely.
     EXPECT_EQ(rep.missing[0], "t/af/write-back/n16/m1/f1/t17/w-");
+}
+
+TEST(BenchDiff, MissingBaselineFieldIsAHardFailure) {
+    // The baseline is the manifest of required fields: a matched row that
+    // lost one (here a max the baseline carries) fails like a lost row.
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    results_of(oldd)->push_back(make_row("af", 8, 10.0, 5.0));
+    auto means = json::Value::object();
+    means.set("reader_mean_passage", 10.0);
+    means.set("writer_mean_passage", 5.0);
+    auto row = make_row("af", 8, 10.0, 5.0);
+    row.set("sim_rmr", std::move(means));
+    results_of(newd)->push_back(std::move(row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    EXPECT_EQ(rep.joined, 1u);
+    EXPECT_TRUE(rep.regressions.empty());
+    EXPECT_EQ(rep.missing,
+              (std::vector<std::string>{
+                  "t/af/write-back/n8/m1/f1/t9/w- "
+                  "sim_rmr.reader_max_passage",
+                  "t/af/write-back/n8/m1/f1/t9/w- "
+                  "sim_rmr.writer_max_passage"}));
+}
+
+TEST(BenchDiff, MissingLatencyHistogramIsNotAFailure) {
+    // A native histogram with no samples is left out of its row, so the
+    // histograms under latency_ns are exempt from the field manifest.
+    auto histo = json::Value::object();
+    histo.set("samples", std::uint64_t{100});
+    histo.set("p50", std::uint64_t{40});
+    auto with = json::Value::object();
+    with.set("writer_acquire", std::move(histo));
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    auto old_row = make_row("af", 8, 10.0, 5.0);
+    old_row.set("latency_ns", std::move(with));
+    results_of(oldd)->push_back(std::move(old_row));
+    auto new_row = make_row("af", 8, 10.0, 5.0);
+    new_row.set("latency_ns", json::Value::object());
+    results_of(newd)->push_back(std::move(new_row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_TRUE(rep.ok());
+    EXPECT_TRUE(rep.missing.empty());
 }
 
 TEST(BenchDiff, AddedRowsAreInformational) {

@@ -80,15 +80,6 @@ TEST(ParallelFor, FirstExceptionIsRethrownAfterJoin) {
 
 TEST(ParallelFor, DefaultJobsIsPositive) { EXPECT_GE(default_jobs(), 1u); }
 
-TEST(ParseJobs, ReadsFlagAndFallsBack) {
-    const char* argv1[] = {"bench", "--jobs", "3"};
-    EXPECT_EQ(parse_jobs(3, const_cast<char**>(argv1)), 3u);
-    const char* argv2[] = {"bench"};
-    EXPECT_EQ(parse_jobs(1, const_cast<char**>(argv2)), default_jobs());
-    const char* argv3[] = {"bench", "--jobs", "0"};
-    EXPECT_EQ(parse_jobs(3, const_cast<char**>(argv3)), default_jobs());
-}
-
 // ---- Determinism: jobs=1 vs jobs=8 --------------------------------------
 
 std::vector<ExperimentConfig> determinism_grid() {
