@@ -2,16 +2,24 @@
 //
 // Simulated: f-array add must cost Θ(log K) steps/RMRs and read O(1);
 // the naive single-word CAS counter degrades under contention (retries).
-// Native: ns/op for both, single thread (timing on this box is indicative).
-#include <benchmark/benchmark.h>
-
+// Native: ns per add and read on one thread (perf::solo_ns_per_call;
+// the timings are indicative only).
+//
+// Exit 1 (check named on stderr) unless a solo add takes exactly
+// 4*log2(K)+2 steps and a read 1 step at every K, the naive counter's
+// contended steps/add rise strictly with K, and the f-array's stay within
+// 8*log2(K).
 #include <bit>
+#include <chrono>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "counter/sim_counter.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/table.hpp"
 #include "native/counter.hpp"
+#include "native/perf.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
 
@@ -35,7 +43,7 @@ sim::SimTask<void> naive_add_loop(counter::NaiveSimCounter& c,
     }
 }
 
-void simulated_tables() {
+void simulated_tables(bench::Kit& kit) {
     std::cout << "=== E5: f-array counter, solo add/read steps vs K ===\n";
     Table t({"K", "add steps", "add RMRs (WT)", "read steps",
              "4*log2(K)+2"});
@@ -64,6 +72,12 @@ void simulated_tables() {
             K <= 1 ? 0 : static_cast<std::uint32_t>(std::bit_width(K - 1));
         t.row({fmt(K), fmt(add_steps), fmt(add_rmrs), fmt(res2.steps),
                fmt(4 * lg + 2)});
+        kit.check(add_steps == 4 * lg + 2,
+                  "E5 K=" + std::to_string(K) + ": solo add took " +
+                      std::to_string(add_steps) + " steps, not 4*log2(K)+2");
+        kit.check(res2.steps == 1,
+                  "E5 K=" + std::to_string(K) + ": read took " +
+                      std::to_string(res2.steps) + " steps, not 1");
     }
     t.print();
 
@@ -71,6 +85,7 @@ void simulated_tables() {
                  "processes x 8 adds, fair random, write-back) ===\n";
     Table t2({"K", "f-array steps/add", "f-array RMRs/add",
               "naive steps/add", "naive RMRs/add"});
+    double prev_nv_steps = 0;
     for (const std::uint32_t K : {2u, 4u, 8u, 16u, 32u}) {
         constexpr int kAdds = 8;
         double fa_steps = 0, fa_rmrs = 0, nv_steps = 0, nv_rmrs = 0;
@@ -102,35 +117,43 @@ void simulated_tables() {
         }
         t2.row({fmt(K), fmt(fa_steps), fmt(fa_rmrs), fmt(nv_steps),
                 fmt(nv_rmrs)});
+        const std::string at = "E5b K=" + std::to_string(K) + ": ";
+        kit.check(nv_steps > prev_nv_steps,
+                  at + "naive steps/add did not rise with K");
+        kit.check(fa_steps <= 8.0 * std::bit_width(K - 1),
+                  at + "f-array steps/add above 8*log2(K)");
+        prev_nv_steps = nv_steps;
     }
     t2.print();
     std::cout << "(f-array stays ~8*log2 K wait-free steps; the naive "
                  "counter's retries grow with contention)\n\n";
 }
 
-void native_add(benchmark::State& state) {
-    native::FArrayCounter c(static_cast<std::uint32_t>(state.range(0)));
-    for (auto _ : state) {
-        c.add(0, 1);
+void native_table() {
+    constexpr std::chrono::milliseconds kWindow(200);
+    std::cout << "=== E5c: native f-array counter, ns per call, one thread "
+                 "===\n";
+    Table t({"op", "K", "ns"});
+    for (const std::uint32_t K : {1u, 16u, 256u, 4096u}) {
+        native::FArrayCounter c(K);
+        t.row({"add", fmt(K), fmt(native::perf::solo_ns_per_call(
+                                      [&] { c.add(0, 1); }, kWindow))});
     }
-}
-BENCHMARK(native_add)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
-
-void native_read(benchmark::State& state) {
-    native::FArrayCounter c(static_cast<std::uint32_t>(state.range(0)));
-    c.add(0, 42);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(c.read());
+    for (const std::uint32_t K : {1u, 256u, 4096u}) {
+        native::FArrayCounter c(K);
+        c.add(0, 42);
+        t.row({"read", fmt(K), fmt(native::perf::solo_ns_per_call(
+                                       [&] { (void)c.read(); }, kWindow),
+                                   2)});
     }
+    t.print();
 }
-BENCHMARK(native_read)->Arg(1)->Arg(256)->Arg(4096);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    simulated_tables();
-    std::cout << "=== E5c: native f-array counter timing ===\n";
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    bench::Kit kit("counter", argc, argv, {});
+    simulated_tables(kit);
+    native_table();
+    return kit.finish();
 }

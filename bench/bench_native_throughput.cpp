@@ -1,161 +1,104 @@
-// E9 -- native throughput: AfLock / AfSharedMutex vs baselines vs
-// std::shared_mutex under read-heavy, mixed and write-heavy workloads.
+// E9 -- native passages and throughput: AfLock vs baselines vs
+// std::shared_mutex, measured with the one native harness (native/perf.hpp).
 //
-// Two modes:
-//   * default: the google-benchmark suite below (human-readable timings);
-//   * --json <path> [--ms N]: the perf pipeline -- drives the telemetry-
-//     instrumented workload grid (native/perf.hpp) and writes an
-//     "rwr-bench-v1" document with throughput, latency quantiles and
-//     telemetry counters per config. `--ms` scales per-config duration
-//     (default 200; CI smoke uses less). BENCH_native.json at the repo
-//     root is this file's checked-in trajectory baseline; regenerate with
-//     `bench_native_throughput --json BENCH_native.json`.
+// Two tables, both printed on every run:
+//   * solo: ns per uncontended passage on one thread
+//     (perf::solo_ns_per_call) for A_f readers and writers over an (n, f)
+//     sweep and for the centralized, FAA and std::shared_mutex readers --
+//     the instruction-path mirror of Theorem 18: the A_f reader gets
+//     cheaper as f rises (Θ(log(n/f))), the writer dearer (Θ(f));
+//   * grid: the telemetry-instrumented contended workloads
+//     (perf::run_perf) -- throughput, CPU, latency quantiles and
+//     telemetry counters per config.
 //
-// CAVEAT (EXPERIMENTS.md): this host may expose a single core; numbers here
-// are indicative of instruction-path cost, not of the RMR behaviour the
-// paper is about (the simulator benches carry the reproduction). Thread
-// counts stay small on purpose.
-#include <benchmark/benchmark.h>
-
-#include <cstring>
+// Flags: --json PATH writes every row of both tables as an rwr-bench-v1
+// document (a solo row has threads = 1, workload "solo-reader" or
+// "solo-writer" and throughput_ops = passages per second); --pin pins the
+// grid's threads; --smoke shortens every window from 200 ms to 25 ms.
+// BENCH_native.json at the repo root is the checked-in baseline of the
+// grid; regenerate with `bench_native_throughput --json BENCH_native.json`.
+//
+// CAVEAT (EXPERIMENTS.md): timings here are indicative of instruction-path
+// cost, not of the RMR behaviour the paper is about (the simulator benches
+// carry the reproduction). Thread counts stay small on purpose.
+#include <chrono>
+#include <cstdint>
+#include <initializer_list>
 #include <iostream>
 #include <shared_mutex>
 #include <string>
-#include <thread>
+#include <utility>
 
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
+#include "harness/table.hpp"
 #include "native/af_lock.hpp"
 #include "native/baselines.hpp"
 #include "native/park.hpp"
 #include "native/perf.hpp"
-#include "native/shared_mutex.hpp"
 
 namespace {
 
 using namespace rwr::native;
+namespace bench = rwr::harness::bench;
+using rwr::harness::fmt;
+using rwr::harness::Table;
 
-// Uncontended single-thread costs: lock_shared/unlock_shared round trip.
-void af_reader_passage(benchmark::State& state) {
-    AfLock lock(static_cast<std::uint32_t>(state.range(0)), 1,
-                static_cast<std::uint32_t>(state.range(1)));
-    for (auto _ : state) {
-        lock.lock_shared(0);
-        lock.unlock_shared(0);
-    }
-}
-BENCHMARK(af_reader_passage)
-    ->Args({64, 1})
-    ->Args({64, 8})
-    ->Args({64, 64})
-    ->Args({4096, 1})
-    ->Args({4096, 64})
-    ->Args({4096, 4096});
+using NF = std::pair<std::uint32_t, std::uint32_t>;
 
-void af_writer_passage(benchmark::State& state) {
-    AfLock lock(static_cast<std::uint32_t>(state.range(0)), 1,
-                static_cast<std::uint32_t>(state.range(1)));
-    for (auto _ : state) {
-        lock.lock(0);
-        lock.unlock(0);
-    }
-}
-BENCHMARK(af_writer_passage)
-    ->Args({64, 1})
-    ->Args({64, 64})
-    ->Args({4096, 1})
-    ->Args({4096, 4096});
-
-void centralized_reader_passage(benchmark::State& state) {
-    CentralizedRWLock lock;
-    for (auto _ : state) {
-        lock.lock_shared();
-        lock.unlock_shared();
-    }
-}
-BENCHMARK(centralized_reader_passage);
-
-void faa_reader_passage(benchmark::State& state) {
-    FaaRWLock lock(1);
-    for (auto _ : state) {
-        lock.lock_shared();
-        lock.unlock_shared();
-    }
-}
-BENCHMARK(faa_reader_passage);
-
-void std_shared_mutex_reader_passage(benchmark::State& state) {
-    std::shared_mutex lock;
-    for (auto _ : state) {
-        lock.lock_shared();
-        lock.unlock_shared();
-    }
-}
-BENCHMARK(std_shared_mutex_reader_passage);
-
-// Multi-threaded mixed workloads via google-benchmark's threaded mode.
-// Thread 0 writes every `range(0)`-th iteration; others read.
-template <typename LockT>
-void mixed_workload(benchmark::State& state, LockT& lock,
-                    std::int64_t write_every) {
-    const auto tid = static_cast<std::uint32_t>(state.thread_index());
-    std::int64_t i = 0;
-    for (auto _ : state) {
-        ++i;
-        if (tid == 0 && i % write_every == 0) {
-            lock.lock(0);
-            benchmark::DoNotOptimize(i);
-            lock.unlock(0);
-        } else {
-            lock.lock_shared(tid == 0 ? 0 : tid - 1);
-            benchmark::DoNotOptimize(i);
-            lock.unlock_shared(tid == 0 ? 0 : tid - 1);
-            // Yield between read passages: on an oversubscribed host a
-            // relentless reader flood starves the A_f writer indefinitely
-            // (the algorithm's documented fairness property), stalling the
-            // benchmark itself.
-            std::this_thread::yield();
+void solo_table(bench::Kit& kit, std::uint32_t ms) {
+    const std::chrono::milliseconds window(ms);
+    Table t({"lock", "passage", "n", "f", "ns/passage"});
+    const auto row = [&](const char* lock, const char* passage,
+                         std::uint32_t n, std::uint32_t f, double ns) {
+        t.row({lock, passage, fmt(n), fmt(f), fmt(ns)});
+        if (auto* results = kit.results()) {
+            auto r = bench::key_row(
+                {.lock = lock, .n = n, .m = 1, .f = f, .threads = 1,
+                 .workload = std::string("solo-") + passage});
+            r.set("duration_ms", ms);
+            r.set("throughput_ops", 1e9 / ns);
+            results->push_back(std::move(r));
         }
+    };
+    for (const auto& [n, f] : {NF{64, 1}, NF{64, 8}, NF{64, 64},
+                               NF{4096, 1}, NF{4096, 64}, NF{4096, 4096}}) {
+        AfLock lock(n, 1, f);
+        row("af", "reader", n, f, perf::solo_ns_per_call([&] {
+                lock.lock_shared(0);
+                lock.unlock_shared(0);
+            }, window));
     }
+    for (const auto& [n, f] :
+         {NF{64, 1}, NF{64, 64}, NF{4096, 1}, NF{4096, 4096}}) {
+        AfLock lock(n, 1, f);
+        row("af", "writer", n, f, perf::solo_ns_per_call([&] {
+                lock.lock(0);
+                lock.unlock(0);
+            }, window));
+    }
+    const auto reader_ns = [&](auto& lock) {
+        return perf::solo_ns_per_call([&] {
+            lock.lock_shared();
+            lock.unlock_shared();
+        }, window);
+    };
+    CentralizedRWLock centralized;
+    row("centralized", "reader", 1, 1, reader_ns(centralized));
+    FaaRWLock faa(1);
+    row("faa", "reader", 1, 1, reader_ns(faa));
+    std::shared_mutex std_mutex;
+    row("std-shared-mutex", "reader", 1, 1, reader_ns(std_mutex));
+
+    std::cout << "=== E9a: uncontended passages, one thread ===\n";
+    t.print();
 }
 
-void af_mixed(benchmark::State& state) {
-    static AfLock lock(8, 1, 4);
-    mixed_workload(state, lock, state.range(0));
-}
-BENCHMARK(af_mixed)->Arg(16)->Arg(128)->Threads(4)->UseRealTime()->MinTime(0.05);
-
-void faa_mixed(benchmark::State& state) {
-    static FaaRWLock lock(1);
-    mixed_workload(state, lock, state.range(0));
-}
-BENCHMARK(faa_mixed)->Arg(16)->Arg(128)->Threads(4)->UseRealTime()->MinTime(0.05);
-
-struct StdSharedMutexAdapter {
-    std::shared_mutex mx;
-    void lock(std::uint32_t) { mx.lock(); }
-    void unlock(std::uint32_t) { mx.unlock(); }
-    void lock_shared(std::uint32_t) { mx.lock_shared(); }
-    void unlock_shared(std::uint32_t) { mx.unlock_shared(); }
-};
-
-void std_mixed(benchmark::State& state) {
-    static StdSharedMutexAdapter lock;
-    mixed_workload(state, lock, state.range(0));
-}
-BENCHMARK(std_mixed)->Arg(16)->Arg(128)->Threads(4)->UseRealTime()->MinTime(0.05);
-
-// ---- JSON perf pipeline (--json) -------------------------------------
-
-int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
-    namespace perf = rwr::native::perf;
-    namespace bench = rwr::harness::bench;
-
+void grid_table(bench::Kit& kit, std::uint32_t ms) {
     struct Case {
         perf::PerfLock lock;
         std::uint32_t readers, writers, f;
         std::uint32_t think_us = 0;
         std::uint32_t cs_us = 0;
-        bool topology = false;
         const char* workload = "-";
     };
     // The grid: the uncontended 1r/1w point (the telemetry-overhead
@@ -177,15 +120,13 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         // nanosecond CSes are almost never preempted mid-hold, so without
         // dwell every wait resolves in the spin/yield stages and
         // futex_waits stays 0 even at 20 threads on 1 core.
-        {perf::PerfLock::Af, 16, 4, 4, 100, 150, false, "oversub"},
-        {perf::PerfLock::Af, 16, 4, 4, 100, 150, true, "oversub-topo"},
-        {perf::PerfLock::Centralized, 16, 4, 1, 100, 150, false, "oversub"},
-        {perf::PerfLock::Faa, 16, 4, 1, 100, 150, false, "oversub"},
-        {perf::PerfLock::PhaseFair, 16, 4, 1, 100, 150, false, "oversub"},
+        {perf::PerfLock::Af, 16, 4, 4, 100, 150, "oversub"},
+        {perf::PerfLock::Centralized, 16, 4, 1, 100, 150, "oversub"},
+        {perf::PerfLock::Faa, 16, 4, 1, 100, 150, "oversub"},
+        {perf::PerfLock::PhaseFair, 16, 4, 1, 100, 150, "oversub"},
     };
 
-    auto doc = bench::make_doc("native_throughput");
-    auto& results = doc.set("results", rwr::harness::json::Value::array());
+    Table t({"lock", "n", "m", "f", "workload", "ops/s", "cpu s"});
     for (const Case& c : grid) {
         perf::PerfConfig cfg;
         cfg.lock = c.lock;
@@ -196,11 +137,16 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         cfg.warmup_ms = ms / 4;
         cfg.think_us = c.think_us;
         cfg.cs_us = c.cs_us;
-        cfg.pin = pin;
-        cfg.topology = c.topology;
+        cfg.pin = kit.has("--pin");
         cfg.workload = c.workload;
         const auto res = perf::run_perf(cfg);
-
+        t.row({perf::to_string(c.lock), fmt(c.readers), fmt(c.writers),
+               fmt(cfg.resolved_f()), cfg.workload,
+               fmt(res.throughput_ops(), 0), fmt(res.cpu_s, 3)});
+        auto* results = kit.results();
+        if (results == nullptr) {
+            continue;
+        }
         auto row = bench::key_row({.lock = perf::to_string(c.lock),
                                    .n = c.readers, .m = c.writers,
                                    .f = cfg.resolved_f(),
@@ -211,59 +157,26 @@ int run_json_mode(const std::string& path, std::uint32_t ms, bool pin) {
         row.set("think_us", cfg.think_us);
         row.set("cs_us", cfg.cs_us);
         row.set("pinning", cfg.pin);
-        row.set("parking", rwr::native::parking_enabled());
+        row.set("parking", parking_enabled());
         row.set("reader_ops", res.reader_ops);
         row.set("writer_ops", res.writer_ops);
         row.set("throughput_ops", res.throughput_ops());
         row.set("cpu_s", res.cpu_s);
         row.set("latency_ns", bench::latency_to_json(res.telemetry));
         row.set("telemetry", bench::telemetry_to_json(res.telemetry));
-        results.push_back(std::move(row));
-        std::cerr << "  " << perf::to_string(c.lock) << " n=" << c.readers
-                  << " m=" << c.writers << " f=" << cfg.resolved_f()
-                  << " w=" << cfg.workload << ": "
-                  << static_cast<std::uint64_t>(res.throughput_ops())
-                  << " ops/s, cpu " << res.cpu_s << "s\n";
+        results->push_back(std::move(row));
     }
-    bench::write_file(path, doc);
-    std::cerr << "wrote " << path << "\n";
-    return 0;
+    std::cout << "\n=== E9b: contended workload grid ===\n";
+    t.print();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::string json_path;
-    std::uint32_t ms = 200;
-    bool pin = false;
-    std::vector<char*> passthrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--ms") == 0 && i + 1 < argc) {
-            ms = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-        } else if (std::strcmp(argv[i], "--pin") == 0) {
-            pin = true;
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-    if (!json_path.empty()) {
-        try {
-            return run_json_mode(json_path, ms, pin);
-        } catch (const std::exception& e) {
-            std::cerr << "bench_native_throughput --json failed: "
-                      << e.what() << "\n";
-            return 1;
-        }
-    }
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-        return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    bench::Kit kit("native_throughput", argc, argv,
+                   {"--json", "--pin", "--smoke"});
+    const std::uint32_t ms = kit.smoke() ? 25 : 200;
+    solo_table(kit, ms);
+    grid_table(kit, ms);
+    return kit.finish();
 }

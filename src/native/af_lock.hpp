@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -41,7 +40,6 @@
 #include "native/park.hpp"
 #include "native/spin.hpp"
 #include "native/telemetry.hpp"
-#include "native/topology.hpp"
 
 #ifndef RWR_AF_MISUSE_CHECKS
 #define RWR_AF_MISUSE_CHECKS 1
@@ -49,34 +47,13 @@
 
 namespace rwr::native {
 
-/// Placement/behaviour knobs for AfLock. Defaults reproduce the historical
-/// behaviour exactly.
-struct AfParams {
-    /// How reader ids map to the f groups (and their C[i]/W[i] counters).
-    enum class GroupMap : std::uint8_t {
-        /// group = id / k, slot = id % k. Deterministic, topology-blind.
-        kRoundRobin,
-        /// Readers are lazily assigned a (group, slot) whose counter block
-        /// is homed in the calling thread's cache domain (topology.hpp),
-        /// falling back to any free slot when the home groups are full.
-        /// The map stays injective -- the paper's per-slot single-writer
-        /// requirement -- and re-homes a migrated reader between passages.
-        kTopology,
-    };
-    GroupMap group_map = GroupMap::kRoundRobin;
-    /// Passages between migration re-checks of an assigned reader
-    /// (kTopology only). Checks are one thread-local counter tick; the
-    /// re-check itself is one cached-domain read.
-    std::uint32_t remap_check_every = 64;
-};
-
 class AfLock {
    public:
     /// `f` = number of reader groups = writer RMR budget; 1 <= f <= n.
-    explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f,
-                    AfParams params = {})
+    /// Reader `id` uses slot id % k of group id / k, where k = ceil(n/f).
+    explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f)
         : n_(n), m_(m), f_(validated_f(n, m, f)), k_((n + f_ - 1) / f_),
-          params_(params), wl_(m) {
+          wl_(m) {
         const std::uint32_t groups = (n + k_ - 1) / k_;
         for (std::uint32_t i = 0; i < groups; ++i) {
             c_.push_back(std::make_unique<FArrayCounter>(k_));
@@ -84,22 +61,6 @@ class AfLock {
         }
         wsig_ = std::make_unique<Signal[]>(groups);
         groups_ = groups;
-        if (params_.group_map == AfParams::GroupMap::kTopology) {
-            assign_ = std::make_unique<std::atomic<std::uint64_t>[]>(n_);
-            const std::uint32_t domains =
-                topo::system_topology().num_domains;
-            group_domain_.resize(groups_);
-            free_slots_.resize(groups_);
-            for (std::uint32_t g = 0; g < groups_; ++g) {
-                // Groups are spread across domains round-robin; a reader
-                // in domain d prefers the groups homed there.
-                group_domain_[g] = g % domains;
-                free_slots_[g].reserve(k_);
-                for (std::uint32_t s = k_; s-- > 0;) {
-                    free_slots_[g].push_back(s);
-                }
-            }
-        }
         RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n_);
                   writer_retry_ = std::make_unique<TelemetryFlag[]>(m_);)
 #if RWR_AF_MISUSE_CHECKS
@@ -142,9 +103,8 @@ class AfLock {
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kReaderAbortRetry);
                   })
-        const Placement p = entry_placement(reader_id);
-        const std::uint32_t g = p.group;
-        const std::uint32_t slot = p.slot;
+        const std::uint32_t g = reader_id / k_;
+        const std::uint32_t slot = reader_id % k_;
 
         c_[g]->add(slot, +1);                       // Line 31.
         const std::uint64_t sig = rsig_.load();     // Line 32.
@@ -194,8 +154,7 @@ class AfLock {
         check_reader(reader_id);
         reader_release_guard(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
-        const Placement p = current_placement(reader_id);
-        shared_exit_section(p.group, p.slot);
+        shared_exit_section(reader_id / k_, reader_id % k_);
         RWR_TELEM(sw.stop();)
     }
 
@@ -317,15 +276,6 @@ class AfLock {
     [[nodiscard]] std::uint32_t num_writers() const { return m_; }
     [[nodiscard]] std::uint32_t f() const { return f_; }
     [[nodiscard]] std::uint32_t group_size() const { return k_; }
-    [[nodiscard]] const AfParams& params() const { return params_; }
-
-    /// The group `reader_id` currently maps to (diagnostics/tests). In
-    /// kTopology mode an id that never acquired yet reports its would-be
-    /// round-robin group; after first acquisition, its assigned group.
-    [[nodiscard]] std::uint32_t reader_group(std::uint32_t reader_id) const {
-        check_reader(reader_id);
-        return current_placement(reader_id).group;
-    }
 
    private:
     struct alignas(64) Signal {
@@ -408,107 +358,6 @@ class AfLock {
         }
     }
 
-    // ---- Reader placement (group map policies) -------------------------
-    //
-    // The writer protocol only requires that the id -> (group, slot) map is
-    // injective while an id is between entry and exit (each FArrayCounter
-    // slot has one concurrent writer); *which* group a reader lands in is a
-    // free choice. kTopology exploits that freedom: counters are updated
-    // domain-locally, and a migrated reader is re-homed between passages
-    // (never inside one -- entry picks the placement, exit reads the same
-    // assignment, and the misuse guard rules out concurrent reuse of the
-    // id while it is in flight).
-
-    struct Placement {
-        std::uint32_t group;
-        std::uint32_t slot;
-    };
-
-    static constexpr std::uint64_t kAssignedBit = std::uint64_t{1} << 63;
-    static constexpr std::uint64_t pack_assign(std::uint32_t domain,
-                                               std::uint32_t group,
-                                               std::uint32_t slot) {
-        return kAssignedBit | (static_cast<std::uint64_t>(domain) << 42) |
-               (static_cast<std::uint64_t>(group) << 21) | slot;
-    }
-    static constexpr std::uint32_t assign_domain(std::uint64_t a) {
-        return static_cast<std::uint32_t>((a >> 42) & 0x1fffff);
-    }
-    static constexpr std::uint32_t assign_group(std::uint64_t a) {
-        return static_cast<std::uint32_t>((a >> 21) & 0x1fffff);
-    }
-    static constexpr std::uint32_t assign_slot(std::uint64_t a) {
-        return static_cast<std::uint32_t>(a & 0x1fffff);
-    }
-
-    /// Placement for a passage *entry*: assigns on first use and may
-    /// re-home a migrated reader (kTopology); pure arithmetic otherwise.
-    Placement entry_placement(std::uint32_t id) {
-        if (params_.group_map != AfParams::GroupMap::kTopology) {
-            return {id / k_, id % k_};
-        }
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) == 0) {
-            return assign_topology_slot(id);
-        }
-        thread_local std::uint32_t passages_since_check = 0;
-        if (++passages_since_check >= params_.remap_check_every) {
-            passages_since_check = 0;
-            if (topo::current_domain() != assign_domain(cur)) {
-                return assign_topology_slot(id);
-            }
-        }
-        return {assign_group(cur), assign_slot(cur)};
-    }
-
-    /// Placement for exit/abort paths: a pure lookup, never reassigns, so
-    /// it always matches what the passage's entry used.
-    [[nodiscard]] Placement current_placement(std::uint32_t id) const {
-        if (params_.group_map != AfParams::GroupMap::kTopology) {
-            return {id / k_, id % k_};
-        }
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) == 0) {
-            return {id / k_, id % k_};  // Never entered: round-robin view.
-        }
-        return {assign_group(cur), assign_slot(cur)};
-    }
-
-    /// Cold path, guarded by assign_mu_: hand `id` a free slot in a group
-    /// homed in the caller's domain, else any free slot (total slot
-    /// capacity groups*k >= n, so one always exists). Runs once per id
-    /// plus once per observed migration.
-    Placement assign_topology_slot(std::uint32_t id) {
-        const std::uint32_t d = topo::current_domain();
-        std::lock_guard<std::mutex> guard(assign_mu_);
-        const std::uint64_t cur = assign_[id].load();
-        if ((cur & kAssignedBit) != 0) {
-            if (assign_domain(cur) == d) {
-                return {assign_group(cur), assign_slot(cur)};
-            }
-            free_slots_[assign_group(cur)].push_back(assign_slot(cur));
-        }
-        std::uint32_t pick = groups_;
-        for (std::uint32_t g = 0; g < groups_; ++g) {
-            if (group_domain_[g] == d && !free_slots_[g].empty()) {
-                pick = g;
-                break;
-            }
-        }
-        if (pick == groups_) {
-            for (std::uint32_t g = 0; g < groups_; ++g) {
-                if (!free_slots_[g].empty()) {
-                    pick = g;
-                    break;
-                }
-            }
-        }
-        const std::uint32_t slot = free_slots_[pick].back();
-        free_slots_[pick].pop_back();
-        assign_[id].store(pack_assign(d, pick, slot));
-        return {pick, slot};
-    }
-
     static std::uint32_t validated_f(std::uint32_t n, std::uint32_t m,
                                      std::uint32_t f) {
         if (n == 0 || m == 0 || f == 0 || f > n) {
@@ -576,20 +425,12 @@ class AfLock {
 #endif
 
     std::uint32_t n_, m_, f_, k_, groups_ = 0;
-    AfParams params_;
     // c_/w_ hold cold unique_ptrs; the FArrayCounter nodes themselves are
     // heap-allocated with one alignas(64) node per line (counter.hpp).
     std::vector<std::unique_ptr<FArrayCounter>> c_;
     std::vector<std::unique_ptr<FArrayCounter>> w_;
     TournamentMutex wl_;
     std::unique_ptr<Signal[]> wsig_;
-    // Topology-mode placement state (null/empty under kRoundRobin). The
-    // packed assignment words are the hot lookup; the free lists and map
-    // are cold, touched only under assign_mu_.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> assign_;
-    std::mutex assign_mu_;
-    std::vector<std::vector<std::uint32_t>> free_slots_;
-    std::vector<std::uint32_t> group_domain_;
     alignas(64) std::atomic<std::uint64_t> wseq_{0};
     alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack(0, kRsNop).
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.

@@ -190,8 +190,15 @@ class FaaRWLock {
             RWR_TELEM(contended = true;)
             Backoff backoff;
             Deadline never = Deadline::infinite();
+            // wgate_ only says some reader drained a writer's readers: a
+            // reader that backed out under the previous writer can set it
+            // after our reset, while a reader that entered between the two
+            // writers is still in the CS. The count in state_ decides.
             wait_until(wgate_spot_, never, RWR_TELEM_PTR(telemetry_), backoff,
-                       [&] { return wgate_.load() == 1; });
+                       [&] {
+                           return wgate_.load() == 1 &&
+                                  (state_.load() & kCountMask) == 0;
+                       });
             RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
         }
         RWR_TELEM(if (telemetry_) {

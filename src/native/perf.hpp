@@ -1,7 +1,12 @@
-// Native throughput/latency workload runner -- the measurement engine
-// behind `bench_native_throughput --json` and `lab metrics`.
+// Native measurement engine behind `bench_native_throughput`,
+// `bench_counter` and `lab metrics`. Two tools:
 //
-// Spawns n reader threads + m writer threads hammering one lock for a
+//   * solo_ns_per_call(op, window): nanoseconds per call of one operation
+//     on the calling thread, uncontended, after a warm-up -- the
+//     instruction-path cost of a passage or a counter operation;
+//   * run_perf(cfg): the contended workload grid described below.
+//
+// run_perf spawns n reader threads + m writer threads hammering one lock for a
 // fixed wall duration, counts completed passages per role, and pairs the
 // result with the lock's LockTelemetry aggregate (latency quantiles come
 // from the sampled histograms, contention/backoff/abort counters from the
@@ -80,16 +85,9 @@ struct PerfConfig {
     /// Pin thread i to cpu (i mod hardware_concurrency). Stabilizes
     /// multi-core runs; a no-op win on 1-core CI.
     bool pin = false;
-    /// (Af only) use the topology-aware group map instead of round-robin.
-    bool topology = false;
     /// Workload label carried into bench rows ("-" = the default
     /// closed-loop hammer); part of the bench_diff row key.
     std::string workload = "-";
-    /// Readers yield between passages every `reader_yield_every` passages
-    /// (0 = never): on oversubscribed hosts a relentless reader flood
-    /// starves A_f writers (its documented fairness property) and the
-    /// run never ends.
-    std::uint32_t reader_yield_every = 1;
 
     [[nodiscard]] std::uint32_t resolved_f() const {
         if (f != 0) {
@@ -180,7 +178,6 @@ PerfResult drive(Lock& lock, LockTelemetry& telemetry,
                 std::this_thread::yield();
             }
             std::uint64_t ops = 0;
-            std::uint64_t passages = 0;
             for (;;) {
                 const int ph = phase.load(std::memory_order_relaxed);
                 if (ph == kStop) {
@@ -188,15 +185,14 @@ PerfResult drive(Lock& lock, LockTelemetry& telemetry,
                 }
                 lock.lock_shared(r);
                 lock.unlock_shared(r);
-                ++passages;
                 if (ph == kMeasure) {
                     ++ops;
                 }
                 think();
-                if (cfg.reader_yield_every != 0 &&
-                    passages % cfg.reader_yield_every == 0) {
-                    std::this_thread::yield();
-                }
+                // On an oversubscribed host a relentless reader flood
+                // starves A_f writers (its documented fairness property)
+                // and the run never ends.
+                std::this_thread::yield();
             }
             reader_ops.fetch_add(ops);
         });
@@ -261,6 +257,39 @@ PerfResult drive(Lock& lock, LockTelemetry& telemetry,
 
 }  // namespace detail
 
+/// Nanoseconds per call of `op` on the calling thread: `op` runs for a
+/// quarter of `window` to warm caches and branch predictors, then for at
+/// least `window` in timed batches. Batches double while they take under
+/// a sixteenth of the window, so the clock reads stay off the per-call
+/// cost of a sub-nanosecond op and a slow op still gets many batches.
+template <typename Op>
+double solo_ns_per_call(Op&& op, std::chrono::nanoseconds window) {
+    using Clock = std::chrono::steady_clock;
+    const auto run_for = [&](std::chrono::nanoseconds budget) {
+        std::uint64_t calls = 0;
+        std::uint64_t batch = 1;
+        const auto t0 = Clock::now();
+        for (;;) {
+            const auto batch_start = Clock::now();
+            for (std::uint64_t i = 0; i < batch; ++i) {
+                op();
+            }
+            calls += batch;
+            const auto now = Clock::now();
+            if (now - t0 >= budget) {
+                return std::chrono::duration<double, std::nano>(now - t0)
+                           .count() /
+                       static_cast<double>(calls);
+            }
+            if (now - batch_start < budget / 16) {
+                batch *= 2;
+            }
+        }
+    };
+    run_for(window / 4);
+    return run_for(window);
+}
+
 /// Runs one workload; constructs the lock fresh so telemetry and lock
 /// state start from zero.
 inline PerfResult run_perf(const PerfConfig& cfg) {
@@ -270,11 +299,7 @@ inline PerfResult run_perf(const PerfConfig& cfg) {
     LockTelemetry telemetry;
     switch (cfg.lock) {
         case PerfLock::Af: {
-            AfParams params;
-            if (cfg.topology) {
-                params.group_map = AfParams::GroupMap::kTopology;
-            }
-            AfLock lock(cfg.readers, cfg.writers, cfg.resolved_f(), params);
+            AfLock lock(cfg.readers, cfg.writers, cfg.resolved_f());
             return detail::drive(lock, telemetry, cfg);
         }
         case PerfLock::Centralized: {

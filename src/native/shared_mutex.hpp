@@ -97,12 +97,11 @@ inline ThreadSlots& thread_slots() {
 
 class AfSharedMutex {
    public:
-    /// `f` defaults to sqrt-balanced: ceil(sqrt(max_readers)). `params`
-    /// passes through to AfLock (group-map policy etc.).
+    /// `f` defaults to sqrt-balanced: ceil(sqrt(max_readers)).
     AfSharedMutex(std::uint32_t max_readers, std::uint32_t max_writers,
-                  std::uint32_t f = 0, AfParams params = {})
+                  std::uint32_t f = 0)
         : lock_(max_readers, max_writers,
-                f != 0 ? f : default_f(max_readers), params),
+                f != 0 ? f : default_f(max_readers)),
           reader_slots_(std::make_shared<detail::SlotPool>(max_readers)),
           writer_slots_(std::make_shared<detail::SlotPool>(max_writers)) {}
 

@@ -1,39 +1,21 @@
-// Cache-domain discovery for topology-aware reader placement.
-//
-// The A_f reader hot path is two f-array walks over the group's C[i]/W[i]
-// counters. The round-robin map (reader_id / k) is oblivious to where the
-// calling thread actually runs, so on a multi-socket (or multi-CCX) machine
-// a group's counter block is routinely hammered from a *different* cache
-// domain -- every leaf store and CAS becomes a cross-domain transfer. That
-// is precisely the CC-vs-DSM locality gap (see PAPERS.md, "A Complexity
-// Separation Between the Cache-Coherent and Distributed Shared Memory
-// Models"): the algorithm's RMR count is unchanged, but each RMR gets more
-// expensive. Mapping readers to a group homed in their own last-level-cache
-// domain keeps the counter traffic domain-local.
+// Cache-domain discovery: how many last-level-cache domains the host
+// has, and which cpu sits in which. perfbench stamps the domain count into
+// every result (`llc_domains`), so a reader can tell a one-LLC host from a
+// multi-socket one. The locks themselves are topology-blind: AfLock places
+// reader id i in group i / k, and the cost a multi-LLC host adds to that
+// placement is the CC/DSM locality gap the simulator measures exactly
+// (bench_separation, EXPERIMENTS.md E15).
 //
 // Discovery: one cache domain per distinct last-level-cache sharing set,
 // read from sysfs (cpuN/cache/indexK/shared_cpu_list for the highest
 // non-instruction index). Anything missing or unparsable degrades to a
-// single domain -- i.e. exactly the old behaviour. The RWR_TOPOLOGY
-// environment variable ("0,0,1,1": domain of cpu0, cpu1, ...) overrides
-// discovery, which tests and benches use to exercise multi-domain placement
-// on single-domain hosts.
-//
-// current_domain() is the hot-path query: sched_getcpu() + the domain table,
-// cached per thread and refreshed every kDomainRefreshEvery calls so a
-// migrated thread re-observes its home within a bounded number of passages
-// without paying a syscall per acquisition.
+// single domain.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace rwr::native::topo {
 
@@ -95,50 +77,6 @@ struct CacheTopology {
         return domain_of_cpu[static_cast<std::size_t>(cpu)];
     }
 };
-
-/// Builds a topology from an explicit per-cpu domain list ("0,0,1,1").
-/// Domain ids are densified in first-appearance order. Empty/invalid input
-/// yields the single-domain fallback.
-inline CacheTopology parse_domain_map(const std::string& csv) {
-    CacheTopology t;
-    std::vector<std::uint32_t> raw;
-    std::uint64_t cur = 0;
-    bool have_digit = false;
-    for (const char ch : csv + ",") {
-        if (ch >= '0' && ch <= '9') {
-            cur = cur * 10 + static_cast<std::uint64_t>(ch - '0');
-            have_digit = true;
-        } else if (ch == ',' || ch == ' ' || ch == '\n') {
-            if (have_digit) {
-                raw.push_back(static_cast<std::uint32_t>(cur));
-                cur = 0;
-                have_digit = false;
-            }
-        } else {
-            return t;  // Malformed: fall back to one domain.
-        }
-    }
-    if (raw.empty()) {
-        return t;
-    }
-    std::vector<std::uint32_t> seen;  // raw id -> dense id, by appearance.
-    t.domain_of_cpu.reserve(raw.size());
-    for (const std::uint32_t r : raw) {
-        std::uint32_t dense = static_cast<std::uint32_t>(seen.size());
-        for (std::uint32_t j = 0; j < seen.size(); ++j) {
-            if (seen[j] == r) {
-                dense = j;
-                break;
-            }
-        }
-        if (dense == seen.size()) {
-            seen.push_back(r);
-        }
-        t.domain_of_cpu.push_back(dense);
-    }
-    t.num_domains = static_cast<std::uint32_t>(seen.size());
-    return t;
-}
 
 /// Reads LLC sharing sets under `cpu_root` (normally
 /// "/sys/devices/system/cpu"). Each distinct shared_cpu_list of the
@@ -202,46 +140,12 @@ inline CacheTopology discover_sysfs(const std::string& cpu_root) {
     return t;
 }
 
-/// The process-wide topology: RWR_TOPOLOGY override if set, else sysfs
-/// discovery, else one domain. Discovered once (first use) and immutable
-/// after -- group home domains baked into locks stay valid.
+/// The process-wide topology: sysfs discovery, else one domain.
+/// Discovered once (first use) and immutable after.
 inline const CacheTopology& system_topology() {
-    static const CacheTopology topo = [] {
-        if (const char* env = std::getenv("RWR_TOPOLOGY")) {
-            return parse_domain_map(env);
-        }
-        return discover_sysfs("/sys/devices/system/cpu");
-    }();
+    static const CacheTopology topo =
+        discover_sysfs("/sys/devices/system/cpu");
     return topo;
-}
-
-inline long current_cpu_raw() {
-#if defined(__linux__)
-    return sched_getcpu();
-#else
-    return -1;
-#endif
-}
-
-/// How many current_domain() calls reuse the cached answer before the cpu
-/// is re-queried. A migrated thread re-homes within this many passages.
-inline constexpr std::uint32_t kDomainRefreshEvery = 256;
-
-/// The calling thread's cache domain, cached with epoch refresh: one
-/// sched_getcpu per kDomainRefreshEvery calls, a plain thread-local read
-/// otherwise.
-inline std::uint32_t current_domain() {
-    struct Cached {
-        std::uint32_t domain = 0;
-        std::uint32_t calls_left = 0;
-    };
-    thread_local Cached c;
-    if (c.calls_left == 0) {
-        c.domain = system_topology().domain_of(current_cpu_raw());
-        c.calls_left = kDomainRefreshEvery;
-    }
-    --c.calls_left;
-    return c.domain;
 }
 
 }  // namespace rwr::native::topo

@@ -1,7 +1,7 @@
 // Abortable/timed acquisition tests for the native tier: AfLock's
 // try_lock(_shared)(_for) family, the TournamentMutex abortable climb, the
-// AfSharedMutex timed facade, the CheckedLock misuse detector, AfLock's
-// built-in misuse assertions, and the harness Watchdog.
+// AfSharedMutex timed facade, AfLock's built-in misuse assertions, and the
+// harness Watchdog.
 //
 // The load-bearing property throughout: an aborted acquisition rolls back
 // every announcement, so survivors retain Theorem 18's guarantees --
@@ -21,7 +21,6 @@
 
 #include "harness/watchdog.hpp"
 #include "native/af_lock.hpp"
-#include "native/checked.hpp"
 #include "native/mutex.hpp"
 #include "native/shared_mutex.hpp"
 
@@ -278,35 +277,18 @@ TEST(AfLockMisuse, FailedTryLeavesIdReusable) {
     lock.lock(0);
     EXPECT_FALSE(lock.try_lock_shared(0));
     EXPECT_FALSE(lock.try_lock_shared(0));  // Guard must have been released.
-    lock.unlock(0);
-    EXPECT_TRUE(lock.try_lock_shared(0));
-    lock.unlock_shared(0);
-}
-#endif  // RWR_AF_MISUSE_CHECKS
-
-TEST(CheckedLockTest, DetectsDoubleUnlockAndRecursion) {
-    CheckedLock<AfLock> lock(2, 1, 1);
-    lock.lock_shared(0);
-    EXPECT_THROW(lock.lock_shared(0), std::logic_error);
-    lock.unlock_shared(0);
-    EXPECT_THROW(lock.unlock_shared(0), std::logic_error);
-    lock.lock(0);
-    EXPECT_THROW(lock.lock(0), std::logic_error);
-    lock.unlock(0);
-    EXPECT_THROW(lock.unlock(0), std::logic_error);
-    EXPECT_THROW(lock.lock_shared(5), std::invalid_argument);
-}
-
-TEST(CheckedLockTest, ForwardsTryPathsAndReleasesGuardOnFailure) {
-    CheckedLock<AfLock> lock(2, 1, 1);
-    ASSERT_TRUE(lock.try_lock(0));
-    EXPECT_FALSE(lock.try_lock_shared(0));
+    EXPECT_FALSE(lock.try_lock_shared_for(0, 1ms));
     EXPECT_FALSE(lock.try_lock_shared_for(0, 1ms));
     lock.unlock(0);
     EXPECT_TRUE(lock.try_lock_shared(0));
+    // Reader 0 holds the CS, so the writer's timed entry must give up.
+    EXPECT_FALSE(lock.try_lock_for(0, 1ms));
     EXPECT_FALSE(lock.try_lock_for(0, 1ms));
     lock.unlock_shared(0);
+    EXPECT_TRUE(lock.try_lock(0));
+    lock.unlock(0);
 }
+#endif  // RWR_AF_MISUSE_CHECKS
 
 // ---- AfSharedMutex facade --------------------------------------------------
 

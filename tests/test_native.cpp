@@ -301,36 +301,38 @@ TEST(NativePhaseFair, WritersCompleteUnderReaderTraffic) {
 }
 
 TEST(NativeAfLock, ReadersOverlapInTheCs) {
-    // With a writer-free workload and blocking readers, reader concurrency
-    // must actually materialize (scheduler permitting; retry a few times
-    // since a 1-core box can serialize short CSes by chance).
+    // Concurrent Entering: with no writer present, a reader enters while
+    // another reader is in the CS. Reader 0 stays in the CS on its own
+    // thread until reader 1 (same group, k = 2) has tried to join it, so
+    // the overlap does not depend on how the threads are scheduled.
     AfLock lock(4, 1, 2);
     std::atomic<std::int32_t> in{0};
-    std::atomic<std::int32_t> max_in{0};
-    std::atomic<bool> go{false};
-    std::vector<std::thread> threads;
-    for (std::uint32_t r = 0; r < 4; ++r) {
-        threads.emplace_back([&, r] {
-            while (!go.load()) {
-                std::this_thread::yield();
-            }
-            for (int i = 0; i < 300; ++i) {
-                lock.lock_shared(r);
-                const auto now = in.fetch_add(1) + 1;
-                auto mx = max_in.load();
-                while (now > mx && !max_in.compare_exchange_weak(mx, now)) {
-                }
-                std::this_thread::yield();
-                in.fetch_sub(1);
-                lock.unlock_shared(r);
-            }
-        });
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        lock.lock_shared(0);
+        in.fetch_add(1);
+        holding.store(true);
+        while (!release.load()) {
+            std::this_thread::yield();
+        }
+        in.fetch_sub(1);
+        lock.unlock_shared(0);
+    });
+    while (!holding.load()) {
+        std::this_thread::yield();
     }
-    go.store(true);
-    for (auto& th : threads) {
-        th.join();
+    const bool entered = lock.try_lock_shared(1);
+    std::int32_t readers_in_cs = 0;
+    if (entered) {
+        readers_in_cs = in.fetch_add(1) + 1;
+        in.fetch_sub(1);
+        lock.unlock_shared(1);
     }
-    EXPECT_GE(max_in.load(), 2);
+    release.store(true);
+    holder.join();
+    EXPECT_TRUE(entered);
+    EXPECT_EQ(readers_in_cs, 2);
 }
 
 TEST(AfSharedMutex, StdSharedLockInterop) {

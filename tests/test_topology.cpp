@@ -1,29 +1,16 @@
-// Topology discovery (native/topology.hpp) and the topology-aware reader
-// placement mode of the native AfLock. Parsing and sysfs discovery are
-// tested against synthetic inputs (including a fake sysfs tree written
-// under the build directory); the lock-level tests pin the process-wide
-// topology with RWR_TOPOLOGY *before* the first system_topology() call --
-// which works because gtest_discover_tests runs every test case as its own
-// ctest process.
+// Cache-domain discovery (native/topology.hpp). Parsing and sysfs
+// discovery are tested against synthetic inputs, including a fake sysfs
+// tree written under the build directory.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
-#include <thread>
 #include <vector>
 
-#include "native/af_lock.hpp"
-#include "native/shared_mutex.hpp"
 #include "native/topology.hpp"
 
 namespace {
 
-using namespace rwr::native;
 namespace topo = rwr::native::topo;
 namespace fs = std::filesystem;
 
@@ -40,27 +27,6 @@ TEST(TopologyParse, CpuListRejectsMalformedInput) {
     EXPECT_TRUE(topo::parse_cpu_list("a-b").empty());
     EXPECT_TRUE(topo::parse_cpu_list("3-1").empty());
     EXPECT_TRUE(topo::parse_cpu_list("1;2").empty());
-}
-
-TEST(TopologyParse, DomainMapDensifiesIdsInAppearanceOrder) {
-    const topo::CacheTopology t = topo::parse_domain_map("4,4,7,7,4");
-    EXPECT_EQ(t.num_domains, 2u);
-    EXPECT_EQ(t.domain_of(0), 0u);
-    EXPECT_EQ(t.domain_of(1), 0u);
-    EXPECT_EQ(t.domain_of(2), 1u);
-    EXPECT_EQ(t.domain_of(3), 1u);
-    EXPECT_EQ(t.domain_of(4), 0u);
-    // Out-of-range cpus (and sched_getcpu failure, cpu = -1) map to 0.
-    EXPECT_EQ(t.domain_of(99), 0u);
-    EXPECT_EQ(t.domain_of(-1), 0u);
-}
-
-TEST(TopologyParse, MalformedDomainMapFallsBackToOneDomain) {
-    for (const char* bad : {"", "0,x,1", "zebra"}) {
-        const topo::CacheTopology t = topo::parse_domain_map(bad);
-        EXPECT_EQ(t.num_domains, 1u) << "input: " << bad;
-        EXPECT_TRUE(t.domain_of_cpu.empty()) << "input: " << bad;
-    }
 }
 
 TEST(TopologyDiscover, MissingSysfsFallsBackToOneDomain) {
@@ -108,6 +74,9 @@ TEST(TopologyDiscover, GroupsCpusByLastLevelCacheSharing) {
     EXPECT_EQ(t.domain_of(1), 0u);
     EXPECT_EQ(t.domain_of(2), 1u);
     EXPECT_EQ(t.domain_of(3), 1u);
+    // Out-of-range cpus (and sched_getcpu failure, cpu = -1) map to 0.
+    EXPECT_EQ(t.domain_of(99), 0u);
+    EXPECT_EQ(t.domain_of(-1), 0u);
 }
 
 TEST(TopologyDiscover, InstructionCachesAreIgnored) {
@@ -131,127 +100,11 @@ TEST(TopologyDiscover, UnparsableSharedListFallsBack) {
     EXPECT_EQ(t.num_domains, 1u);
 }
 
-TEST(TopologyQuery, CurrentDomainIsAlwaysInRange) {
+TEST(TopologyQuery, SystemTopologyMapsEveryCpuIntoRange) {
     const topo::CacheTopology& sys = topo::system_topology();
     ASSERT_GE(sys.num_domains, 1u);
-    // Exceed kDomainRefreshEvery so at least one cache refresh happens.
-    for (std::uint32_t i = 0; i < 4 * topo::kDomainRefreshEvery; ++i) {
-        EXPECT_LT(topo::current_domain(), sys.num_domains);
-    }
-}
-
-// ---- Lock-level placement ------------------------------------------------
-
-TEST(TopologyAfLock, RoundRobinRemainsTheDefaultMap) {
-    AfLock lock(8, 1, 4);
-    EXPECT_EQ(lock.params().group_map, AfParams::GroupMap::kRoundRobin);
-    for (std::uint32_t r = 0; r < 8; ++r) {
-        EXPECT_EQ(lock.reader_group(r), r / lock.group_size());
-    }
-}
-
-TEST(TopologyAfLock, TopologyMapRespectsGroupCapacity) {
-    setenv("RWR_TOPOLOGY", "0,0,1,1", 1);
-    AfParams params;
-    params.group_map = AfParams::GroupMap::kTopology;
-    constexpr std::uint32_t kReaders = 8;
-    AfLock lock(kReaders, 2, 4, params);  // k = 2, four groups.
-    ASSERT_EQ(lock.params().group_map, AfParams::GroupMap::kTopology);
-    // Exercise every reader once so each gets a placement.
-    for (std::uint32_t r = 0; r < kReaders; ++r) {
-        lock.lock_shared(r);
-        lock.unlock_shared(r);
-    }
-    // Injectivity at group granularity: no group can host more ids than it
-    // has slots, or two concurrent readers would share an f-array slot.
-    std::map<std::uint32_t, std::uint32_t> per_group;
-    for (std::uint32_t r = 0; r < kReaders; ++r) {
-        const std::uint32_t g = lock.reader_group(r);
-        ASSERT_LT(g, kReaders / lock.group_size());
-        ++per_group[g];
-    }
-    for (const auto& [g, count] : per_group) {
-        EXPECT_LE(count, lock.group_size()) << "group " << g;
-    }
-}
-
-TEST(TopologyAfLock, PlacementIsStableAcrossPassages) {
-    setenv("RWR_TOPOLOGY", "0,1", 1);
-    AfParams params;
-    params.group_map = AfParams::GroupMap::kTopology;
-    AfLock lock(4, 1, 2, params);
-    std::vector<std::uint32_t> first(4);
-    for (std::uint32_t r = 0; r < 4; ++r) {
-        lock.lock_shared(r);
-        lock.unlock_shared(r);
-        first[r] = lock.reader_group(r);
-    }
-    // This process never migrates between (fake) domains, so re-homing must
-    // never fire: many more passages than remap_check_every, same groups.
-    for (std::uint32_t pass = 0; pass < 4 * lock.params().remap_check_every;
-         ++pass) {
-        const std::uint32_t r = pass % 4;
-        lock.lock_shared(r);
-        lock.unlock_shared(r);
-        EXPECT_EQ(lock.reader_group(r), first[r]) << "reader " << r;
-    }
-}
-
-TEST(TopologyAfLock, TopologyModeKeepsReaderWriterExclusion) {
-    setenv("RWR_TOPOLOGY", "0,0,1,1", 1);
-    AfParams params;
-    params.group_map = AfParams::GroupMap::kTopology;
-    constexpr std::uint32_t kReaders = 4;
-    constexpr std::uint32_t kWriters = 2;
-    constexpr int kPassages = 300;
-    AfLock lock(kReaders, kWriters, 2, params);
-    std::atomic<int> readers_in{0};
-    std::atomic<int> writers_in{0};
-    std::atomic<bool> violation{false};
-    std::vector<std::thread> threads;
-    for (std::uint32_t r = 0; r < kReaders; ++r) {
-        threads.emplace_back([&, r] {
-            for (int p = 0; p < kPassages; ++p) {
-                lock.lock_shared(r);
-                readers_in.fetch_add(1);
-                if (writers_in.load() != 0) {
-                    violation.store(true);
-                }
-                readers_in.fetch_sub(1);
-                lock.unlock_shared(r);
-            }
-        });
-    }
-    for (std::uint32_t w = 0; w < kWriters; ++w) {
-        threads.emplace_back([&, w] {
-            for (int p = 0; p < kPassages; ++p) {
-                lock.lock(w);
-                if (writers_in.fetch_add(1) != 0 || readers_in.load() != 0) {
-                    violation.store(true);
-                }
-                writers_in.fetch_sub(1);
-                lock.unlock(w);
-            }
-        });
-    }
-    for (auto& t : threads) {
-        t.join();
-    }
-    EXPECT_FALSE(violation.load());
-}
-
-TEST(TopologyAfLock, SharedMutexForwardsPlacementParams) {
-    setenv("RWR_TOPOLOGY", "0,1", 1);
-    AfParams params;
-    params.group_map = AfParams::GroupMap::kTopology;
-    AfSharedMutex mx(4, 2, /*f=*/2, params);
-    EXPECT_EQ(mx.underlying().params().group_map,
-              AfParams::GroupMap::kTopology);
-    {
-        std::shared_lock<AfSharedMutex> sl(mx);
-    }
-    {
-        std::unique_lock<AfSharedMutex> ul(mx);
+    for (std::size_t cpu = 0; cpu < sys.domain_of_cpu.size(); ++cpu) {
+        EXPECT_LT(sys.domain_of(static_cast<long>(cpu)), sys.num_domains);
     }
 }
 
