@@ -12,6 +12,7 @@
 #include <shared_mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "native/af_lock.hpp"
@@ -241,6 +242,30 @@ TEST(NativeAfLock, ArgumentValidation) {
     AfLock ok(4, 1, 2);
     EXPECT_THROW(ok.lock_shared(4), std::invalid_argument);
     EXPECT_THROW(ok.lock(1), std::invalid_argument);
+}
+
+TEST(NativeAfLock, WriterSeesEveryReaderWhenFDoesNotDivideN) {
+    // Reader id i uses slot i % k of group i / k, k = ceil(n / f). With
+    // (n, f) = (10, 4) the last group is partial; with (9, 4) only three
+    // groups exist. Every id must land in a real slot, and a writer must
+    // see each one: the try fails until the last reader has left.
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {10, 4}, {9, 4}, {7, 7}, {7, 1}};
+    for (const auto& [n, f] : shapes) {
+        AfLock lock(n, 1, f);
+        EXPECT_EQ(lock.group_size(), (n + f - 1) / f);
+        for (std::uint32_t id = 0; id < n; ++id) {
+            ASSERT_TRUE(lock.try_lock_shared(id)) << "n=" << n << " id=" << id;
+        }
+        for (std::uint32_t id = 0; id < n; ++id) {
+            EXPECT_FALSE(lock.try_lock(0))
+                << "n=" << n << " f=" << f << ": readers " << id << ".."
+                << n - 1 << " still in the CS";
+            lock.unlock_shared(id);
+        }
+        EXPECT_TRUE(lock.try_lock(0)) << "n=" << n << " f=" << f;
+        lock.unlock(0);
+    }
 }
 
 TEST(NativeCentralized, MutualExclusionInvariants) {

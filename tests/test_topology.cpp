@@ -29,6 +29,15 @@ TEST(TopologyParse, CpuListRejectsMalformedInput) {
     EXPECT_TRUE(topo::parse_cpu_list("1;2").empty());
 }
 
+TEST(TopologyParse, CpuListBoundsIdsAndRangeWidths) {
+    EXPECT_EQ(topo::parse_cpu_list("16777215"), (U32s{16777215}));
+    EXPECT_TRUE(topo::parse_cpu_list("16777216").empty());  // Id > 2^24 - 1.
+    EXPECT_EQ(topo::parse_cpu_list("0-65536").size(), 65537u);
+    EXPECT_TRUE(topo::parse_cpu_list("0-65537").empty());  // Range too wide.
+    EXPECT_TRUE(topo::parse_cpu_list("1-").empty());
+    EXPECT_TRUE(topo::parse_cpu_list("-1").empty());
+}
+
 TEST(TopologyDiscover, MissingSysfsFallsBackToOneDomain) {
     const topo::CacheTopology t =
         topo::discover_sysfs("/nonexistent-rwr-sysfs-root");
@@ -77,6 +86,41 @@ TEST(TopologyDiscover, GroupsCpusByLastLevelCacheSharing) {
     // Out-of-range cpus (and sched_getcpu failure, cpu = -1) map to 0.
     EXPECT_EQ(t.domain_of(99), 0u);
     EXPECT_EQ(t.domain_of(-1), 0u);
+}
+
+TEST(TopologyDiscover, DeepestCacheLevelDefinesTheDomain) {
+    FakeSysfs sys("rwr_fake_sysfs_l3");
+    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
+        // Private L1d, L1i and L2 per cpu under one L3 shared by all four:
+        // one domain, although every shallower level is per-cpu.
+        const std::string own = std::to_string(cpu);
+        sys.add_cache(cpu, 0, "Data", own);
+        sys.add_cache(cpu, 1, "Instruction", own);
+        sys.add_cache(cpu, 2, "Unified", own);
+        sys.add_cache(cpu, 3, "Unified", "0-3");
+    }
+    const topo::CacheTopology t = topo::discover_sysfs(sys.path());
+    EXPECT_EQ(t.num_domains, 1u);
+    ASSERT_EQ(t.domain_of_cpu.size(), 4u);
+    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
+        EXPECT_EQ(t.domain_of(cpu), 0u);
+    }
+}
+
+TEST(TopologyDiscover, InterleavedCpuNumberingKeepsDomainsApart) {
+    FakeSysfs sys("rwr_fake_sysfs_interleaved");
+    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
+        // Two LLCs with interleaved numbering (even cpus on one, odd on the
+        // other). Domain ids follow the order in which each LLC first
+        // appears.
+        sys.add_cache(cpu, 0, "Unified", cpu % 2 == 0 ? "0,2" : "1,3");
+    }
+    const topo::CacheTopology t = topo::discover_sysfs(sys.path());
+    EXPECT_EQ(t.num_domains, 2u);
+    EXPECT_EQ(t.domain_of(0), 0u);
+    EXPECT_EQ(t.domain_of(1), 1u);
+    EXPECT_EQ(t.domain_of(2), 0u);
+    EXPECT_EQ(t.domain_of(3), 1u);
 }
 
 TEST(TopologyDiscover, InstructionCachesAreIgnored) {
