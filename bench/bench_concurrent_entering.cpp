@@ -33,7 +33,7 @@ std::uint64_t max_entry_steps(LockKind kind, std::uint32_t n,
         dc.passages = 3;
         dc.cs_steps = 2;
         dc.records = &records[r];
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
     }
     sim::RandomScheduler sched(seed);
     sim::run(sys, sched, 50'000'000);

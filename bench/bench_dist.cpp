@@ -91,7 +91,6 @@ DistSimConfig make_cfg(std::uint32_t shards, std::uint32_t locks_per_shard,
     // time grows with contention -- exactly what the unhomed ablation
     // converts into network RMRs (the E15b pattern).
     c.writer_cs_steps = 2 * sessions;
-    c.reader_cs_steps = 1;
     c.seed = 1;
     return c;
 }

@@ -80,11 +80,11 @@ std::pair<std::uint64_t, std::uint64_t> waiting_cost(Protocol proto,
     sim::Process& w = sys.add_process(sim::Role::Writer);
     sim::DriveConfig rc;
     rc.passages = 1;
-    r.set_task(sim::drive_passages(*lock, r, rc));
+    r.set_task(sim::drive(*lock, r, rc));
     sim::DriveConfig wc;
     wc.passages = 1;
     wc.cs_steps = cs_hold;
-    w.set_task(sim::drive_passages(*lock, w, wc));
+    w.set_task(sim::drive(*lock, w, wc));
     sys.start_all();
 
     // Writer through its entry and into the CS...

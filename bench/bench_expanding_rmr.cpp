@@ -42,14 +42,14 @@ Outcome run_tracked(LockKind kind, Protocol proto, std::uint64_t seed) {
         sim::DriveConfig dc;
         dc.passages = 5;
         dc.cs_steps = 2;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
     }
     for (std::uint32_t w = 0; w < 3; ++w) {
         sim::Process& p = sys.add_process(sim::Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 5;
         dc.cs_steps = 2;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
     }
     knowledge::AwarenessTracker tracker(15, sys.memory().num_variables());
     sys.add_observer(&tracker);

@@ -33,7 +33,7 @@ sim::SimTask<void> endless(sim::SimRWLock& lock, sim::Process& p) {
     dc.passages = 1'000'000'000;  // Budget-bounded, never completes.
     dc.cs_steps = 1;
     dc.remainder_steps = 1;
-    co_await sim::drive_passages(lock, p, dc);
+    co_await sim::drive(lock, p, dc);
 }
 
 FairnessRow fair_run(LockKind kind, std::uint32_t n, std::uint32_t m,

@@ -146,7 +146,7 @@ MxPoint measure_mutex(MxVariant v, Protocol proto, std::uint32_t m) {
             break;
         case MxVariant::Jjj:
             jjj = std::make_unique<recover::RecoverableJJJMutex>(
-                mem, "mx", m, /*delta=*/0, ProcId{0});
+                mem, "mx", m, ProcId{0});
             break;
         case MxVariant::JjjUnhomed:
             jjj = std::make_unique<recover::RecoverableJJJMutex>(mem, "mx",

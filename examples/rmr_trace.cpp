@@ -72,9 +72,9 @@ int main() {
     sim::Process& w = sys.add_process(sim::Role::Writer);
     sim::DriveConfig dc;
     dc.passages = 1;
-    r0.set_task(sim::drive_passages(lock, r0, dc));
-    r1.set_task(sim::drive_passages(lock, r1, dc));
-    w.set_task(sim::drive_passages(lock, w, dc));
+    r0.set_task(sim::drive(lock, r0, dc));
+    r1.set_task(sim::drive(lock, r1, dc));
+    w.set_task(sim::drive(lock, w, dc));
     sys.start_all();
 
     std::printf("A_f with n=2 readers, m=1 writer, f=1 (K=2), write-back "

@@ -12,6 +12,9 @@ namespace rwr::adversary {
 
 namespace {
 
+/// Step budget of one solo run.
+constexpr std::uint64_t kSoloBudget = 2'000'000;
+
 struct World {
     std::unique_ptr<sim::System> sys;
     std::unique_ptr<sim::SimRWLock> lock;
@@ -31,14 +34,14 @@ World build(const AdversaryConfig& cfg) {
         sim::DriveConfig dc;
         dc.passages = 1;
         dc.records = &w.records[p.id()];
-        p.set_task(sim::drive_passages(*w.lock, p, dc));
+        p.set_task(sim::drive(*w.lock, p, dc));
     }
     sim::Process& writer = w.sys->add_process(sim::Role::Writer);
     w.writer_id = writer.id();
     sim::DriveConfig dc;
     dc.passages = 1;
     dc.records = &w.records[writer.id()];
-    writer.set_task(sim::drive_passages(*w.lock, writer, dc));
+    writer.set_task(sim::drive(*w.lock, writer, dc));
 
     w.tracker = std::make_unique<knowledge::AwarenessTracker>(
         cfg.n + 1, w.sys->memory().num_variables());
@@ -121,7 +124,7 @@ AdversaryResult run_adversary(const AdversaryConfig& cfg) {
 
     // ---- E1: every reader runs solo into the CS. ------------------------
     for (ProcId id = 0; id < cfg.n; ++id) {
-        sim::run_solo(sys, id, cfg.solo_budget,
+        sim::run_solo(sys, id, kSoloBudget,
                       [](const sim::Process& p) { return p.in_cs(); });
         if (!sys.process(id).in_cs()) {
             res.note = "E1 infeasible: reader " + std::to_string(id) +
@@ -143,7 +146,7 @@ AdversaryResult run_adversary(const AdversaryConfig& cfg) {
         // step (Bounded Exit guarantees this terminates; for locks whose
         // exit waits, the fixpoint stops once the poised set is stable).
         const FixpointOutcome fp = advance_to_expanding_fixpoint(
-            w, cfg.n, cfg.solo_budget * (cfg.n + 1));
+            w, cfg.n, kSoloBudget * (cfg.n + 1));
         if (fp == FixpointOutcome::BudgetExhausted) {
             res.note = "E2 fixpoint budget exhausted (livelock)";
             return res;
@@ -234,7 +237,7 @@ AdversaryResult run_adversary(const AdversaryConfig& cfg) {
     // ---- E3: the writer runs solo into the CS. ---------------------------
     const sim::Process& writer = sys.process(w.writer_id);
     const SectionStats before = writer.stats();
-    sim::run_solo(sys, w.writer_id, cfg.solo_budget,
+    sim::run_solo(sys, w.writer_id, kSoloBudget,
                   [](const sim::Process& p) { return p.in_cs(); });
     if (!writer.in_cs()) {
         res.note = "E3 failed: writer could not enter the CS solo from the "

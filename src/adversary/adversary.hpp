@@ -48,8 +48,7 @@ struct AdversaryConfig {
     Protocol protocol = Protocol::WriteBack;
     std::uint32_t n = 8;  ///< Readers. (Single writer, per Theorem 5.)
     std::uint32_t f = 1;  ///< A_f parameter (ignored by baselines).
-    std::uint64_t solo_budget = 2'000'000;  ///< Steps per solo run.
-    std::uint64_t iteration_cap = 0;        ///< 0 = auto (n + 64).
+    std::uint64_t iteration_cap = 0;  ///< 0 = auto (n + 64).
 };
 
 struct IterationStats {

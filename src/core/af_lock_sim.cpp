@@ -1,34 +1,13 @@
 #include "core/af_lock_sim.hpp"
 
-#include "mutex/jj_amortized.hpp"
-#include "mutex/pw_randomized.hpp"
-
 namespace rwr::core {
 
 namespace {
 
+/// WL is the Peterson tournament, or under dsm_local_spin the Yang-Anderson
+/// tournament homed at the writers (pids n .. n+m-1 under the harness
+/// convention, so slot s lives at pid n + s).
 std::unique_ptr<mutex::SimMutex> make_wl(Memory& mem, const AfParams& params) {
-    // Writers are pids n .. n+m-1 under the harness convention, so homed
-    // WL variants place slot s at owner_base = n (+ s).
-    const std::optional<ProcId> base =
-        params.dsm_local_spin ? std::optional<ProcId>{ProcId{params.n}}
-                              : std::nullopt;
-    switch (params.wl_kind) {
-        case WlKind::PetersonTournament:
-            break;  // Historic default below.
-        case WlKind::YaTournament:
-            return std::make_unique<mutex::YaTournamentSimMutex>(
-                mem, "af.WL", params.m, base);
-        case WlKind::JjAmortized: {
-            mutex::JJAmortizedMutex::Options opts;
-            opts.owner_base = base;
-            return std::make_unique<mutex::JJAmortizedMutex>(mem, "af.WL",
-                                                             params.m, opts);
-        }
-        case WlKind::PwRandomized:
-            return std::make_unique<mutex::PwRandomizedMutex>(
-                mem, "af.WL", params.m, params.wl_seed, /*delta=*/0, base);
-    }
     if (params.dsm_local_spin) {
         return std::make_unique<mutex::YaTournamentSimMutex>(
             mem, "af.WL", params.m, ProcId{params.n});

@@ -12,30 +12,6 @@
 
 namespace rwr::core {
 
-/// Which m-process mutex backs WL, the writers' embedded lock (Algorithm 1
-/// line 2). The paper only requires starvation freedom + bounded exit with
-/// logarithmic RMRs ("e.g. [21]"); the pluggable kinds trade that
-/// per-passage Theta(log m) for O(1) *amortized* (JjAmortized, the
-/// Jayanti-Jayanti abortable queue) or sub-logarithmic *expected*
-/// (PwRandomized, the Pareek-Woelfel randomized tree) -- the E18
-/// separation. Mirrors the recover tier's JJJ WL-kind selection.
-enum class WlKind : std::uint8_t {
-    PetersonTournament,  ///< Default; YA tournament when dsm_local_spin.
-    YaTournament,        ///< Homed-spin tournament (DSM-local).
-    JjAmortized,         ///< O(1) amortized RMR abortable ticket queue.
-    PwRandomized,        ///< Sub-log expected RMR randomized tree (seeded).
-};
-
-[[nodiscard]] inline std::string to_string(WlKind k) {
-    switch (k) {
-        case WlKind::PetersonTournament: return "peterson";
-        case WlKind::YaTournament: return "ya";
-        case WlKind::JjAmortized: return "jj";
-        case WlKind::PwRandomized: return "pw";
-    }
-    return "?";
-}
-
 struct AfParams {
     std::uint32_t n = 1;  ///< Number of reader processes.
     std::uint32_t m = 1;  ///< Number of writer processes.
@@ -54,13 +30,6 @@ struct AfParams {
     /// is local only for writer 0; the E15 grid runs m = 1, where the
     /// homing is exact.
     bool dsm_local_spin = false;
-
-    /// The embedded writers' mutex. PetersonTournament keeps the historic
-    /// behavior exactly (including the dsm_local_spin switch to YA), so
-    /// every pre-existing config is bit-identical.
-    WlKind wl_kind = WlKind::PetersonTournament;
-    /// Coin-flip seed for WlKind::PwRandomized (ignored otherwise).
-    std::uint64_t wl_seed = 1;
 
     /// K = ceil(n / f): readers per group (paper line 1).
     [[nodiscard]] std::uint32_t group_size() const { return (n + f - 1) / f; }

@@ -35,6 +35,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "dist/verbs.hpp"
 
@@ -68,11 +70,26 @@ inline constexpr std::uint32_t kLockHeaderWords = 6;
 inline constexpr std::uint32_t kClientSegWords = 8;
 inline constexpr std::uint32_t kGateOffset = 0;
 
+/// Most sessions one table serves: encode_wslot packs session + 1 into 20
+/// bits.
+inline constexpr std::uint32_t kMaxSessions = (1u << 20) - 2;
+
 class TableLayout {
    public:
+    /// Throws std::invalid_argument on an empty geometry (no shards, locks
+    /// or sessions) or on more sessions than kMaxSessions -- also when the
+    /// geometry arrives over the wire in a HELLO reply.
     explicit TableLayout(const TableConfig& cfg) : cfg_(cfg) {
-        assert(cfg.shards > 0 && cfg.locks_per_shard > 0 &&
-               cfg.sessions > 0);
+        if (cfg.shards == 0 || cfg.locks_per_shard == 0 ||
+            cfg.sessions == 0) {
+            throw std::invalid_argument(
+                "TableLayout: shards, locks and sessions must be >= 1");
+        }
+        if (cfg.sessions > kMaxSessions) {
+            throw std::invalid_argument(
+                "TableLayout: at most " + std::to_string(kMaxSessions) +
+                " sessions");
+        }
         bitmap_words_ = (cfg.sessions + 63) / 64;
         lock_stride_ = kLockHeaderWords + cfg.sessions + bitmap_words_;
         shard_words_ = cfg.locks_per_shard * lock_stride_;

@@ -16,11 +16,19 @@
 //       (>=1M total acquire/release ops), exit-code-asserting zero witness
 //       violations, a quiesced table, and daemon-side stats that agree
 //       with client-side counts (proof the two sides share the words).
+//
+// A number that is malformed or out of range (--port > 65535,
+// --reader-pct > 100), an unknown flag or an empty table geometry exits 2
+// with a usage line.
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "dist/bench_rows.hpp"
@@ -61,12 +69,37 @@ struct Args {
     std::string json_path;
 };
 
-std::uint64_t arg_u64(int argc, char** argv, int& i, const char* flag) {
+[[noreturn]] void usage(const std::string& why) {
+    std::fprintf(stderr,
+                 "lock_serviced: %s\n"
+                 "usage: lock_serviced --serve|--load|--smoke [--shards S] "
+                 "[--locks L] [--sessions N] [--port P] [--ops N] "
+                 "[--reader-pct 0..100] [--seed S] [--jobs J] [--json FILE] "
+                 "[--unhomed] [--shutdown]\n",
+                 why.c_str());
+    std::exit(2);
+}
+
+/// The value after `flag`: a decimal number in [0, max], else exit 2.
+std::uint64_t arg_u64(int argc, char** argv, int& i, const char* flag,
+                      std::uint64_t max) {
     if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
+        usage(std::string(flag) + " needs a value");
     }
-    return std::strtoull(argv[++i], nullptr, 10);
+    const std::string_view v = argv[++i];
+    const char* end = v.data() + v.size();
+    std::uint64_t n = 0;
+    const auto [stop, err] = std::from_chars(v.data(), end, n);
+    if (err != std::errc{} || stop != end || n > max) {
+        usage(std::string(flag) + " wants a number in [0, " +
+              std::to_string(max) + "], got '" + std::string(v) + "'");
+    }
+    return n;
+}
+
+std::uint32_t arg_u32(int argc, char** argv, int& i, const char* flag,
+                      std::uint32_t max = UINT32_MAX) {
+    return static_cast<std::uint32_t>(arg_u64(argc, argv, i, flag, max));
 }
 
 Args parse(int argc, char** argv) {
@@ -84,31 +117,35 @@ Args parse(int argc, char** argv) {
         } else if (f == "--shutdown") {
             a.shutdown = true;
         } else if (f == "--shards") {
-            a.shards = static_cast<std::uint32_t>(arg_u64(argc, argv, i, "--shards"));
+            a.shards = arg_u32(argc, argv, i, "--shards");
         } else if (f == "--locks") {
-            a.locks = static_cast<std::uint32_t>(arg_u64(argc, argv, i, "--locks"));
+            a.locks = arg_u32(argc, argv, i, "--locks");
         } else if (f == "--sessions") {
-            a.sessions = static_cast<std::uint32_t>(arg_u64(argc, argv, i, "--sessions"));
+            a.sessions = arg_u32(argc, argv, i, "--sessions");
         } else if (f == "--ops") {
-            a.ops = static_cast<std::uint32_t>(arg_u64(argc, argv, i, "--ops"));
+            a.ops = arg_u32(argc, argv, i, "--ops");
         } else if (f == "--reader-pct") {
-            a.reader_pct = static_cast<std::uint32_t>(arg_u64(argc, argv, i, "--reader-pct"));
+            a.reader_pct = arg_u32(argc, argv, i, "--reader-pct", 100);
         } else if (f == "--seed") {
-            a.seed = arg_u64(argc, argv, i, "--seed");
+            a.seed = arg_u64(argc, argv, i, "--seed", UINT64_MAX);
         } else if (f == "--port") {
-            a.port = static_cast<std::uint16_t>(arg_u64(argc, argv, i, "--port"));
+            a.port = static_cast<std::uint16_t>(
+                arg_u64(argc, argv, i, "--port", UINT16_MAX));
         } else if (f == "--jobs") {
-            a.jobs = static_cast<unsigned>(arg_u64(argc, argv, i, "--jobs"));
+            a.jobs = arg_u32(argc, argv, i, "--jobs");
         } else if (f == "--json") {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "--json needs a path\n");
-                std::exit(2);
+                usage("--json needs a path");
             }
             a.json_path = argv[++i];
         } else {
-            std::fprintf(stderr, "unknown flag %s\n", f.c_str());
-            std::exit(2);
+            usage("unknown flag " + f);
         }
+    }
+    try {
+        (void)TableLayout(TableConfig{a.shards, a.locks, a.sessions});
+    } catch (const std::invalid_argument& e) {
+        usage(e.what());
     }
     return a;
 }
@@ -271,7 +308,5 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 1;
     }
-    std::fprintf(stderr,
-                 "usage: lock_serviced --serve|--load|--smoke [flags]\n");
-    return 2;
+    usage("no mode given");
 }

@@ -236,9 +236,9 @@ struct SessionOps {
             ++write_ops;
         }
     }
+    /// A read CS dwells one local step, a write CS cfg.writer_cs_steps.
     [[nodiscard]] std::uint64_t cs_steps(const Process& p) const {
-        return current[p.id()].reader ? cfg.reader_cs_steps
-                                      : cfg.writer_cs_steps;
+        return current[p.id()].reader ? 1 : cfg.writer_cs_steps;
     }
 };
 

@@ -83,7 +83,6 @@ struct DistSimConfig {
     std::uint32_t ops_per_session = 8;
     std::uint32_t reader_pct = 50;      ///< % of ops that are read acquires.
     std::uint32_t writer_cs_steps = 1;  ///< Local dwell inside a write CS.
-    std::uint32_t reader_cs_steps = 1;
     std::uint64_t seed = 1;
     std::uint64_t max_steps = 500'000'000;
 };

@@ -17,8 +17,7 @@ struct BuiltScenario {
 BuiltScenario build(const ExperimentConfig& cfg, bool throw_on_violation) {
     BuiltScenario b;
     b.sys = std::make_unique<sim::System>(cfg.protocol);
-    b.lock = make_sim_lock(cfg.lock, b.sys->memory(), cfg.n, cfg.m, cfg.f,
-                           cfg.wl, cfg.wl_seed);
+    b.lock = make_sim_lock(cfg.lock, b.sys->memory(), cfg.n, cfg.m, cfg.f);
     b.records =
         std::make_shared<std::vector<std::vector<sim::PassageRecord>>>();
     b.records->resize(cfg.n + cfg.m);

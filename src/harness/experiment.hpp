@@ -29,10 +29,6 @@ struct ExperimentConfig {
     std::uint32_t n = 4;          ///< Readers.
     std::uint32_t m = 1;          ///< Writers.
     std::uint32_t f = 1;          ///< A_f parameter.
-    /// A_f's embedded writer mutex (ignored by other kinds); the default
-    /// keeps every pre-existing config bit-identical.
-    core::WlKind wl = core::WlKind::PetersonTournament;
-    std::uint64_t wl_seed = 1;    ///< Coin seed for WlKind::PwRandomized.
     std::uint64_t passages = 4;   ///< Passages per process.
     std::uint64_t cs_steps = 1;   ///< Local steps inside the CS.
     SchedKind sched = SchedKind::Random;

@@ -31,9 +31,8 @@ const std::vector<LockKind>& all_lock_kinds() {
 
 std::unique_ptr<sim::SimRWLock> make_sim_lock(LockKind kind, Memory& mem,
                                               std::uint32_t n,
-                                              std::uint32_t m, std::uint32_t f,
-                                              core::WlKind wl,
-                                              std::uint64_t wl_seed) {
+                                              std::uint32_t m,
+                                              std::uint32_t f) {
     switch (kind) {
         case LockKind::Af:
         case LockKind::AfDsm: {
@@ -42,8 +41,6 @@ std::unique_ptr<sim::SimRWLock> make_sim_lock(LockKind kind, Memory& mem,
             params.m = m;
             params.f = std::clamp<std::uint32_t>(f, 1, n);
             params.dsm_local_spin = (kind == LockKind::AfDsm);
-            params.wl_kind = wl;
-            params.wl_seed = wl_seed;
             return std::make_unique<core::AfSimLock>(mem, params);
         }
         case LockKind::Centralized:

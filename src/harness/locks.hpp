@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/af_params.hpp"
 #include "rmr/memory.hpp"
 #include "sim/rwlock.hpp"
 
@@ -33,12 +32,10 @@ enum class LockKind {
 [[nodiscard]] const std::vector<LockKind>& all_lock_kinds();
 
 /// Constructs a lock over `mem`. `f` is used only by LockKind::Af (clamped
-/// to [1, n]). `wl` / `wl_seed` select A_f's embedded writer mutex
-/// (core::WlKind; PetersonTournament keeps historic behavior exactly) and
-/// are ignored by every other kind.
-std::unique_ptr<sim::SimRWLock> make_sim_lock(
-    LockKind kind, Memory& mem, std::uint32_t n, std::uint32_t m,
-    std::uint32_t f = 1, core::WlKind wl = core::WlKind::PetersonTournament,
-    std::uint64_t wl_seed = 1);
+/// to [1, n]).
+std::unique_ptr<sim::SimRWLock> make_sim_lock(LockKind kind, Memory& mem,
+                                              std::uint32_t n,
+                                              std::uint32_t m,
+                                              std::uint32_t f = 1);
 
 }  // namespace rwr::harness

@@ -26,6 +26,9 @@ const char* to_string(AbortSched s) {
 
 namespace {
 
+/// Longest patience an impatient attempt draws, in own entry steps.
+constexpr std::uint64_t kMaxPatience = 12;
+
 /// Uniform double in [0, 1) from a SplitMix64 state, advancing it.
 double u01(std::uint64_t& state) {
     state = sim::splitmix64(state);
@@ -45,8 +48,7 @@ struct AbortMix {
         AbortControl ctl = AbortControl::never();
         if (u01(stream) < w.abort_rate) {
             stream = sim::splitmix64(stream);
-            ctl = AbortControl::after(
-                w.patience_lo + stream % (w.patience_hi - w.patience_lo + 1));
+            ctl = AbortControl::after(1 + stream % kMaxPatience);
         }
         return mx->enter_abortable(p, p.role_index(), ctl);
     }

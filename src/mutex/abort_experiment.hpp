@@ -16,7 +16,7 @@
 // exactly once.
 //
 // Abort placement is drawn from a seeded per-slot SplitMix64 stream
-// (sim::stream_seed), patience uniform in [patience_lo, patience_hi]:
+// (sim::stream_seed), patience uniform in [1, 12] own entry steps:
 // deterministic given (seed, scheduler), so grid rows are reproducible and
 // --jobs-independent. Scheduler choice selects the adversary model for
 // randomized algorithms: RoundRobin (fair), ObliviousRandom (seeded
@@ -44,11 +44,9 @@ namespace rwr::mutex {
 
 /// Seeded abort mix: each acquisition attempt independently becomes
 /// impatient with probability abort_rate, with patience uniform in
-/// [patience_lo, patience_hi] own entry steps.
+/// [1, 12] own entry steps.
 struct AbortWorkload {
     double abort_rate = 0.0;
-    std::uint64_t patience_lo = 1;
-    std::uint64_t patience_hi = 12;
     std::uint64_t seed = 1;
 };
 

@@ -49,7 +49,7 @@ using EnterResult = sim::EnterResult;
 
 /// A SimMutex whose entry section can give up. `enter` (the non-abortable
 /// base interface) is the never-abort special case, so every abortable
-/// mutex drops into any slot that takes a SimMutex -- including A_f's WL.
+/// mutex drops into any slot that takes a SimMutex.
 class AbortableSimMutex : public SimMutex {
    public:
     /// Returns Acquired holding the lock, or Aborted having left the entry

@@ -7,14 +7,10 @@
 namespace rwr::mutex {
 
 PwRandomizedMutex::PwRandomizedMutex(Memory& mem, const std::string& name,
-                                     std::uint32_t m, std::uint64_t seed,
-                                     std::uint32_t delta,
-                                     std::optional<ProcId> owner_base)
+                                     std::uint32_t m, std::uint64_t seed)
     : m_(m == 0 ? 1 : m),
-      delta_(delta != 0
-                 ? delta
-                 : std::max<std::uint32_t>(
-                       2, std::bit_width(std::bit_ceil(m_) - 1))) {
+      delta_(std::max<std::uint32_t>(2,
+                                     std::bit_width(std::bit_ceil(m_) - 1))) {
     // Height: smallest h with delta^h >= m, at least 1 (a single root node
     // still arbitrates the m = 1..delta participants).
     std::uint64_t span = delta_;
@@ -30,24 +26,12 @@ PwRandomizedMutex::PwRandomizedMutex(Memory& mem, const std::string& name,
         const auto num_nodes =
             static_cast<std::uint32_t>((m_ + group - 1) / group);
         for (std::uint32_t k = 0; k < num_nodes; ++k) {
-            const auto base = static_cast<std::uint32_t>(k * group);
             const auto parts = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(m_ - base, group));
-            std::optional<ProcId> coord;
-            std::vector<ProcId> owners;
-            if (owner_base) {
-                coord = static_cast<ProcId>(*owner_base + base);
-                owners.reserve(parts);
-                for (std::uint32_t s = 0; s < parts; ++s) {
-                    owners.push_back(
-                        static_cast<ProcId>(*owner_base + base + s));
-                }
-            }
+                std::min<std::uint64_t>(m_ - k * group, group));
             nodes_.emplace_back(mem,
                                 name + ".l" + std::to_string(lvl) + "n" +
                                     std::to_string(k),
-                                parts, /*cells=*/2, coord,
-                                owners.empty() ? nullptr : &owners);
+                                parts, /*cells=*/2);
         }
         group *= delta_;
     }

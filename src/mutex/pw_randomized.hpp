@@ -2,8 +2,8 @@
 // Pareek & Woelfel, "RMR-efficient randomized abortable mutual exclusion"
 // (arXiv:1208.1723, DISC 2012).
 //
-// Structure: a Delta-ary arbitration tree (Delta = max(2, ceil(log2 m)) by
-// default) whose every node is the abortable FIFO ticket queue of
+// Structure: a Delta-ary arbitration tree (Delta = max(2, ceil(log2 m)))
+// whose every node is the abortable FIFO ticket queue of
 // mutex/jj_amortized.hpp (detail::TicketNode). The tree height is
 // ceil(log m / log Delta) = O(log m / log log m), which is where the
 // sub-logarithmic per-passage cost comes from -- each node costs O(1)
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,12 +41,8 @@ namespace rwr::mutex {
 
 class PwRandomizedMutex final : public AbortableSimMutex {
    public:
-    /// `delta` = tree arity; 0 picks max(2, ceil(log2 m)). `owner_base`
-    /// homes every wake word at its spinner and each node's queue words at
-    /// the node's first participant, per the repo's DSM convention.
     PwRandomizedMutex(Memory& mem, const std::string& name, std::uint32_t m,
-                      std::uint64_t seed, std::uint32_t delta = 0,
-                      std::optional<ProcId> owner_base = std::nullopt);
+                      std::uint64_t seed);
 
     sim::SimTask<EnterResult> enter_abortable(sim::Process& p,
                                               std::uint32_t slot,

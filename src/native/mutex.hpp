@@ -1,6 +1,6 @@
-// Native m-slot mutual exclusion locks: the Peterson arbitration tree
-// (read/write only, O(log m) RMRs, starvation-free -- the writers' lock WL
-// of Algorithm 1) and a test-and-set baseline.
+// Native m-slot mutual exclusion: the Peterson arbitration tree (read/write
+// only, O(log m) RMRs, starvation-free -- the writers' lock WL of
+// Algorithm 1).
 //
 // Slots, not threads, are the identity: callers pass their slot index, and
 // one slot must never be used by two threads concurrently. This mirrors the
@@ -185,126 +185,6 @@ class TournamentMutex {
     /// (see af_lock.hpp for the exact-count contract).
     std::unique_ptr<TelemetryFlag[]> retry_;
 #endif
-};
-
-/// MCS queue lock from CAS (see mutex/sim_mutex.hpp for the discussion):
-/// FIFO, local-spin on per-slot nodes. The native twin of McsSimMutex.
-class McsMutex {
-   public:
-    explicit McsMutex(std::uint32_t m)
-        : m_(m), nodes_(std::make_unique<Node[]>(m)) {
-        if (m == 0) {
-            throw std::invalid_argument("McsMutex: m must be >= 1");
-        }
-    }
-
-    /// Attach a telemetry sink (nullptr detaches); reports under the
-    /// mutex_* counters. Attach before starting the workload. Compiled to
-    /// a no-op when RWR_TELEMETRY=0.
-    void attach_telemetry(LockTelemetry* t) {
-        RWR_TELEM(telemetry_ = t;)
-        (void)t;
-    }
-
-    void lock(std::uint32_t slot) {
-        check_slot(slot);
-        Node& me = nodes_[slot];
-        me.next.store(0);
-        me.locked.store(1);
-        const std::uint64_t pred = tail_.exchange(slot + 1);
-        bool waited = false;
-        if (pred != 0) {
-            nodes_[pred - 1].next.store(slot + 1);
-            // The predecessor may be parked in unlock() waiting for next.
-            nodes_[pred - 1].spot.wake_all(RWR_TELEM_PTR(telemetry_));
-            waited = true;
-            Backoff backoff;
-            Deadline never = Deadline::infinite();
-            wait_until(me.spot, never, RWR_TELEM_PTR(telemetry_), backoff,
-                       [&] { return me.locked.load() == 0; });
-        }
-        RWR_TELEM(if (telemetry_) {
-            telemetry_->count(TelemetryCounter::kMutexAcquire);
-            if (waited) {
-                telemetry_->count(TelemetryCounter::kMutexContended);
-            }
-        })
-        (void)waited;
-    }
-
-    void unlock(std::uint32_t slot) {
-        check_slot(slot);
-        Node& me = nodes_[slot];
-        std::uint64_t nxt = me.next.load();
-        if (nxt == 0) {
-            std::uint64_t expected = slot + 1;
-            if (tail_.compare_exchange_strong(expected, 0)) {
-                return;
-            }
-            // A successor swapped the tail but has not linked yet; its
-            // next.store is imminent, but under oversubscription "imminent"
-            // can still mean a full scheduling quantum away.
-            Backoff backoff;
-            Deadline never = Deadline::infinite();
-            wait_until(me.spot, never, RWR_TELEM_PTR(telemetry_), backoff,
-                       [&] { return me.next.load() != 0; });
-            nxt = me.next.load();
-        }
-        nodes_[nxt - 1].locked.store(0);
-        nodes_[nxt - 1].spot.wake_all(RWR_TELEM_PTR(telemetry_));
-    }
-
-   private:
-    // locked/next sit on one line by design: both are written by the
-    // predecessor during hand-off and read by the owner; separate slots'
-    // nodes must not pack together. The spot joins them: its wakers are
-    // exactly the writers of locked/next.
-    struct alignas(64) Node {
-        std::atomic<std::uint64_t> locked{0};
-        std::atomic<std::uint64_t> next{0};
-        ParkingSpot spot;
-    };
-    static_assert(sizeof(Node) == 64 && alignof(Node) == 64,
-                  "one queue node per cache line");
-
-    void check_slot(std::uint32_t slot) const {
-        if (slot >= m_) {
-            throw std::invalid_argument("McsMutex: bad slot");
-        }
-    }
-
-    std::uint32_t m_;
-    alignas(64) std::atomic<std::uint64_t> tail_{0};
-    std::unique_ptr<Node[]> nodes_;
-#if RWR_TELEMETRY
-    LockTelemetry* telemetry_ = nullptr;
-#endif
-};
-
-class TasMutex {
-   public:
-    void lock(std::uint32_t /*slot*/ = 0) {
-        Backoff backoff;
-        for (;;) {
-            if (locked_.load() == 0) {
-                std::uint32_t expected = 0;
-                if (locked_.compare_exchange_strong(expected, 1)) {
-                    return;
-                }
-                // Observed hand-off, lost the race: a fresh wait for the
-                // new holder starts, so restart escalation (Backoff
-                // lifecycle contract, spin.hpp) instead of carrying a
-                // slept-once stage into the next wait.
-                backoff.reset();
-            }
-            backoff.pause();
-        }
-    }
-
-    void unlock(std::uint32_t /*slot*/ = 0) { locked_.store(0); }
-
-   private:
-    std::atomic<std::uint32_t> locked_{0};
 };
 
 }  // namespace rwr::native

@@ -19,6 +19,10 @@ namespace {
 constexpr Section kPassageSections[] = {Section::Entry, Section::Critical,
                                         Section::Exit};
 
+constexpr AdversaryFamily kFamilies[] = {
+    AdversaryFamily::SinglePlacements, AdversaryFamily::NestedRecover,
+    AdversaryFamily::CrashStorm, AdversaryFamily::RoundRobinVictims};
+
 [[nodiscard]] std::uint32_t num_procs_of(const RecoverExperimentConfig& cfg) {
     const bool mutex_kind = cfg.lock == RecoverLockKind::Mutex ||
                             cfg.lock == RecoverLockKind::JJJMutex;
@@ -35,11 +39,9 @@ constexpr Section kPassageSections[] = {Section::Entry, Section::Critical,
 std::vector<AdversaryCandidate> enumerate_candidates(
     const CrashAdversaryConfig& cfg) {
     std::vector<AdversaryCandidate> out;
-    const std::uint32_t procs = num_procs_of(cfg.base);
-    const std::uint32_t victims =
-        cfg.max_victims == 0 ? procs : std::min(cfg.max_victims, procs);
+    const std::uint32_t victims = num_procs_of(cfg.base);
 
-    for (const AdversaryFamily fam : cfg.families) {
+    for (const AdversaryFamily fam : kFamilies) {
         switch (fam) {
             case AdversaryFamily::SinglePlacements:
                 for (ProcId v = 0; v < victims; ++v) {

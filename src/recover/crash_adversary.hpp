@@ -68,15 +68,10 @@ struct CrashAdversaryConfig {
     /// deterministic scheduler (RoundRobin or a fixed seed) so the search
     /// is reproducible.
     RecoverExperimentConfig base;
-    std::vector<AdversaryFamily> families{
-        AdversaryFamily::SinglePlacements, AdversaryFamily::NestedRecover,
-        AdversaryFamily::CrashStorm, AdversaryFamily::RoundRobinVictims};
     /// Highest step-in-section index tried per placement.
     std::uint32_t max_step = 8;
     /// Crash generations per CrashStorm chain.
     std::uint32_t storm_depth = 3;
-    /// Cap on victims enumerated (0 = all processes).
-    std::uint32_t max_victims = 0;
 };
 
 struct AdversaryOutcome {
@@ -106,7 +101,8 @@ struct CrashAdversaryReport {
     std::string first_violation;
 };
 
-/// Deterministic candidate list for the config (pure function).
+/// Deterministic candidate list for the config (pure function): the four
+/// families in declaration order, every process a victim.
 [[nodiscard]] std::vector<AdversaryCandidate> enumerate_candidates(
     const CrashAdversaryConfig& cfg);
 

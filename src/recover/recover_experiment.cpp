@@ -48,7 +48,7 @@ std::unique_ptr<BuiltRecoverScenario> build(const RecoverExperimentConfig& cfg,
         case RecoverLockKind::JJJMutex:
             num_procs = cfg.m;
             b->lock = std::make_unique<RecoverableJJJMutex>(
-                mem, "rjjj", cfg.m, cfg.delta,
+                mem, "rjjj", cfg.m,
                 cfg.dsm_home ? std::optional<ProcId>{ProcId{0}}
                              : std::nullopt);
             break;

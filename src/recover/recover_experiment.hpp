@@ -30,8 +30,6 @@ struct RecoverExperimentConfig {
     std::uint32_t n = 4;  ///< Readers (RwLock); ignored by Mutex.
     std::uint32_t m = 2;  ///< Writers (RwLock) / total processes (Mutex).
     std::uint32_t f = 1;  ///< RwLock group count.
-    /// JJJ node arity (JJJMutex / RwLockJJJ); 0 = auto (Theta(log m)).
-    std::uint32_t delta = 0;
     /// JJJMutex only: build the lock in DSM mode (owner_base = 0, matching
     /// this harness's slot-s-runs-on-pid-s convention), exercising the
     /// homed wake layer under whatever `protocol` says. CC protocols

@@ -7,22 +7,15 @@
 namespace rwr::recover {
 
 RecoverableJJJMutex::RecoverableJJJMutex(Memory& mem, const std::string& name,
-                                         std::uint32_t m, std::uint32_t delta,
+                                         std::uint32_t m,
                                          std::optional<ProcId> owner_base)
     : m_(m), owner_base_(owner_base) {
     if (m == 0) {
         throw std::invalid_argument("RecoverableJJJMutex: m must be >= 1");
     }
-    if (delta == 0) {
-        // The sub-logarithmic regime: arity Theta(log m) makes the height
-        // ceil(log m / log delta) = O(log m / log log m).
-        delta = std::max<std::uint32_t>(2, std::bit_width(std::max(m, 2u) - 1));
-    }
-    if (delta < 2 || delta > 255) {
-        throw std::invalid_argument(
-            "RecoverableJJJMutex: delta must be in [2, 255] (or 0 for auto)");
-    }
-    delta_ = delta;
+    // The sub-logarithmic regime: arity Theta(log m) makes the height
+    // ceil(log m / log delta) = O(log m / log log m).
+    delta_ = std::max<std::uint32_t>(2, std::bit_width(std::max(m, 2u) - 1));
 
     // Level sizes bottom-up; always at least one level so m <= delta is a
     // single node.

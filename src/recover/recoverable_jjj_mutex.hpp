@@ -8,8 +8,8 @@
 // ticket (queue) lock per node, one node can arbitrate Delta parties at
 // O(1) RMRs per party per passage -- each party spins on a grant slot of
 // its own ticket, invalidated exactly once -- so the tree has height
-// ceil(log m / log Delta). With Delta = Theta(log m) (the auto default,
-// Delta = max(2, ceil(log2 m))) that is O(log m / log log m): strictly
+// ceil(log m / log Delta). With Delta = Theta(log m), namely
+// Delta = max(2, ceil(log2 m)), that is O(log m / log log m): strictly
 // below any Omega(log n) curve, which is what the E14 grid measures
 // against the tournament.
 //
@@ -145,15 +145,13 @@ namespace rwr::recover {
 
 class RecoverableJJJMutex final : public RecoverableSlotMutex {
    public:
-    /// `delta` = node arity; 0 (the default) picks max(2, ceil(log2 m)),
-    /// the sub-logarithmic-height regime. delta must fit the tail
-    /// encoding's 8-bit port field (<= 255). `owner_base` enables the DSM
-    /// mode (see header): slot s is assumed to run on ProcId
-    /// owner_base + s. CC protocols ignore owners, and the wake layer it
-    /// enables only changes which variables the wait loop touches, never
-    /// who wins.
+    /// The node arity is max(2, ceil(log2 m)), the sub-logarithmic-height
+    /// regime; it fits the tail encoding's 8-bit port field. `owner_base`
+    /// enables the DSM mode (see header): slot s is assumed to run on
+    /// ProcId owner_base + s. CC protocols ignore owners, and the wake
+    /// layer it enables only changes which variables the wait loop
+    /// touches, never who wins.
     RecoverableJJJMutex(Memory& mem, const std::string& name, std::uint32_t m,
-                        std::uint32_t delta = 0,
                         std::optional<ProcId> owner_base = std::nullopt);
 
     sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) override;

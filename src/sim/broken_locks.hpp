@@ -141,7 +141,7 @@ template <typename LockT>
             DriveConfig dc;
             dc.passages = 2;
             dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
+            p.set_task(drive(*lock, p, dc));
         }
         sc.checker =
             std::make_unique<MutualExclusionChecker>(/*throw=*/true);

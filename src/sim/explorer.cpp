@@ -38,6 +38,10 @@ namespace {
 /// Forced-move chain guard: longest internally generated replay prefix.
 constexpr std::size_t kMaxPrefix = 4096;
 
+/// Branching levels enumerated serially into prefix work items. Fixed
+/// regardless of `jobs` so results are bit-identical for any job count.
+constexpr int kSplitDepth = 2;
+
 /// One executed step on the current DFS path.
 struct StepRec {
     ProcId pid = 0;
@@ -429,7 +433,7 @@ class SubtreeExplorer {
     std::vector<Frame> frames_;
 };
 
-/// Serial enumeration of the top `split_depth` branching levels. Interior
+/// Serial enumeration of the top kSplitDepth branching levels. Interior
 /// nodes are evaluated immediately; subtrees at the split boundary become
 /// work items. In reduce mode these levels use sleep sets with otherwise
 /// full branching -- sound on its own and computable top-down, so items
@@ -441,7 +445,7 @@ class FrontierBuilder {
         : factory_(factory), opt_(opt), reduce_(reduce) {}
 
     void run() {
-        frontier({}, {}, {}, opt_.split_depth, opt_.branch_depth);
+        frontier({}, {}, {}, kSplitDepth, opt_.branch_depth);
     }
 
     [[nodiscard]] const std::vector<Event>& events() const { return events_; }
@@ -553,9 +557,6 @@ ExploreResult explore(const ScenarioFactory& factory,
     ExploreOptions opt = options;
     if (opt.branch_depth < 0) {
         opt.branch_depth = 0;
-    }
-    if (opt.split_depth < 0) {
-        opt.split_depth = 0;
     }
     bool reduce = opt.reduce;
     if (reduce) {

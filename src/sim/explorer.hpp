@@ -19,8 +19,9 @@
 //     scenario in place (and forced single-choice chains advance in place),
 //     instead of rebuilding from the factory at every node, removing the
 //     O(tree x depth) replay blowup of the original engine.
-//   * Parallel frontier: the tree is split at a fixed `split_depth` into
-//     prefix work items dispatched over harness/pool.hpp worker threads.
+//   * Parallel frontier: the tree is split at a fixed depth (the top two
+//     branching levels) into prefix work items dispatched over
+//     harness/pool.hpp worker threads.
 //     The split point does not depend on the job count and items are merged
 //     in depth-first prefix order (first violation = the DFS-first, i.e.
 //     lexicographically smallest, violating prefix among full-branching
@@ -85,9 +86,6 @@ struct ExploreOptions {
     /// (violations found / none found) match the unreduced enumeration;
     /// schedule *counts* are smaller by the reduction factor.
     bool reduce = true;
-    /// Branching levels enumerated serially into prefix work items. Fixed
-    /// regardless of `jobs` so results are bit-identical for any job count.
-    int split_depth = 2;
     /// Worker threads for the frontier work items (1 = serial).
     unsigned jobs = 1;
 };

@@ -34,11 +34,4 @@ class SimRWLock {
     }
 };
 
-/// Standard passage driver: runs `cfg.passages` passages of `p` through
-/// `lock`, maintaining section markers and optional per-passage records.
-inline SimTask<void> drive_passages(SimRWLock& lock, Process& p,
-                                    DriveConfig cfg) {
-    return drive(lock, p, cfg);
-}
-
 }  // namespace rwr::sim

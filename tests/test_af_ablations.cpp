@@ -32,14 +32,14 @@ sim::ScenarioFactory ablated_factory(AfAblation ablation, std::uint32_t n,
             sim::DriveConfig dc;
             dc.passages = passages;
             dc.cs_steps = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
         for (std::uint32_t w = 0; w < m; ++w) {
             Process& p = sc.sys->add_process(Role::Writer);
             sim::DriveConfig dc;
             dc.passages = passages;
             dc.cs_steps = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
         sc.checker = std::make_unique<sim::MutualExclusionChecker>(true);
         sc.sys->add_observer(sc.checker.get());
@@ -84,7 +84,7 @@ TEST(AfAblations, NoPreentryBreaksMutualExclusion_Directed) {
         sim::DriveConfig dc;
         dc.passages = 2;
         dc.cs_steps = 2;
-        p->set_task(sim::drive_passages(*lock, *p, dc));
+        p->set_task(sim::drive(*lock, *p, dc));
     }
     sys.start_all();
     const VarId rsig = lock->rsig_var();
@@ -158,13 +158,13 @@ TEST(AfAblations, FullAlgorithmSurvivesTheSameHunt) {
             sim::DriveConfig dc;
             dc.passages = 3;
             dc.cs_steps = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
         Process& w = sc.sys->add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 3;
         dc.cs_steps = 2;
-        w.set_task(sim::drive_passages(*lock, w, dc));
+        w.set_task(sim::drive(*lock, w, dc));
         sim::MutualExclusionChecker checker(true);
         sc.sys->add_observer(&checker);
 

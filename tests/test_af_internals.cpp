@@ -148,13 +148,13 @@ TEST_P(AfInternalsSweep, ProtocolDiscipline) {
         Process& p = sys.add_process(Role::Reader);
         sim::DriveConfig dc;
         dc.passages = 4;
-        p.set_task(sim::drive_passages(lock, p, dc));
+        p.set_task(sim::drive(lock, p, dc));
     }
     for (std::uint32_t w = 0; w < m; ++w) {
         Process& p = sys.add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 4;
-        p.set_task(sim::drive_passages(lock, p, dc));
+        p.set_task(sim::drive(lock, p, dc));
     }
     sim::RandomScheduler sched(seed);
     const auto result = sim::run(sys, sched, 20'000'000);
@@ -187,7 +187,7 @@ TEST(AfSingleWriter, WlDegeneratesToNothing) {
         Process& w = sys.add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 1;
-        w.set_task(sim::drive_passages(lock, w, dc));
+        w.set_task(sim::drive(lock, w, dc));
         sim::RoundRobinScheduler rr;
         ASSERT_TRUE(sim::run(sys, rr, 10'000).all_finished);
         EXPECT_EQ(w.stats().steps_in(Section::Entry), 4u * f + 3u);
@@ -208,13 +208,13 @@ TEST(AfSoak, ManyPassagesManySequenceNumbers) {
         Process& p = sys.add_process(Role::Reader);
         sim::DriveConfig dc;
         dc.passages = 150;
-        p.set_task(sim::drive_passages(lock, p, dc));
+        p.set_task(sim::drive(lock, p, dc));
     }
     for (std::uint32_t w = 0; w < 2; ++w) {
         Process& p = sys.add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 150;
-        p.set_task(sim::drive_passages(lock, p, dc));
+        p.set_task(sim::drive(lock, p, dc));
     }
     sim::RandomScheduler sched(77);
     const auto res = sim::run(sys, sched, 100'000'000);
@@ -234,7 +234,7 @@ TEST(AfSingleWriter, MultiWriterPaysWlSteps) {
     Process& w = sys.add_process(Role::Writer);
     sim::DriveConfig dc;
     dc.passages = 1;
-    w.set_task(sim::drive_passages(lock, w, dc));
+    w.set_task(sim::drive(lock, w, dc));
     sim::RoundRobinScheduler rr;
     ASSERT_TRUE(sim::run(sys, rr, 10'000).all_finished);
     EXPECT_GT(w.stats().steps_in(Section::Entry), 4u * 1 + 3u);

@@ -227,7 +227,7 @@ TEST(AfLock, ConcurrentEnteringStepsBounded) {
             sim::DriveConfig dc;
             dc.passages = 3;
             dc.records = &(*records)[r];
-            p.set_task(sim::drive_passages(lock, p, dc));
+            p.set_task(sim::drive(lock, p, dc));
         }
         sim::RandomScheduler sched(5);
         ASSERT_TRUE(sim::run(sys, sched, 50'000'000).all_finished);
@@ -318,7 +318,7 @@ TEST(AfLock, WriterCanStarveUnderReaderFlood) {
     r1.set_task(overlapping_reader(lock, r1, 1'000'000));
     sim::DriveConfig dc;
     dc.passages = 1;
-    w.set_task(sim::drive_passages(lock, w, dc));
+    w.set_task(sim::drive(lock, w, dc));
     sys.start_all();
 
     // Alternate readers so that at every instant at least one of them is

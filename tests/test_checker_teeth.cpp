@@ -110,14 +110,14 @@ ScenarioFactory broken_factory(std::uint32_t n, std::uint32_t m) {
             DriveConfig dc;
             dc.passages = 2;
             dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
+            p.set_task(drive(*lock, p, dc));
         }
         for (std::uint32_t w = 0; w < m; ++w) {
             Process& p = sc.sys->add_process(Role::Writer);
             DriveConfig dc;
             dc.passages = 2;
             dc.cs_steps = 2;
-            p.set_task(drive_passages(*lock, p, dc));
+            p.set_task(drive(*lock, p, dc));
         }
         sc.checker =
             std::make_unique<MutualExclusionChecker>(/*throw=*/true);

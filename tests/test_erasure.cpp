@@ -135,12 +135,12 @@ TEST(Erasure, LockExecutionsAreErasable) {
             Process& p = sys.add_process(Role::Reader);
             sim::DriveConfig dc;
             dc.passages = 2;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
         Process& w = sys.add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 2;
-        w.set_task(sim::drive_passages(*lock, w, dc));
+        w.set_task(sim::drive(*lock, w, dc));
 
         sim::TraceRecorder rec(sys.memory());
         sys.add_observer(&rec);

@@ -43,13 +43,13 @@ struct AfScenario {
             Process& p = sys.add_process(Role::Reader);
             sim::DriveConfig dc;
             dc.passages = passages;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
         for (std::uint32_t w = 0; w < m; ++w) {
             Process& p = sys.add_process(Role::Writer);
             sim::DriveConfig dc;
             dc.passages = passages;
-            p.set_task(sim::drive_passages(*lock, p, dc));
+            p.set_task(sim::drive(*lock, p, dc));
         }
     }
 };

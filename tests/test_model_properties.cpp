@@ -41,13 +41,13 @@ ReplayOutcome run_under(Protocol proto, LockKind kind,
         Process& p = sys.add_process(Role::Reader);
         sim::DriveConfig dc;
         dc.passages = 2;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
     }
     for (int w = 0; w < 2; ++w) {
         Process& p = sys.add_process(Role::Writer);
         sim::DriveConfig dc;
         dc.passages = 2;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
     }
     sim::ReplayScheduler sched(choices);
     const auto res = sim::run(sys, sched, 2'000'000);
@@ -112,7 +112,7 @@ TEST_P(FailStopInRemainder, LiveProcessesKeepProgressing) {
         sim::DriveConfig dc;
         dc.passages = 6;
         dc.remainder_steps = 1;  // Observable remainder pause.
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
         procs.push_back(&p);
     }
     for (int w = 0; w < 2; ++w) {
@@ -120,7 +120,7 @@ TEST_P(FailStopInRemainder, LiveProcessesKeepProgressing) {
         sim::DriveConfig dc;
         dc.passages = 6;
         dc.remainder_steps = 1;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
         procs.push_back(&p);
     }
     sys.start_all();
@@ -185,7 +185,7 @@ TEST(SoloDeterminism, SoloPassageIsSchedulerIndependent) {
         Process& p = sys.add_process(Role::Reader);
         sim::DriveConfig dc;
         dc.passages = 2;
-        p.set_task(sim::drive_passages(*lock, p, dc));
+        p.set_task(sim::drive(*lock, p, dc));
         auto sched = make_sched();
         sim::run(sys, *sched, 100'000);
         return p.stats().total_steps();

@@ -121,33 +121,6 @@ TEST(NativeTournamentMutex, SlotValidation) {
     EXPECT_THROW(mx.lock(2), std::invalid_argument);
 }
 
-TEST(NativeMcsMutex, ExclusionStress) {
-    constexpr std::uint32_t kThreads = 4;
-    constexpr int kIters = 3000;
-    McsMutex mx(kThreads);
-    std::int64_t plain_counter = 0;  // Deliberately non-atomic.
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < kIters; ++i) {
-                mx.lock(t);
-                plain_counter += 1;
-                mx.unlock(t);
-            }
-        });
-    }
-    for (auto& th : threads) {
-        th.join();
-    }
-    EXPECT_EQ(plain_counter, static_cast<std::int64_t>(kThreads) * kIters);
-}
-
-TEST(NativeMcsMutex, SlotValidation) {
-    McsMutex mx(2);
-    EXPECT_THROW(mx.lock(2), std::invalid_argument);
-    EXPECT_THROW(McsMutex(0), std::invalid_argument);
-}
-
 struct RwInvariants {
     std::atomic<std::int32_t> readers{0};
     std::atomic<std::int32_t> writers{0};

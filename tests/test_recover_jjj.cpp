@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "recover/recover_experiment.hpp"
@@ -53,24 +52,6 @@ TEST(JJJShape, AutoDeltaIsCeilLog2AndHeightIsLogOverLogLog) {
         EXPECT_EQ(mx.delta(), c.delta) << "m=" << c.m;
         EXPECT_EQ(mx.height(), c.height) << "m=" << c.m;
     }
-}
-
-TEST(JJJShape, ExplicitDeltaOverridesAndFlattensTheTree) {
-    System sys(Protocol::WriteBack);
-    RecoverableJJJMutex flat(sys.memory(), "flat", /*m=*/8, /*delta=*/8);
-    EXPECT_EQ(flat.delta(), 8u);
-    EXPECT_EQ(flat.height(), 1u);  // One 8-ported node: a plain ticket lock.
-}
-
-TEST(JJJShape, RejectsOutOfRangeDelta) {
-    System sys(Protocol::WriteBack);
-    // delta must arbitrate at least two parties and fit the 8-bit taker
-    // field of the tail encoding.
-    EXPECT_THROW(RecoverableJJJMutex(sys.memory(), "bad1", 4, /*delta=*/1),
-                 std::invalid_argument);
-    EXPECT_THROW(RecoverableJJJMutex(sys.memory(), "bad2", 4, /*delta=*/256),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(RecoverableJJJMutex(sys.memory(), "ok", 4, /*delta=*/255));
 }
 
 // ---- Stage transitions and CSR ---------------------------------------------
