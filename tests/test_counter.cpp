@@ -1,8 +1,10 @@
 // Tests for the K-process f-array counter (src/counter): correctness under
 // sequential and concurrent use, step complexity (Θ(log K) add, O(1) read),
-// and the double-refresh propagation guarantee.
+// the double-refresh propagation guarantee, and the DSM placement A_f uses
+// (each slot's leaf homed at its owner).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "counter/sim_counter.hpp"
@@ -80,13 +82,17 @@ class CounterConcurrency
 TEST_P(CounterConcurrency, ConcurrentAddsSumCorrectly) {
     const auto [proto, K, seed] = GetParam();
     System sys(proto);
-    FArraySimCounter c(sys.memory(), "c", K);
+    // Slot s's leaf is homed at pid s, as A_f homes reader leaves; only
+    // Protocol::Dsm reads the owner.
+    FArraySimCounter c(sys.memory(), "c", K, /*owner_base=*/ProcId{0});
     std::int64_t expected = 0;
+    constexpr int kAdds = 8;
     for (std::uint32_t s = 0; s < K; ++s) {
         Process& p = sys.add_process(Role::Reader);
+        ASSERT_EQ(p.id(), ProcId{s});
         // Mixed increments and decrements, different per slot.
         std::vector<std::int64_t> deltas;
-        for (int i = 0; i < 8; ++i) {
+        for (int i = 0; i < kAdds; ++i) {
             const std::int64_t d = ((s + i) % 3 == 0)
                                        ? std::int64_t{-1}
                                        : static_cast<std::int64_t>(s % 4 + 1);
@@ -102,12 +108,21 @@ TEST_P(CounterConcurrency, ConcurrentAddsSumCorrectly) {
     EXPECT_EQ(c.peek_exact(sys.memory()), expected);
     // Propagation guarantee: with all adds complete, the root is exact.
     EXPECT_EQ(c.peek_root(sys.memory()), expected);
+    if (proto == Protocol::Dsm) {
+        // An add's two leaf steps are local, and it refreshes each level at
+        // most twice, four steps a refresh: at most 8 RMRs a level.
+        const auto levels = static_cast<std::uint64_t>(std::bit_width(K - 1));
+        for (std::uint32_t s = 0; s < K; ++s) {
+            EXPECT_LE(sys.memory().rmrs_by(s), kAdds * 8 * levels)
+                << "slot " << s;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CounterConcurrency,
     ::testing::Combine(::testing::Values(Protocol::WriteThrough,
-                                         Protocol::WriteBack),
+                                         Protocol::WriteBack, Protocol::Dsm),
                        ::testing::Values(2u, 3u, 5u, 8u),
                        ::testing::Range<std::uint64_t>(0, 5)));
 
@@ -247,6 +262,31 @@ TEST(FArrayCounter, SingleRefreshLosesUpdates) {
         sim::RandomScheduler sched(seed);
         ASSERT_TRUE(sim::run(sys, sched, 10'000).all_finished);
         ASSERT_EQ(c.peek_root(sys.memory()), 2);
+    }
+}
+
+// --- DSM placement: homed leaves ----------------------------------------------
+//
+// A_f builds every C[i] and W[i] with an owner_base, so under Protocol::Dsm
+// each reader's leaf lives in its own segment and the owner's leaf steps
+// are free (CounterConcurrency runs the same placement concurrently).
+
+TEST(FArrayCounter, SoloAddUnderDsmPaysNoRmrOnItsOwnLeaf) {
+    for (const std::uint32_t K : {1u, 2u, 4u, 16u, 64u}) {
+        System sys(Protocol::Dsm);
+        FArraySimCounter c(sys.memory(), "c", K, /*owner_base=*/ProcId{0});
+        Process& p = sys.add_process(Role::Reader);
+        p.set_task(do_adds(c, p, 0, {1}));
+        sim::RoundRobinScheduler rr;
+        ASSERT_TRUE(sim::run(sys, rr, 100'000).all_finished);
+        EXPECT_EQ(c.peek_root(sys.memory()), 1) << "K=" << K;
+        // The leaf read and write are local. Each level's refresh reads the
+        // node and both children and CASes the node: four remote steps,
+        // except the bottom level's read of the caller's own leaf.
+        const auto levels = static_cast<std::uint64_t>(std::bit_width(K) - 1);
+        EXPECT_EQ(sys.memory().rmrs_by(p.id()),
+                  levels == 0 ? 0u : 4 * levels - 1)
+            << "K=" << K;
     }
 }
 
