@@ -6,11 +6,12 @@
 // Compare mode joins rows on the row key (bench_json.hpp RowKey) and
 // flags: throughput_ops drops beyond 10% (bench_diff.hpp kMaxDrop),
 // exact counts (sim_rmr means, explore schedules, dist network RMRs,
-// amortized RMRs) *increasing* beyond the same fraction -- any growth is a
-// real protocol regression -- and wall-clock rates (steps_per_sec,
-// schedules_per_sec, ops_per_sec) dropping beyond --max-perf-drop
-// (machine-dependent, hence the much wider default tolerance -- it guards
-// against order-of-magnitude engine regressions, not noise). Rows where
+// amortized RMRs) that change at all, in either direction -- they are
+// deterministic, so any move is a real protocol or engine change -- and
+// wall-clock rates (steps_per_sec, schedules_per_sec, ops_per_sec)
+// dropping beyond --max-perf-drop (machine-dependent, hence the much wider
+// default tolerance -- it guards against order-of-magnitude engine
+// regressions, not noise). Rows where
 // either run spent less than 5 ms (kMinPerfMs) of wall time are exempt from
 // the wall-clock gate: they measure scheduler jitter, not the engine.
 //
@@ -28,7 +29,9 @@
 // The join/diff logic lives in harness/bench_diff.hpp (unit-tested in
 // tests/test_bench_diff.cpp); this binary is the CLI around it.
 #include <cstring>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,9 +57,18 @@ int compare(const Value& oldd, const Value& newd,
                   << ": present in baseline but absent from the new run\n";
     }
     for (const auto& f : rep.regressions) {
-        std::cout << "  [REGRESS] " << f.key << " " << f.metric << ": "
-                  << f.before << " -> " << f.after << " ("
-                  << (f.change * 100) << "% worse)\n";
+        if (f.exact) {
+            std::cout << std::setprecision(
+                             std::numeric_limits<double>::digits10)
+                      << "  [CHANGED] " << f.key << " " << f.metric << ": "
+                      << f.before << " -> " << f.after
+                      << " (exact count: any change fails)\n"
+                      << std::setprecision(6);
+        } else {
+            std::cout << "  [REGRESS] " << f.key << " " << f.metric << ": "
+                      << f.before << " -> " << f.after << " ("
+                      << (f.change * 100) << "% worse)\n";
+        }
     }
     return rep.ok() ? 0 : 1;
 }

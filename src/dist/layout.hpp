@@ -1,7 +1,7 @@
-// Shared word layout of the sharded lock table -- the single source of
-// truth for BOTH backends (sim coroutines and the native loopback client),
-// so the two implementations cannot drift apart on where a word lives or
-// what its bits mean.
+// Shared word layout of the sharded lock table: where each word lives and
+// what its bits mean, for BOTH backends (sim coroutines and the native
+// loopback client). The steps that use the words are written once too, in
+// table_protocol.inc, so the backends cannot drift apart on either.
 //
 // The table holds `shards * locks_per_shard` reader-writer lock entries.
 // Lock l lives entirely on shard l % shards (each A_f-style lock group
@@ -99,7 +99,6 @@ class TableLayout {
     [[nodiscard]] std::uint32_t num_segments() const {
         return cfg_.shards + cfg_.sessions;
     }
-    [[nodiscard]] std::uint32_t shard_words() const { return shard_words_; }
     [[nodiscard]] std::uint32_t bitmap_words() const { return bitmap_words_; }
     /// Words in segment `seg` (shards first, then client segments).
     [[nodiscard]] std::uint32_t seg_words(std::uint32_t seg) const {
@@ -189,15 +188,5 @@ class TableLayout {
     std::uint32_t lock_stride_;
     std::uint32_t shard_words_;
 };
-
-/// Per-session words vector for SimVerbMemory construction.
-[[nodiscard]] inline std::vector<std::uint32_t> seg_words_of(
-    const TableLayout& lay) {
-    std::vector<std::uint32_t> words(lay.num_segments());
-    for (std::uint32_t seg = 0; seg < lay.num_segments(); ++seg) {
-        words[seg] = lay.seg_words(seg);
-    }
-    return words;
-}
 
 }  // namespace rwr::dist

@@ -25,21 +25,20 @@ LoadResult run_load(NativeTable& table, const LoadConfig& cfg) {
             const OpStream::LoadOp lo =
                 stream.next_op(tc.num_locks(), cfg.reader_pct);
             const auto a0 = Clock::now();
+            std::uint64_t ticket = 0;
             if (lo.reader) {
                 table.reader_acquire(s, lo.lock_index);
-                s.stats.record_acquire_ns(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - a0)
-                        .count()));
+            } else {
+                ticket = table.writer_acquire(s, lo.lock_index);
+            }
+            s.stats.record_acquire_ns(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - a0)
+                    .count()));
+            if (lo.reader) {
                 table.reader_release(s, lo.lock_index);
                 ++s.stats.read_ops;
             } else {
-                const std::uint64_t ticket =
-                    table.writer_acquire(s, lo.lock_index);
-                s.stats.record_acquire_ns(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - a0)
-                        .count()));
                 table.writer_release(s, lo.lock_index, ticket);
                 ++s.stats.write_ops;
             }

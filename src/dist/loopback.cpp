@@ -302,11 +302,24 @@ void DistClient::connect(const std::string& host, std::uint16_t port) {
     if (hello.ok != 1) {
         throw std::runtime_error("HELLO rejected");
     }
-    cfg_.shards = hello.shards;
-    cfg_.locks_per_shard = hello.locks_per_shard;
-    cfg_.sessions = hello.sessions;
-    cfg_.homed = hello.homed != 0;
+    TableConfig cfg;
+    cfg.shards = hello.shards;
+    cfg.locks_per_shard = hello.locks_per_shard;
+    cfg.sessions = hello.sessions;
+    cfg.homed = hello.homed != 0;
+    // Trust nothing the reply says: a table indexes every word its layout
+    // names, so the segment must hold exactly that many.
+    const TableLayout lay(cfg);
+    if (hello.total_words != lay.total_words()) {
+        throw std::runtime_error(
+            "HELLO: segment of " + std::to_string(hello.total_words) +
+            " words, table needs " + std::to_string(lay.total_words()));
+    }
+    if (std::memchr(hello.shm_name, '\0', kShmNameMax) == nullptr) {
+        throw std::runtime_error("HELLO: unterminated segment name");
+    }
     shm_ = ShmSegment::attach(hello.shm_name, hello.total_words);
+    cfg_ = cfg;
 }
 
 void DistClient::close() {

@@ -137,7 +137,9 @@ class DistClient {
     DistClient& operator=(const DistClient&) = delete;
 
     /// Connects, HELLOs, and attaches the advertised segment. Throws
-    /// std::runtime_error on failure.
+    /// std::runtime_error on failure, also when the reply's segment size
+    /// does not match its geometry or its name is unterminated, and
+    /// std::invalid_argument on an empty geometry (TableLayout).
     void connect(const std::string& host, std::uint16_t port);
     void close();
 

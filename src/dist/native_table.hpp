@@ -1,9 +1,10 @@
-// Native backend of the sharded lock table: the same layout.hpp word
-// protocol as the sim backend (sim_table.hpp documents it), executed as
-// real seq_cst std::atomic operations on a mapped word array -- the shared
-// memory segment lock_serviced serves. Clients run the data path entirely
-// with one-sided verbs on the mapping (the daemon's CPU is not involved in
-// acquire/release, only in setup), which is the point of the RDMA analogy.
+// Native backend of the sharded lock table: table_protocol.inc compiled
+// as plain functions, every verb a real seq_cst std::atomic operation on a
+// mapped word array -- the shared memory segment lock_serviced serves.
+// Clients run the data path entirely with one-sided verbs on the mapping
+// (the daemon's CPU is not involved in acquire/release, only in setup),
+// which is the point of the RDMA analogy. No operation allocates a
+// coroutine frame.
 //
 // Network-RMR accounting is the verb layer's segment rule applied in
 // software: a verb on any segment other than the session's own client
@@ -15,9 +16,7 @@
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "dist/layout.hpp"
 #include "dist/verbs.hpp"
@@ -99,8 +98,7 @@ class NativeTable {
     };
 
     /// Acquire returns the writer's ticket; release takes it back (the
-    /// caller threads it through, matching the sim table's held-ticket
-    /// scratch without shared client state).
+    /// caller threads it through, so the table keeps no client state).
     std::uint64_t writer_acquire(Session& s, std::uint32_t lock);
     void writer_release(Session& s, std::uint32_t lock, std::uint64_t ticket);
     void reader_acquire(Session& s, std::uint32_t lock);
@@ -113,41 +111,37 @@ class NativeTable {
     }
 
    private:
+    // The protocol's executor (table_protocol.inc): each verb is one
+    // seq_cst atomic with the segment accounting rule applied inline.
+    template <class T>
+    using Task = T;
+    using Backoff = native::Backoff;
+
     [[nodiscard]] std::atomic<Word>& at(GlobalAddr a) const {
         return words_[lay_.flat_index(a)];
     }
-    [[nodiscard]] std::uint32_t own_seg(const Session& s) const {
-        return lay_.config().shards + s.id;
-    }
-    void count(Session& s, GlobalAddr a) {
-        if (a.seg != own_seg(s)) {
+    /// The word a verb by `s` targets; counts a network RMR unless the
+    /// word is in the session's own segment.
+    std::atomic<Word>& verb(Session& s, GlobalAddr a) {
+        if (a.seg != lay_.config().shards + s.id) {
             ++s.stats.network_rmrs;
         }
+        return at(a);
     }
-    // One-sided verbs with the segment accounting rule applied inline.
-    Word vread(Session& s, GlobalAddr a) {
-        count(s, a);
-        return at(a).load();
-    }
-    void vwrite(Session& s, GlobalAddr a, Word v) {
-        count(s, a);
-        at(a).store(v);
-    }
+    Word read(Session& s, GlobalAddr a) { return verb(s, a).load(); }
+    void write(Session& s, GlobalAddr a, Word v) { verb(s, a).store(v); }
     /// Returns the word's previous value (CAS succeeded iff == expected).
-    Word vcas(Session& s, GlobalAddr a, Word expected, Word desired) {
-        count(s, a);
-        Word e = expected;
-        at(a).compare_exchange_strong(e, desired);
-        return e;
+    Word cas(Session& s, GlobalAddr a, Word expected, Word desired) {
+        verb(s, a).compare_exchange_strong(expected, desired);
+        return expected;
     }
-    Word vfaa(Session& s, GlobalAddr a, Word delta) {
-        count(s, a);
-        return at(a).fetch_add(delta);
+    Word faa(Session& s, GlobalAddr a, Word delta) {
+        return verb(s, a).fetch_add(delta);
     }
-
-    void note_violation(Session& s) {
-        ++s.stats.violations;
-        violations_.fetch_add(1);
+    /// Bump `session`'s gate, then wake it.
+    void bump(Session& s, std::uint32_t session) {
+        faa(s, lay_.gate_word(session), 1);
+        spots_[session].wake_all(nullptr);
     }
     /// Homed terminal wait: park on the session's spot until its gate word
     /// moves past `epoch` (gate reads are local: no RMR counting).
@@ -158,10 +152,9 @@ class NativeTable {
         native::wait_until(spots_[s.id], dl, nullptr, bo,
                            [&] { return gw.load() != epoch; });
     }
-    /// Wake `session` after bumping its gate word.
-    void bump_gate(Session& s, std::uint32_t session) {
-        vfaa(s, lay_.gate_word(session), 1);
-        spots_[session].wake_all(nullptr);
+    void violation(Session& s) {
+        ++s.stats.violations;
+        violations_.fetch_add(1);
     }
 
     TableLayout lay_;

@@ -1,5 +1,7 @@
 #include "dist/sim_table.hpp"
 
+#include <string>
+
 #include "harness/pool.hpp"
 #include "sim/passage.hpp"
 #include "sim/system.hpp"
@@ -11,234 +13,77 @@ using sim::SimTask;
 
 DistTableSim::DistTableSim(Memory& mem, const TableConfig& cfg,
                            ProcId server_base)
-    : lay_(cfg),
-      svm_(mem, cfg.shards, cfg.sessions, seg_words_of(lay_), server_base),
-      held_ticket_(cfg.sessions, 0) {}
-
-SimTask<void> DistTableSim::wait_gate(Process& p, std::uint32_t session,
-                                      Word epoch) {
-    const VarId gate = v(lay_.gate_word(session));
-    for (;;) {
-        const Word g = co_await p.read(gate);
-        if (g != epoch) {
-            co_return;
+    : lay_(cfg) {
+    vars_.reserve(lay_.total_words());
+    for (std::uint32_t seg = 0; seg < lay_.num_segments(); ++seg) {
+        const ProcId home = seg < cfg.shards
+                                ? static_cast<ProcId>(server_base + seg)
+                                : static_cast<ProcId>(seg - cfg.shards);
+        for (std::uint32_t off = 0; off < lay_.seg_words(seg); ++off) {
+            vars_.push_back(mem.allocate("dist/seg" + std::to_string(seg) +
+                                             "/w" + std::to_string(off),
+                                         0, home));
         }
     }
 }
 
-SimTask<void> DistTableSim::writer_acquire(Process& p, std::uint32_t session,
-                                           std::uint32_t lock) {
-    const bool homed = lay_.config().homed;
-    const VarId ticket_v = v(lay_.lock_word(lock, LockField::WTicket));
-    const VarId grant_v = v(lay_.lock_word(lock, LockField::WGrant));
-    const VarId gate_v = v(lay_.gate_word(session));
-
-    const Word t = co_await p.fetch_add(ticket_v, 1);
-    Word g = co_await p.read(grant_v);
-    if (g != t) {
-        if (homed) {
-            // Register-then-recheck loop; the Dekker pairing with the
-            // releaser's grant-write / slot-read makes the gate bump or the
-            // grant visible, never neither.
-            const VarId slot_v = v(lay_.wslot_word(lock, t));
-            for (;;) {
-                const Word epoch = co_await p.read(gate_v);
-                co_await p.write(slot_v, TableLayout::encode_wslot(t, session));
-                g = co_await p.read(grant_v);
-                if (g == t) {
-                    break;
-                }
-                co_await wait_gate(p, session, epoch);
-            }
-            // Clear the registration: we own slot t % sessions until our
-            // ticket retires, and a stale encode would make a much later
-            // releaser bump our gate spuriously (harmless but noisy).
-            co_await p.write(slot_v, 0);
-        } else {
-            while (g != t) {
-                g = co_await p.read(grant_v);
-            }
-        }
-    }
-
-    // Granted. Publish the drain flag, then wait out active readers.
-    const VarId wflag_v = v(lay_.lock_word(lock, LockField::WFlag));
-    const VarId rcount_v = v(lay_.lock_word(lock, LockField::RCount));
-    co_await p.write(wflag_v, session + 1);
-    for (;;) {
-        Word rc = co_await p.read(rcount_v);
-        if (rc == 0) {
-            break;
-        }
-        if (homed) {
-            const Word epoch = co_await p.read(gate_v);
-            rc = co_await p.read(rcount_v);
-            if (rc == 0) {
-                break;
-            }
-            co_await wait_gate(p, session, epoch);
-        }
-    }
-
-    const VarId witness_v = v(lay_.lock_word(lock, LockField::WWitness));
-    const Word w = co_await p.cas(witness_v, 0, session + 1);
-    if (w != 0) {
-        ++violations_;
-    }
-    held_ticket_[session] = t;
-}
-
-SimTask<void> DistTableSim::writer_release(Process& p, std::uint32_t session,
-                                           std::uint32_t lock) {
-    const bool homed = lay_.config().homed;
-    const Word t = held_ticket_[session];
-
-    const VarId witness_v = v(lay_.lock_word(lock, LockField::WWitness));
-    const Word w = co_await p.cas(witness_v, session + 1, 0);
-    if (w != session + 1) {
-        ++violations_;
-    }
-
-    co_await p.write(v(lay_.lock_word(lock, LockField::WFlag)), 0);
-    co_await p.write(v(lay_.lock_word(lock, LockField::WGrant)), t + 1);
-    if (!homed) {
-        co_return;  // Waiters poll WGrant / WFlag remotely.
-    }
-
-    // Hand the grant to the registered next writer, if any.
-    const Word sv = co_await p.read(v(lay_.wslot_word(lock, t + 1)));
-    if (TableLayout::wslot_matches(sv, t + 1)) {
-        const std::uint32_t next = TableLayout::wslot_session(sv);
-        co_await p.fetch_add(v(lay_.gate_word(next)), 1);
-    }
-
-    // Batch-wake the registered readers.
-    const Word rw = co_await p.read(v(lay_.lock_word(lock, LockField::RWaiters)));
-    if (rw != 0) {
-        for (std::uint32_t bw = 0; bw < lay_.bitmap_words(); ++bw) {
-            const Word bits = co_await p.read(v(lay_.rbitmap_word(lock, bw)));
-            for (std::uint32_t b = 0; b < 64; ++b) {
-                if ((bits >> b) & 1) {
-                    const std::uint32_t rs = bw * 64 + b;
-                    co_await p.fetch_add(v(lay_.gate_word(rs)), 1);
-                }
-            }
-        }
+SimTask<void> DistTableSim::wait_gate(Session& s, Word epoch) {
+    Word g = epoch;
+    while (g == epoch) {
+        g = co_await read(s, lay_.gate_word(s.id));
     }
 }
 
-SimTask<void> DistTableSim::reader_acquire(Process& p, std::uint32_t session,
-                                           std::uint32_t lock) {
-    const bool homed = lay_.config().homed;
-    const VarId wflag_v = v(lay_.lock_word(lock, LockField::WFlag));
-    const VarId rcount_v = v(lay_.lock_word(lock, LockField::RCount));
-    const VarId gate_v = v(lay_.gate_word(session));
-
-    for (;;) {
-        Word f = co_await p.read(wflag_v);
-        if (f == 0) {
-            co_await p.fetch_add(rcount_v, 1);
-            f = co_await p.read(wflag_v);
-            if (f == 0) {
-                const Word w = co_await p.read(
-                    v(lay_.lock_word(lock, LockField::WWitness)));
-                if (w != 0) {
-                    ++violations_;
-                }
-                co_return;  // Entered.
-            }
-            // A writer appeared between our increment and recheck: back out,
-            // and if we were the count the draining writer is waiting on,
-            // wake it.
-            const Word prev = co_await p.fetch_add(rcount_v, ~Word{0});
-            if (prev == 1 && homed) {
-                co_await p.fetch_add(v(lay_.gate_word(
-                                         static_cast<std::uint32_t>(f) - 1)),
-                                     1);
-            }
-        }
-        if (homed) {
-            // Register in the wait bitmap (bit FAA: each session owns its
-            // bit), then the Dekker recheck against the releaser's
-            // clear-flag-then-scan order.
-            const VarId bit_v =
-                v(lay_.rbitmap_word(lock, lay_.rbit_word_of(session)));
-            const Word mask = TableLayout::rbit_mask(session);
-            const VarId rwait_v =
-                v(lay_.lock_word(lock, LockField::RWaiters));
-            const Word epoch = co_await p.read(gate_v);
-            co_await p.fetch_add(bit_v, mask);
-            co_await p.fetch_add(rwait_v, 1);
-            const Word f2 = co_await p.read(wflag_v);
-            if (f2 != 0) {
-                co_await wait_gate(p, session, epoch);
-            }
-            co_await p.fetch_add(bit_v, Word{0} - mask);
-            co_await p.fetch_add(rwait_v, ~Word{0});
-        } else {
-            Word f2 = co_await p.read(wflag_v);
-            while (f2 != 0) {
-                f2 = co_await p.read(wflag_v);
-            }
-        }
-    }
-}
-
-SimTask<void> DistTableSim::reader_release(Process& p, std::uint32_t session,
-                                           std::uint32_t lock) {
-    (void)session;
-    const bool homed = lay_.config().homed;
-    const Word w =
-        co_await p.read(v(lay_.lock_word(lock, LockField::WWitness)));
-    if (w != 0) {
-        ++violations_;
-    }
-    const Word prev = co_await p.fetch_add(
-        v(lay_.lock_word(lock, LockField::RCount)), ~Word{0});
-    if (prev == 1 && homed) {
-        const Word f =
-            co_await p.read(v(lay_.lock_word(lock, LockField::WFlag)));
-        if (f != 0) {
-            co_await p.fetch_add(
-                v(lay_.gate_word(static_cast<std::uint32_t>(f) - 1)), 1);
-        }
-    }
-}
+#define RWR_TABLE DistTableSim
+#define RWR_STEP co_await
+#define RWR_RETURN co_return
+#include "dist/table_protocol.inc"
 
 // ---- Cell runner ----------------------------------------------------------
 
 namespace {
 
-/// drive() target: session s (pid s) runs its OpStream's ops. drive()
-/// draws the next op when it builds the attempt; the op's role picks the
-/// acquire/release pair and the CS dwell.
+/// drive() target: session s (pid s) runs its OpStream's ops. entry()
+/// draws the next op; the op's role picks the acquire/release pair and the
+/// CS dwell.
 struct SessionOps {
+    /// One session's table handle, op stream, op in flight and held
+    /// writer ticket.
+    struct Client {
+        DistTableSim::Session session;
+        OpStream stream;
+        OpStream::LoadOp op{};
+        std::uint64_t ticket = 0;
+    };
+
     DistTableSim& tab;
     const DistSimConfig& cfg;
-    std::vector<OpStream> streams;
-    std::vector<OpStream::LoadOp> current;  ///< Each session's op in flight.
+    std::vector<Client> clients;  ///< Indexed by pid.
     std::uint64_t read_ops = 0;
     std::uint64_t write_ops = 0;
 
     SimTask<void> entry(Process& p) {
-        const OpStream::LoadOp op = current[p.id()] =
-            streams[p.id()].next_op(cfg.table.num_locks(), cfg.reader_pct);
-        return op.reader ? tab.reader_acquire(p, p.id(), op.lock_index)
-                         : tab.writer_acquire(p, p.id(), op.lock_index);
+        Client& c = clients[p.id()];
+        c.op = c.stream.next_op(cfg.table.num_locks(), cfg.reader_pct);
+        if (c.op.reader) {
+            co_await tab.reader_acquire(c.session, c.op.lock_index);
+        } else {
+            c.ticket = co_await tab.writer_acquire(c.session, c.op.lock_index);
+        }
     }
     SimTask<void> exit(Process& p) {
-        const OpStream::LoadOp op = current[p.id()];
-        if (op.reader) {
-            co_await tab.reader_release(p, p.id(), op.lock_index);
+        Client& c = clients[p.id()];
+        if (c.op.reader) {
+            co_await tab.reader_release(c.session, c.op.lock_index);
             ++read_ops;
         } else {
-            co_await tab.writer_release(p, p.id(), op.lock_index);
+            co_await tab.writer_release(c.session, c.op.lock_index, c.ticket);
             ++write_ops;
         }
     }
     /// A read CS dwells one local step, a write CS cfg.writer_cs_steps.
     [[nodiscard]] std::uint64_t cs_steps(const Process& p) const {
-        return current[p.id()].reader ? 1 : cfg.writer_cs_steps;
+        return clients[p.id()].op.reader ? 1 : cfg.writer_cs_steps;
     }
 };
 
@@ -251,13 +96,14 @@ DistSimResult run_dist_sim(const DistSimConfig& cfg) {
     // server_base + shard -- never stepped, so total RMRs are all clients'.
     const auto server_base = static_cast<ProcId>(sessions);
     DistTableSim table(sys.memory(), cfg.table, server_base);
-    SessionOps load{table, cfg, {}, {}};
+    SessionOps load{table, cfg, {}};
+    load.clients.reserve(sessions);
     sim::DriveConfig dc;
     dc.passages = cfg.ops_per_session;
     for (std::uint32_t s = 0; s < sessions; ++s) {
-        load.streams.emplace_back(cfg.seed, s);
-        load.current.emplace_back();
-        sim::install(load, sys.add_process(sim::Role::Writer), dc);
+        Process& p = sys.add_process(sim::Role::Writer);
+        load.clients.push_back({{p, s}, OpStream(cfg.seed, s)});
+        sim::install(load, p, dc);
     }
     sim::RunPlan plan;  // Round-robin.
     plan.max_steps = cfg.max_steps;

@@ -1,36 +1,15 @@
-// Sim backend of the sharded lock table: the layout.hpp word protocol
-// executed as simulator coroutines, every verb an ordinary Memory step
-// under Protocol::Dsm -- so the per-ProcId ledgers price each verb by the
+// Sim backend of the sharded lock table: table_protocol.inc compiled as
+// simulator coroutines, every verb an ordinary Memory step under
+// Protocol::Dsm -- so the per-ProcId ledgers price each verb by the
 // remote-iff-not-home rule and a cell's network-RMR counts are exact and
 // deterministic (the E17 separation assertions run on this backend).
 //
-// The protocol, per lock entry (see layout.hpp for the word map):
-//
-//   Writers take a ticket (FAA WTicket) and are granted in FIFO order by
-//   WGrant. HOMED waiters register the ticket in WSlot[t % sessions] and
-//   spin on their own gate; the releaser advances WGrant, reads the one
-//   slot for the next ticket and bumps that session's gate (O(1) network
-//   RMRs however many writers wait). UNHOMED waiters re-poll WGrant.
-//   The registration/grant race is a Dekker handshake: the waiter writes
-//   its slot before re-reading WGrant, the releaser writes WGrant before
-//   reading the slot -- under sequential consistency at least one side
-//   observes the other, so no grant is ever lost.
-//
-//   The granted writer publishes WFlag = session+1, then drains readers:
-//   it re-checks RCount and (HOMED) parks on its gate, woken by the last
-//   decrementing reader; UNHOMED it re-polls RCount.
-//
-//   Readers check WFlag, FAA RCount +1, and re-check WFlag; if a writer
-//   appeared they back out (FAA -1, waking a draining writer they were
-//   the last reader of) and wait: HOMED by setting their bit in the
-//   lock's RBitmap (FAA of the bit -- each session owns its bit) plus
-//   RWaiters, spinning on their own gate until the releasing writer's
-//   batch wake; UNHOMED by re-polling WFlag.
-//
-//   Mutual exclusion is witnessed, not assumed: writers CAS WWitness
-//   0 -> session+1 after the drain and back on release, readers assert
-//   WWitness == 0 at entry and exit. Every failed CAS / nonzero read
-//   increments witness_violations() -- the exit-code ME check of E17.
+// Homing (the service-level analogue of the DSM mutexes' owner_base):
+// shard segments are homed at virtual server ProcIds *above* the client pid
+// range -- no client is ever co-located with a shard, so every verb on a
+// shard word is a network RMR for every session -- and client segment
+// shards + s is homed at ProcId s, making a session's spin on its own gate
+// free, exactly like a homed-spin lock in E15.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +17,7 @@
 
 #include "dist/layout.hpp"
 #include "dist/verbs.hpp"
+#include "rmr/memory.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -49,30 +29,58 @@ class DistTableSim {
     /// server_base + shard, client segments at their sessions' ProcIds).
     DistTableSim(Memory& mem, const TableConfig& cfg, ProcId server_base);
 
-    sim::SimTask<void> writer_acquire(sim::Process& p, std::uint32_t session,
-                                      std::uint32_t lock);
-    sim::SimTask<void> writer_release(sim::Process& p, std::uint32_t session,
-                                      std::uint32_t lock);
-    sim::SimTask<void> reader_acquire(sim::Process& p, std::uint32_t session,
-                                      std::uint32_t lock);
-    sim::SimTask<void> reader_release(sim::Process& p, std::uint32_t session,
-                                      std::uint32_t lock);
+    /// Session `id` run by process `p` (pid id under the homing rule).
+    /// Must outlive every operation it runs.
+    struct Session {
+        sim::Process& p;
+        std::uint32_t id;
+    };
+
+    /// Acquire returns the writer's ticket; release takes it back.
+    sim::SimTask<std::uint64_t> writer_acquire(Session& s,
+                                               std::uint32_t lock);
+    sim::SimTask<void> writer_release(Session& s, std::uint32_t lock,
+                                      std::uint64_t ticket);
+    sim::SimTask<void> reader_acquire(Session& s, std::uint32_t lock);
+    sim::SimTask<void> reader_release(Session& s, std::uint32_t lock);
 
     [[nodiscard]] std::uint64_t witness_violations() const {
         return violations_;
     }
-    [[nodiscard]] const TableLayout& layout() const { return lay_; }
 
    private:
-    [[nodiscard]] VarId v(GlobalAddr a) const { return svm_.var(a); }
-    /// Spin on session's own gate until it moves past `epoch` (every read
-    /// is a local step under the homing convention: 0 network RMRs).
-    sim::SimTask<void> wait_gate(sim::Process& p, std::uint32_t session,
-                                 Word epoch);
+    // The protocol's executor (table_protocol.inc): each verb is one
+    // Process step on the word's variable.
+    template <class T>
+    using Task = sim::SimTask<T>;
+    struct Backoff {
+        void pause() {}
+    };
+
+    [[nodiscard]] VarId var(GlobalAddr a) const {
+        return vars_[lay_.flat_index(a)];
+    }
+    auto read(Session& s, GlobalAddr a) { return s.p.read(var(a)); }
+    auto write(Session& s, GlobalAddr a, Word v) {
+        return s.p.write(var(a), v);
+    }
+    auto cas(Session& s, GlobalAddr a, Word expected, Word desired) {
+        return s.p.cas(var(a), expected, desired);
+    }
+    auto faa(Session& s, GlobalAddr a, Word delta) {
+        return s.p.fetch_add(var(a), delta);
+    }
+    /// Bump `session`'s gate (its wake-up).
+    auto bump(Session& s, std::uint32_t session) {
+        return faa(s, lay_.gate_word(session), 1);
+    }
+    /// Spin on the session's own gate until it moves past `epoch` (every
+    /// read is a local step under the homing rule: 0 network RMRs).
+    sim::SimTask<void> wait_gate(Session& s, Word epoch);
+    void violation(Session&) { ++violations_; }
 
     TableLayout lay_;
-    SimVerbMemory svm_;
-    std::vector<std::uint64_t> held_ticket_;  ///< Per session, while holding.
+    std::vector<VarId> vars_;  ///< One per word, in flat_index order.
     std::uint64_t violations_ = 0;
 };
 

@@ -11,23 +11,25 @@
 //
 //   network RMR  <=>  the issuing session's segment != the word's segment
 //
-//   * Sim backend (SimVerbMemory): every table word is a Memory variable
-//     under Protocol::Dsm, homed at a ProcId standing for its segment.
-//     Verbs become ordinary simulator steps, so the per-ProcId RMR ledgers
-//     (Memory::rmrs_by) count network RMRs with no new machinery, and the
-//     E15 separation results apply verbatim at the service level (E17).
+//   * Sim backend (dist/sim_table.hpp): every table word is a Memory
+//     variable under Protocol::Dsm, homed at a ProcId standing for its
+//     segment. Verbs become ordinary simulator steps, so the per-ProcId RMR
+//     ledgers (Memory::rmrs_by) count network RMRs with no new machinery,
+//     and the E15 separation results apply verbatim at the service level
+//     (E17).
 //   * Native loopback backend (dist/native_table.hpp): words live in a
 //     shared-memory segment served by lock_serviced; verbs execute as real
 //     std::atomic operations and the client library applies the same rule
 //     in software to report network_rmrs_per_op.
+//
+// Both backends run one protocol text (dist/table_protocol.inc);
+// test_dist_table replays one op stream through both and checks they
+// report the same network RMRs.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "rmr/memory.hpp"
+#include "rmr/types.hpp"
 #include "sim/por.hpp"
 
 namespace rwr::dist {
@@ -37,136 +39,6 @@ namespace rwr::dist {
 struct GlobalAddr {
     std::uint32_t seg = 0;
     std::uint32_t off = 0;
-
-    friend constexpr bool operator==(GlobalAddr a, GlobalAddr b) {
-        return a.seg == b.seg && a.off == b.off;
-    }
-};
-
-enum class VerbCode : std::uint8_t { Read, Write, Cas, Faa };
-
-[[nodiscard]] inline const char* to_string(VerbCode c) {
-    switch (c) {
-        case VerbCode::Read: return "READ";
-        case VerbCode::Write: return "WRITE";
-        case VerbCode::Cas: return "CAS";
-        case VerbCode::Faa: return "FAA";
-    }
-    return "?";
-}
-
-/// One one-sided operation. arg0 = write value / CAS expected / FAA delta;
-/// arg1 = CAS desired.
-struct Verb {
-    VerbCode code = VerbCode::Read;
-    GlobalAddr addr;
-    Word arg0 = 0;
-    Word arg1 = 0;
-
-    [[nodiscard]] static Verb read(GlobalAddr a) {
-        return {VerbCode::Read, a, 0, 0};
-    }
-    [[nodiscard]] static Verb write(GlobalAddr a, Word v) {
-        return {VerbCode::Write, a, v, 0};
-    }
-    [[nodiscard]] static Verb cas(GlobalAddr a, Word expected, Word desired) {
-        return {VerbCode::Cas, a, expected, desired};
-    }
-    [[nodiscard]] static Verb faa(GlobalAddr a, Word delta) {
-        return {VerbCode::Faa, a, delta, 0};
-    }
-};
-
-/// Outcome of one verb: the word's value before the operation (READ returns
-/// the value itself) and whether the verb crossed segments.
-struct VerbResult {
-    Word value = 0;
-    bool network_rmr = false;
-};
-
-/// Sim backend: maps a segmented word space onto the simulator's Memory
-/// under Protocol::Dsm. Segment k's words are allocated with DSM owner
-/// home_of(k), so the existing remote-iff-not-home rule prices every verb
-/// and the per-ProcId ledgers become per-session network-RMR counters.
-///
-/// Homing convention (the service-level analogue of PR 7's owner_base):
-/// shard segments are homed at virtual server ProcIds *above* the client
-/// pid range -- no client is ever co-located with a shard, so every verb
-/// on a shard word is a network RMR for every session -- and client
-/// segment shards + s is homed at ProcId s, making a session's spin on its
-/// own gate free, exactly like a homed-spin lock in E15.
-class SimVerbMemory {
-   public:
-    /// Builds `num_segments` segments of `seg_words` words each over `mem`
-    /// (which must be Protocol::Dsm for the accounting to mean anything;
-    /// other protocols are allowed for tests). Segments [0, num_shards)
-    /// are homed at server_base + seg; segment num_shards + s at ProcId s.
-    SimVerbMemory(Memory& mem, std::uint32_t num_shards,
-                  std::uint32_t num_sessions,
-                  const std::vector<std::uint32_t>& seg_words,
-                  ProcId server_base)
-        : mem_(mem), num_shards_(num_shards) {
-        assert(seg_words.size() == std::size_t{num_shards} + num_sessions);
-        (void)num_sessions;
-        bases_.reserve(seg_words.size());
-        homes_.reserve(seg_words.size());
-        for (std::uint32_t seg = 0; seg < seg_words.size(); ++seg) {
-            const ProcId home = seg < num_shards
-                                    ? static_cast<ProcId>(server_base + seg)
-                                    : static_cast<ProcId>(seg - num_shards);
-            homes_.push_back(home);
-            bases_.push_back(static_cast<std::uint32_t>(vars_.size()));
-            for (std::uint32_t off = 0; off < seg_words[seg]; ++off) {
-                vars_.push_back(mem.allocate(
-                    "dist/seg" + std::to_string(seg) + "/w" +
-                        std::to_string(off),
-                    0, home));
-            }
-        }
-    }
-
-    [[nodiscard]] VarId var(GlobalAddr a) const {
-        assert(a.seg < bases_.size());
-        return vars_[bases_[a.seg] + a.off];
-    }
-    [[nodiscard]] ProcId home_of(std::uint32_t seg) const {
-        return homes_.at(seg);
-    }
-    [[nodiscard]] std::uint32_t num_shards() const { return num_shards_; }
-
-    [[nodiscard]] static Op to_op(const Verb& v, VarId var) {
-        switch (v.code) {
-            case VerbCode::Read: return Op::read(var);
-            case VerbCode::Write: return Op::write(var, v.arg0);
-            case VerbCode::Cas: return Op::cas(var, v.arg0, v.arg1);
-            case VerbCode::Faa: return Op::fetch_add(var, v.arg0);
-        }
-        return Op::local();
-    }
-
-    /// Executes one verb as session `p` directly against the memory (no
-    /// scheduler involved -- unit tests and setup code). Coroutine code
-    /// instead awaits the op through its Process so the scheduler can
-    /// interleave verbs; both paths price the verb identically.
-    VerbResult apply(ProcId p, const Verb& v) {
-        const OpResult r = mem_.apply(p, to_op(v, var(v.addr)));
-        return {r.value, r.rmr};
-    }
-
-    /// The accounting rule, stated independently of Memory: what apply()
-    /// must report for a verb by session `p` on segment `seg`. The
-    /// differential test (test_dist_verbs) checks apply() against this.
-    [[nodiscard]] bool predicted_network_rmr(ProcId p,
-                                             std::uint32_t seg) const {
-        return homes_.at(seg) != p;
-    }
-
-   private:
-    Memory& mem_;
-    std::uint32_t num_shards_;
-    std::vector<VarId> vars_;
-    std::vector<std::uint32_t> bases_;  ///< First var index per segment.
-    std::vector<ProcId> homes_;
 };
 
 // ---- Deterministic load generation ---------------------------------------

@@ -4,12 +4,13 @@
 // diff() joins two rwr-bench-v1 documents on the bench name and the row
 // key (bench_json.hpp RowKey: lock, protocol, n, m, f, threads, workload)
 // and reports three things:
-//   * regressions -- metric moved beyond tolerance in the bad direction
-//     (throughput_ops / sim_rmr means / sim_perf.steps_per_sec /
-//     explore.schedules_explored and .schedules_per_sec /
-//     dist.network_rmrs_per_op and .ops_per_sec /
-//     amortized.writer_amortized_rmrs and .expected_rmr, see
-//     bench_json.hpp for which direction is bad for each);
+//   * regressions -- an exact count changed at all, in either direction
+//     (sim_rmr means, explore.schedules_explored,
+//     dist.network_rmrs_per_op, amortized.writer_amortized_rmrs and
+//     .expected_rmr: deterministic, so any move is a protocol or engine
+//     change), or a wall-clock rate dropped beyond its tolerance
+//     (throughput_ops, sim_perf.steps_per_sec, explore.schedules_per_sec,
+//     dist.ops_per_sec);
 //   * missing    -- rows present in the baseline but absent from the new
 //     run, and fields a baseline row has but its matched new row lacks. A
 //     vanished row or field means the new binary silently stopped covering
@@ -33,9 +34,9 @@
 
 namespace rwr::harness::bench {
 
-/// Tolerated fractional worsening of throughput_ops (drop) and of the
-/// exact counts (increase): sim_rmr means, explore schedule counts, dist
-/// network RMRs, amortized RMRs.
+/// Tolerated fractional drop of throughput_ops. The exact counts (sim_rmr
+/// means, explore schedule counts, dist network RMRs, amortized RMRs) have
+/// no tolerance: any change fails.
 inline constexpr double kMaxDrop = 0.10;
 /// Rows where either run's wall_ms is below this floor are exempt from the
 /// wall-clock gates (sub-floor cells measure jitter).
@@ -53,7 +54,10 @@ struct DiffFlag {
     std::string metric;
     double before = 0;
     double after = 0;
-    double change = 0;  ///< Fractional worsening (> 0 is worse).
+    /// Fractional worsening (> 0 is worse). For an exact count, the signed
+    /// fractional move (the absolute move off a zero baseline).
+    double change = 0;
+    bool exact = false;  ///< An exact count that moved.
 };
 
 struct DiffReport {
@@ -100,17 +104,28 @@ inline std::map<std::string, const json::Value*> index_rows(
 
 namespace detail {
 
-/// change > 0 is "worse" for the caller's chosen direction.
-inline void diff_metric(const std::string& key, const char* metric,
-                        double before, double after, bool drop_is_bad,
-                        double max_frac, std::vector<DiffFlag>* flags) {
+/// A rate (higher is better) fails when it drops by more than max_frac.
+inline void diff_rate(const std::string& key, const char* metric,
+                      double before, double after, double max_frac,
+                      std::vector<DiffFlag>* flags) {
     if (before <= 0) {
         return;  // No meaningful baseline.
     }
-    const double frac =
-        drop_is_bad ? (before - after) / before : (after - before) / before;
+    const double frac = (before - after) / before;
     if (frac > max_frac) {
         flags->push_back({key, metric, before, after, frac});
+    }
+}
+
+/// An exact count fails on any change, a decrease included: it is
+/// deterministic, so a move means the protocol or the engine changed.
+inline void diff_exact(const std::string& key, const char* metric,
+                       double before, double after,
+                       std::vector<DiffFlag>* flags) {
+    if (after != before) {
+        const double change =
+            before == 0 ? after - before : (after - before) / before;
+        flags->push_back({key, metric, before, after, change, true});
     }
 }
 
@@ -150,9 +165,9 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
         const json::Value* old_t = old_row->find("throughput_ops");
         const json::Value* new_t = new_row->find("throughput_ops");
         if (old_t != nullptr && new_t != nullptr) {
-            detail::diff_metric(key, "throughput_ops", old_t->as_double(),
-                                new_t->as_double(), /*drop_is_bad=*/true,
-                                kMaxDrop, &rep.regressions);
+            detail::diff_rate(key, "throughput_ops", old_t->as_double(),
+                              new_t->as_double(), kMaxDrop,
+                              &rep.regressions);
         }
         const json::Value* old_r = old_row->find("sim_rmr");
         const json::Value* new_r = new_row->find("sim_rmr");
@@ -162,28 +177,24 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                 const json::Value* ov = old_r->find(m);
                 const json::Value* nv = new_r->find(m);
                 if (ov != nullptr && nv != nullptr) {
-                    detail::diff_metric(key, m, ov->as_double(),
-                                        nv->as_double(),
-                                        /*drop_is_bad=*/false, kMaxDrop,
-                                        &rep.regressions);
+                    detail::diff_exact(key, m, ov->as_double(),
+                                       nv->as_double(), &rep.regressions);
                 }
             }
         }
         const json::Value* old_e = old_row->find("explore");
         const json::Value* new_e = new_row->find("explore");
         if (old_e != nullptr && new_e != nullptr) {
-            // The schedule count is deterministic for a given engine, so an
-            // increase means the reduction got weaker (or the full tree
-            // grew) -- gate it like an RMR mean. Throughput is wall-clock,
-            // gated with the wide perf tolerance over the same wall floor
-            // as sim_perf.
+            // The schedule count is deterministic for a given engine, so a
+            // move means the reduction or the tree changed -- exact, like
+            // an RMR mean. Throughput is wall-clock, gated with the wide
+            // perf tolerance over the same wall floor as sim_perf.
             const json::Value* oc = old_e->find("schedules_explored");
             const json::Value* nc = new_e->find("schedules_explored");
             if (oc != nullptr && nc != nullptr) {
-                detail::diff_metric(key, "explore.schedules_explored",
-                                    oc->as_double(), nc->as_double(),
-                                    /*drop_is_bad=*/false, kMaxDrop,
-                                    &rep.regressions);
+                detail::diff_exact(key, "explore.schedules_explored",
+                                   oc->as_double(), nc->as_double(),
+                                   &rep.regressions);
             }
             const json::Value* ov = old_e->find("schedules_per_sec");
             const json::Value* nv = new_e->find("schedules_per_sec");
@@ -193,27 +204,24 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                                     ow->as_double() >= kMinPerfMs &&
                                     nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_metric(key, "explore.schedules_per_sec",
-                                    ov->as_double(), nv->as_double(),
-                                    /*drop_is_bad=*/true, opts.max_perf_drop,
-                                    &rep.regressions);
+                detail::diff_rate(key, "explore.schedules_per_sec",
+                                  ov->as_double(), nv->as_double(),
+                                  opts.max_perf_drop, &rep.regressions);
             }
         }
         const json::Value* old_d = old_row->find("dist");
         const json::Value* new_d = new_row->find("dist");
         if (old_d != nullptr && new_d != nullptr) {
             // network_rmrs_per_op is exact on the sim backend (the grid is
-            // deterministic), so an increase is a protocol change -- tight
-            // gate, increase is bad. ops_per_sec only exists on native
-            // loopback rows and is wall-clock: wide gate over the dist
-            // wall_ms floor, mirroring sim_perf.
+            // deterministic), so any move is a protocol change. ops_per_sec
+            // only exists on native loopback rows and is wall-clock: wide
+            // gate over the dist wall_ms floor, mirroring sim_perf.
             const json::Value* on = old_d->find("network_rmrs_per_op");
             const json::Value* nn = new_d->find("network_rmrs_per_op");
             if (on != nullptr && nn != nullptr) {
-                detail::diff_metric(key, "dist.network_rmrs_per_op",
-                                    on->as_double(), nn->as_double(),
-                                    /*drop_is_bad=*/false, kMaxDrop,
-                                    &rep.regressions);
+                detail::diff_exact(key, "dist.network_rmrs_per_op",
+                                   on->as_double(), nn->as_double(),
+                                   &rep.regressions);
             }
             const json::Value* ov = old_d->find("ops_per_sec");
             const json::Value* nv = new_d->find("ops_per_sec");
@@ -223,10 +231,9 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                                     ow->as_double() >= kMinPerfMs &&
                                     nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_metric(key, "dist.ops_per_sec", ov->as_double(),
-                                    nv->as_double(),
-                                    /*drop_is_bad=*/true, opts.max_perf_drop,
-                                    &rep.regressions);
+                detail::diff_rate(key, "dist.ops_per_sec", ov->as_double(),
+                                  nv->as_double(), opts.max_perf_drop,
+                                  &rep.regressions);
             }
         }
         const json::Value* old_a = old_row->find("amortized");
@@ -234,16 +241,13 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
         if (old_a != nullptr && new_a != nullptr) {
             // writer_amortized_rmrs is exact on deterministic grid rows and
             // seed-deterministic on randomized ones; expected_rmr is the
-            // trial-set mean under a fixed base seed. Both are RMR costs:
-            // increase is bad, tight gate.
+            // trial-set mean under a fixed base seed. Both are exact.
             for (const char* m : {"writer_amortized_rmrs", "expected_rmr"}) {
                 const json::Value* ov = old_a->find(m);
                 const json::Value* nv = new_a->find(m);
                 if (ov != nullptr && nv != nullptr) {
-                    detail::diff_metric(key, m, ov->as_double(),
-                                        nv->as_double(),
-                                        /*drop_is_bad=*/false, kMaxDrop,
-                                        &rep.regressions);
+                    detail::diff_exact(key, m, ov->as_double(),
+                                       nv->as_double(), &rep.regressions);
                 }
             }
         }
@@ -261,10 +265,9 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
                                     ow->as_double() >= kMinPerfMs &&
                                     nw->as_double() >= kMinPerfMs;
             if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_metric(key, "sim_perf.steps_per_sec",
-                                    ov->as_double(), nv->as_double(),
-                                    /*drop_is_bad=*/true, opts.max_perf_drop,
-                                    &rep.regressions);
+                detail::diff_rate(key, "sim_perf.steps_per_sec",
+                                  ov->as_double(), nv->as_double(),
+                                  opts.max_perf_drop, &rep.regressions);
             }
         }
     }

@@ -3,7 +3,8 @@
 // baseline but absent from the new run, and fields a baseline row has but
 // its matched new row lacks, are a HARD failure (a vanished row or field
 // would let a regression hide by deleting it), while rows only the new run
-// has are informational.
+// has are informational; and an exact count fails on any change, in
+// either direction.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,9 +68,9 @@ TEST(BenchDiff, MissingBaselineRowIsAHardFailure) {
     auto* old_rows = results_of(oldd);
     old_rows->push_back(make_row("af", 8, 10.0, 5.0));
     old_rows->push_back(make_row("af", 16, 12.0, 5.0));
-    // The new run silently dropped the n=16 cell -- and even improved the
-    // surviving row, which must not mask the missing one.
-    results_of(newd)->push_back(make_row("af", 8, 9.0, 4.0));
+    // The new run silently dropped the n=16 cell; the surviving row
+    // matching exactly must not mask the missing one.
+    results_of(newd)->push_back(make_row("af", 8, 10.0, 5.0));
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
     EXPECT_FALSE(rep.ok());
     EXPECT_EQ(rep.joined, 1u);
@@ -151,12 +152,34 @@ TEST(BenchDiff, SimRmrIncreaseBeyondToleranceRegresses) {
     EXPECT_GT(rep.regressions[0].change, 0.10);
 }
 
-TEST(BenchDiff, SimRmrDecreaseIsAnImprovementNotARegression) {
+TEST(BenchDiff, SimRmrDecreaseFailsTheExactGate) {
+    // RMR means are deterministic: a drop is a protocol change too, and
+    // the baseline must be regenerated on purpose, not drift.
     auto oldd = bench::make_doc("t");
     auto newd = bench::make_doc("t");
     results_of(oldd)->push_back(make_row("af", 8, 10.0, 5.0));
     results_of(newd)->push_back(make_row("af", 8, 5.0, 2.0));
-    EXPECT_TRUE(bench::diff(oldd, newd, DiffOptions{}).ok());
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    ASSERT_EQ(rep.regressions.size(), 2u);
+    EXPECT_EQ(rep.regressions[0].metric, "reader_mean_passage");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].change, -0.5);
+    EXPECT_EQ(rep.regressions[1].metric, "writer_mean_passage");
+}
+
+TEST(BenchDiff, ExactCountMovingOffZeroFails) {
+    // A zero baseline has no fraction to compare against, but it is still
+    // an exact count: 0 -> 0.5 must fail, 0 -> 0 must pass.
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    results_of(oldd)->push_back(make_row("af", 8, 0.0, 5.0));
+    results_of(newd)->push_back(make_row("af", 8, 0.5, 5.0));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "reader_mean_passage");
+    EXPECT_DOUBLE_EQ(rep.regressions[0].change, 0.5);
+    EXPECT_TRUE(bench::diff(oldd, oldd, DiffOptions{}).ok());
 }
 
 TEST(BenchDiff, PerfDropGatedByWallClockFloor) {
@@ -200,7 +223,7 @@ json::Value make_dist_row(std::uint64_t sessions, double rmrs_per_op,
 
 TEST(BenchDiff, DistNetworkRmrIncreaseRegresses) {
     // The RMR count is deterministic on the sim backend, so it gets the
-    // tight max_drop gate: a +15% bump must flag.
+    // exact gate: a +15% bump must flag.
     auto oldd = bench::make_doc("t");
     auto newd = bench::make_doc("t");
     results_of(oldd)->push_back(make_dist_row(1024, 16.0, 1e6, 500.0));
@@ -209,10 +232,27 @@ TEST(BenchDiff, DistNetworkRmrIncreaseRegresses) {
     EXPECT_FALSE(rep.ok());
     ASSERT_EQ(rep.regressions.size(), 1u);
     EXPECT_EQ(rep.regressions[0].metric, "dist.network_rmrs_per_op");
-    // A decrease is an improvement.
-    auto better = bench::make_doc("t");
-    results_of(better)->push_back(make_dist_row(1024, 12.0, 1e6, 500.0));
-    EXPECT_TRUE(bench::diff(oldd, better, DiffOptions{}).ok());
+    // So must a decrease: any move of an exact count is a protocol change.
+    auto lower = bench::make_doc("t");
+    results_of(lower)->push_back(make_dist_row(1024, 12.0, 1e6, 500.0));
+    EXPECT_FALSE(bench::diff(oldd, lower, DiffOptions{}).ok());
+}
+
+TEST(BenchDiff, DistSubPercentProtocolMoveFails) {
+    // The move a one-RMR change to the reader back-out makes to a
+    // BENCH_dist.json smoke row (+0.33%): small, and still a protocol
+    // change the gate must report.
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    results_of(oldd)->push_back(make_dist_row(32, 19.1458333333, 0, 0));
+    results_of(newd)->push_back(make_dist_row(32, 19.2083333333, 0, 0));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "dist.network_rmrs_per_op");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].before, 19.1458333333);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].after, 19.2083333333);
 }
 
 TEST(BenchDiff, DistThroughputDropGatedByWallClockFloor) {
@@ -271,18 +311,23 @@ TEST(BenchDiff, AmortizedRmrIncreaseBeyondToleranceRegresses) {
     EXPECT_EQ(rep.regressions[1].metric, "expected_rmr");
 }
 
-TEST(BenchDiff, AmortizedNoiseWithinToleranceAndImprovementsPass) {
+TEST(BenchDiff, AmortizedAnyChangeFailsButCi95IsNotGated) {
     auto oldd = bench::make_doc("abortable");
     auto newd = bench::make_doc("abortable");
-    auto* old_rows = results_of(oldd);
-    old_rows->push_back(make_amortized_row(10.0, 9.0));
-    auto* new_rows = results_of(newd);
-    // +5% amortized, -10% expectation: inside max_drop, and improvements
-    // never regress. ci95/trials are descriptive, not gated.
-    new_rows->push_back(make_amortized_row(10.5, 8.1, /*ci95=*/2.0));
+    results_of(oldd)->push_back(make_amortized_row(10.0, 9.0));
+    // +5% amortized, -10% expectation: both exact (the trials are
+    // seeded), so both fail.
+    results_of(newd)->push_back(make_amortized_row(10.5, 8.1));
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
-    EXPECT_TRUE(rep.ok());
+    EXPECT_FALSE(rep.ok());
     EXPECT_EQ(rep.joined, 1u);
+    ASSERT_EQ(rep.regressions.size(), 2u);
+    EXPECT_EQ(rep.regressions[0].metric, "writer_amortized_rmrs");
+    EXPECT_EQ(rep.regressions[1].metric, "expected_rmr");
+    // ci95/trials are descriptive, not gated.
+    auto wider = bench::make_doc("abortable");
+    results_of(wider)->push_back(make_amortized_row(10.0, 9.0, /*ci95=*/2.0));
+    EXPECT_TRUE(bench::diff(oldd, wider, DiffOptions{}).ok());
 }
 
 TEST(BenchDiff, RowKeyUsesDashForAbsentFields) {

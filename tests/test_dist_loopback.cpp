@@ -4,8 +4,16 @@
 // seq_cst atomics of NativeTable and the ParkingSpot handshakes get a race
 // detector pass).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "dist/load.hpp"
 #include "dist/loopback.hpp"
@@ -78,6 +86,106 @@ TEST(DistLoopback, SecondDaemonGetsItsOwnPortAndSegment) {
     EXPECT_NE(a.shm_name(), b.shm_name());
     b.stop();
     a.stop();
+}
+
+/// A control server that answers one HELLO with a canned reply, as a
+/// daemon that lies about its table would.
+class FakeDaemon {
+   public:
+    explicit FakeDaemon(const CtrlReply& reply) {
+        lfd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        auto* sa = reinterpret_cast<sockaddr*>(&addr);
+        if (lfd_ < 0 || ::bind(lfd_, sa, sizeof(addr)) != 0 ||
+            ::getsockname(lfd_, sa, &len) != 0 || ::listen(lfd_, 1) != 0) {
+            if (lfd_ >= 0) {
+                ::close(lfd_);
+            }
+            throw std::runtime_error("fake daemon: no listener");
+        }
+        port_ = ntohs(addr.sin_port);
+        server_ = std::thread([this, reply] {
+            const int fd = ::accept(lfd_, nullptr, nullptr);
+            if (fd < 0) {
+                return;
+            }
+            CtrlRequest req;
+            const ssize_t got = ::read(fd, &req, sizeof(req));
+            if (got == static_cast<ssize_t>(sizeof(req))) {
+                // A short write fails connect() on a short reply instead.
+                const ssize_t sent = ::write(fd, &reply, sizeof(reply));
+                (void)sent;
+            }
+            ::close(fd);
+        });
+    }
+    FakeDaemon(const FakeDaemon&) = delete;
+    FakeDaemon& operator=(const FakeDaemon&) = delete;
+    ~FakeDaemon() {
+        ::shutdown(lfd_, SHUT_RDWR);  // Unblocks an accept() never served.
+        server_.join();
+        ::close(lfd_);
+    }
+    [[nodiscard]] std::uint16_t port() const { return port_; }
+
+   private:
+    int lfd_ = -1;
+    std::uint16_t port_ = 0;
+    std::thread server_;
+};
+
+/// A HELLO for a 2-shard x 2-lock, 4-session table (76 words).
+CtrlReply hello_reply(const std::string& shm_name,
+                      std::uint64_t total_words) {
+    CtrlReply rep;
+    rep.ok = 1;
+    rep.shards = 2;
+    rep.locks_per_shard = 2;
+    rep.sessions = 4;
+    rep.homed = 1;
+    rep.total_words = total_words;
+    // Up to all kShmNameMax bytes: a name that long keeps no NUL.
+    std::memcpy(rep.shm_name, shm_name.data(),
+                std::min(shm_name.size(), kShmNameMax));
+    return rep;
+}
+
+TEST(DistLoopback, ConnectRejectsAHelloThatDoesNotMatchItsTable) {
+    const std::string prefix =
+        "/rwr_fake." + std::to_string(::getpid()) + ".";
+    const std::uint64_t words = TableLayout({2, 2, 4}).total_words();
+    ASSERT_EQ(words, 76u);
+    DistClient client;
+    {
+        // A real segment, but of 1 word: a table on it would index past
+        // the mapping.
+        const ShmSegment small = ShmSegment::create(prefix + "small", 1);
+        FakeDaemon fake(hello_reply(small.name(), 1));
+        EXPECT_THROW(client.connect("127.0.0.1", fake.port()),
+                     std::runtime_error);
+    }
+    {
+        // A segment of the right size whose name fills shm_name with no
+        // terminating NUL.
+        std::string name = prefix + "unterminated";
+        name.resize(kShmNameMax, 'n');
+        const ShmSegment seg = ShmSegment::create(name, words);
+        FakeDaemon fake(hello_reply(name, words));
+        EXPECT_THROW(client.connect("127.0.0.1", fake.port()),
+                     std::runtime_error);
+    }
+    {
+        // An empty geometry never reaches a table.
+        CtrlReply rep = hello_reply("/none", 0);
+        rep.shards = 0;
+        FakeDaemon fake(rep);
+        EXPECT_THROW(client.connect("127.0.0.1", fake.port()),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(client.words(), nullptr);
 }
 
 void run_concurrent_load(bool homed) {

@@ -1,16 +1,35 @@
 // Sim-backend lock table: protocol correctness (witnessed mutual
 // exclusion, liveness on both homed and unhomed variants), the OpStream
 // determinism discipline (grid rows bit-identical for any --jobs, streams
-// decorrelated across sessions), and the homed/unhomed RMR ordering the
-// E17 assertions build on.
+// decorrelated across sessions), the homed/unhomed RMR ordering the E17
+// assertions build on, and the cross-backend check that the native table
+// prices a replayed op stream exactly as the simulator's ledgers do.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
+#include "dist/load.hpp"
+#include "dist/native_table.hpp"
 #include "dist/sim_table.hpp"
 
 namespace rwr::dist {
+
+struct CrossCase {
+    TableConfig table;
+    std::uint32_t reader_pct;
+};
+
+// Names each CrossBackend case by its geometry and mix.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+    *os << "shards=" << c.table.shards
+        << " locks=" << c.table.locks_per_shard << " r" << c.reader_pct
+        << (c.table.homed ? "" : " unhomed");
+}
+
 namespace {
 
 DistSimConfig small_cfg(bool homed, std::uint32_t reader_pct) {
@@ -92,6 +111,57 @@ TEST(DistSimTable, GridIsBitIdenticalForAnyJobsValue) {
         EXPECT_EQ(a[i].session_rmrs, b[i].session_rmrs) << "cell " << i;
     }
 }
+
+class CrossBackend : public ::testing::TestWithParam<CrossCase> {};
+
+TEST_P(CrossBackend, NativeSessionPricesTheOpStreamLikeTheSim) {
+    // One session, so both backends run the same step sequence: the sim
+    // prices it with Memory's DSM ledgers, the native table with its
+    // software segment rule over a plain word array. E17's native
+    // network_rmrs_per_op rests on the two agreeing.
+    const CrossCase& c = GetParam();
+    ASSERT_EQ(c.table.sessions, 1u);
+    DistSimConfig sc;
+    sc.table = c.table;
+    sc.ops_per_session = 200;
+    sc.reader_pct = c.reader_pct;
+    sc.seed = 11;
+    const DistSimResult sim = run_dist_sim(sc);
+    ASSERT_TRUE(sim.finished);
+    EXPECT_EQ(sim.witness_violations, 0u);
+
+    const TableLayout lay(c.table);
+    const auto words =
+        std::make_unique<std::atomic<Word>[]>(lay.total_words());
+    const auto spots = std::make_unique<native::ParkingSpot[]>(1);
+    NativeTable table(words.get(), c.table, spots.get());
+    LoadConfig lc;
+    lc.ops_per_session = sc.ops_per_session;
+    lc.reader_pct = sc.reader_pct;
+    lc.seed = sc.seed;
+    lc.jobs = 1;
+    const LoadResult native = run_load(table, lc);
+
+    EXPECT_EQ(native.merged.violations, 0u);
+    EXPECT_EQ(native.witness_violations, 0u);
+    EXPECT_EQ(native.merged.read_ops, sim.read_ops);
+    EXPECT_EQ(native.merged.write_ops, sim.write_ops);
+    EXPECT_EQ(native.merged.network_rmrs, sim.network_rmrs);
+    EXPECT_GT(sim.network_rmrs, 0u);
+}
+
+// Homed and unhomed, reader mixes 0/50/90/100%, four shard x lock
+// geometries.
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, CrossBackend,
+    ::testing::Values(CrossCase{{1, 1, 1, true}, 0},
+                      CrossCase{{1, 1, 1, false}, 100},
+                      CrossCase{{2, 3, 1, true}, 50},
+                      CrossCase{{2, 3, 1, false}, 90},
+                      CrossCase{{4, 2, 1, true}, 90},
+                      CrossCase{{4, 2, 1, false}, 50},
+                      CrossCase{{3, 1, 1, true}, 100},
+                      CrossCase{{3, 1, 1, false}, 0}));
 
 TEST(DistOpStream, SameSeedSameStream) {
     OpStream a(42, 3);
