@@ -4,9 +4,11 @@
 // Two tables, both printed on every run:
 //   * solo: ns per uncontended passage on one thread
 //     (perf::solo_ns_per_call) for A_f readers and writers over an (n, f)
-//     sweep and for the centralized, FAA and std::shared_mutex readers --
-//     the instruction-path mirror of Theorem 18: the A_f reader gets
-//     cheaper as f rises (Θ(log(n/f))), the writer dearer (Θ(f));
+//     sweep, for AfSharedMutex(64, 8) readers and writers (the id-less
+//     facade at the A_f (64, 8) point, slot lookup included) and for the
+//     centralized, FAA and std::shared_mutex readers -- the
+//     instruction-path mirror of Theorem 18: the A_f reader gets cheaper
+//     as f rises (Θ(log(n/f))), the writer dearer (Θ(f));
 //   * grid: the telemetry-instrumented contended workloads
 //     (perf::run_perf) -- throughput, CPU, latency quantiles and
 //     telemetry counters per config.
@@ -35,6 +37,7 @@
 #include "native/baselines.hpp"
 #include "native/park.hpp"
 #include "native/perf.hpp"
+#include "native/shared_mutex.hpp"
 
 namespace {
 
@@ -49,11 +52,12 @@ void solo_table(bench::Kit& kit, std::uint32_t ms) {
     const std::chrono::milliseconds window(ms);
     Table t({"lock", "passage", "n", "f", "ns/passage"});
     const auto row = [&](const char* lock, const char* passage,
-                         std::uint32_t n, std::uint32_t f, double ns) {
+                         std::uint32_t n, std::uint32_t f, double ns,
+                         std::uint32_t m = 1) {
         t.row({lock, passage, fmt(n), fmt(f), fmt(ns)});
         if (auto* results = kit.results()) {
             auto r = bench::key_row(
-                {.lock = lock, .n = n, .m = 1, .f = f, .threads = 1,
+                {.lock = lock, .n = n, .m = m, .f = f, .threads = 1,
                  .workload = std::string("solo-") + passage});
             r.set("duration_ms", ms);
             r.set("throughput_ops", 1e9 / ns);
@@ -82,6 +86,14 @@ void solo_table(bench::Kit& kit, std::uint32_t ms) {
             lock.unlock_shared();
         }, window);
     };
+    AfSharedMutex facade(64, 8);
+    const std::uint32_t facade_f = facade.underlying().f();
+    row("af-shared-mutex", "reader", 64, facade_f, reader_ns(facade), 8);
+    row("af-shared-mutex", "writer", 64, facade_f,
+        perf::solo_ns_per_call([&] {
+            facade.lock();
+            facade.unlock();
+        }, window), 8);
     CentralizedRWLock centralized;
     row("centralized", "reader", 1, 1, reader_ns(centralized));
     FaaRWLock faa(1);

@@ -19,13 +19,16 @@
 // the survivors; see DESIGN.md §8 for the argument. Aborts are bounded:
 // O(log K) steps for a reader, O(f + log m) for a writer.
 //
-// Misuse checks: unless compiled with RWR_AF_MISUSE_CHECKS=0, every
-// entry/exit verifies the caller's id is used consistently (no unlock
-// without lock, no double release driving C[i] negative, no unlock of a WL
-// the caller does not hold, no concurrent reuse of one id) and throws
-// std::logic_error on violation. The checks are one uncontended atomic
-// exchange per call -- negligible next to the f-array tree walk -- but can
-// be stripped for benchmark purity.
+// Misuse checks: every entry/exit verifies the caller's id is used
+// consistently and throws std::logic_error on violation, before any shared
+// state changes. A reader's checks cost nothing: lines 31 and 40 CAS the
+// reader's own C[i] leaf from 0 to 1 and back (FArrayCounter::move), so a
+// recursive lock_shared, an unlock_shared without lock_shared and
+// concurrent reuse of one reader id each fail that CAS; lines 34/37 do the
+// same on W[i]. The writer checks (no concurrent reuse of one writer id,
+// no unlock without lock, no unlock of a WL the caller does not hold) cost
+// an uncontended exchange per call and compile out with
+// RWR_AF_MISUSE_CHECKS=0; the reader checks hold in every build.
 #pragma once
 
 #include <atomic>
@@ -55,16 +58,17 @@ class AfLock {
         : n_(n), m_(m), f_(validated_f(n, m, f)), k_((n + f_ - 1) / f_),
           wl_(m) {
         const std::uint32_t groups = (n + k_ - 1) / k_;
+        c_.reserve(groups);
+        w_.reserve(groups);
         for (std::uint32_t i = 0; i < groups; ++i) {
-            c_.push_back(std::make_unique<FArrayCounter>(k_));
-            w_.push_back(std::make_unique<FArrayCounter>(k_));
+            c_.emplace_back(k_);
+            w_.emplace_back(k_);
         }
         wsig_ = std::make_unique<Signal[]>(groups);
         groups_ = groups;
         RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n_);
                   writer_retry_ = std::make_unique<TelemetryFlag[]>(m_);)
 #if RWR_AF_MISUSE_CHECKS
-        reader_busy_ = std::make_unique<PaddedFlag[]>(n_);
         writer_busy_ = std::make_unique<PaddedFlag[]>(m_);
 #endif
     }
@@ -97,16 +101,15 @@ class AfLock {
 
     bool lock_shared_until(std::uint32_t reader_id, Deadline deadline) {
         check_reader(reader_id);
-        reader_acquire_guard(reader_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderEntry);
-                  if (telemetry_ && reader_retry_[reader_id].v.exchange(
-                                        0, std::memory_order_relaxed) != 0) {
-                      telemetry_->count(TelemetryCounter::kReaderAbortRetry);
-                  })
+        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderEntry);)
         const std::uint32_t g = reader_id / k_;
         const std::uint32_t slot = reader_id % k_;
 
-        c_[g]->add(slot, +1);                       // Line 31.
+        move_leaf(c_[g], slot, 0, 1, kReaderBusy);  // Line 31.
+        RWR_TELEM(if (telemetry_ && reader_retry_[reader_id].v.exchange(
+                                        0, std::memory_order_relaxed) != 0) {
+                      telemetry_->count(TelemetryCounter::kReaderAbortRetry);
+                  })
         const std::uint64_t sig = rsig_.load();     // Line 32.
         if (rs_op(sig) != kRsWait) {                // Line 33.
             RWR_TELEM(if (telemetry_) {
@@ -117,13 +120,13 @@ class AfLock {
         }
         const std::uint64_t seq = sig_seq(sig);
         if (!deadline.is_immediate()) {
-            w_[g]->add(slot, +1);                   // Line 34.
+            move_leaf(w_[g], slot, 0, 1, kReaderBusy);  // Line 34.
             help_wcs(g, seq);                       // Line 35.
             Backoff backoff;
             const bool acquired =                   // Line 36 (parked).
                 wait_until(rsig_spot_, deadline, RWR_TELEM_PTR(telemetry_),
                            backoff, [&] { return rsig_.load() != sig; });
-            w_[g]->add(slot, -1);                   // Line 37.
+            move_leaf(w_[g], slot, 1, 0, kReaderBusy);  // Line 37.
             RWR_TELEM(if (telemetry_) {
                 telemetry_->count(TelemetryCounter::kReaderContended);
                 telemetry_->note_backoff(backoff);
@@ -141,7 +144,6 @@ class AfLock {
         // handshake duties, so a writer waiting on this group still gets
         // its PROCEED/CS signal from us or from a remaining reader.
         shared_exit_section(g, slot);
-        reader_release_guard(reader_id);
         RWR_TELEM(if (telemetry_) {
             telemetry_->count(TelemetryCounter::kReaderAbort);
             reader_retry_[reader_id].v.store(1, std::memory_order_relaxed);
@@ -152,7 +154,6 @@ class AfLock {
 
     void unlock_shared(std::uint32_t reader_id) {
         check_reader(reader_id);
-        reader_release_guard(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
         shared_exit_section(reader_id / k_, reader_id % k_);
         RWR_TELEM(sw.stop();)
@@ -204,7 +205,7 @@ class AfLock {
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
         for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 12-17.
-            if (c_[i]->read() > 0) {                   // Line 13.
+            if (c_[i].read() > 0) {                    // Line 13.
                 Backoff backoff;
                 RWR_TELEM(contended = true;)
                 const bool ok = wait_until(       // Line 14 (parked).
@@ -231,7 +232,7 @@ class AfLock {
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
 
         for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 19-23.
-            if (c_[i]->read() != 0) {                  // Line 20.
+            if (c_[i].read() != 0) {                   // Line 20.
                 Backoff backoff;
                 RWR_TELEM(contended = true;)
                 const bool ok = wait_until(       // Line 21 (parked).
@@ -290,7 +291,7 @@ class AfLock {
                   "one WSIG per cache line: adjacent groups' signals are "
                   "written by the writer and CASed by different readers");
 
-    /// One-byte guard flag padded to a full line: the busy flags are
+    /// One-byte guard flag padded to a full line: the writer busy flags are
     /// exchanged on every acquire/release by different threads, so packing
     /// 64 of them per line would bounce that line across every core.
     struct alignas(64) PaddedFlag {
@@ -313,11 +314,11 @@ class AfLock {
     /// Exit section, lines 40-48: shared by unlock_shared and the reader
     /// abort path (which must discharge the same signalling obligations).
     void shared_exit_section(std::uint32_t g, std::uint32_t slot) {
-        c_[g]->add(slot, -1);                    // Line 40.
+        move_leaf(c_[g], slot, 1, 0, kReaderIdle);  // Line 40.
         const std::uint64_t sig = rsig_.load();  // Line 41.
         const std::uint64_t seq = sig_seq(sig);
         if (rs_op(sig) == kRsPreEntry) {         // Line 42.
-            if (c_[g]->read() == 0) {            // Line 43.
+            if (c_[g].read() == 0) {             // Line 43.
                 std::uint64_t expected = pack(seq, kWsBot);
                 if (wsig_[g].word.compare_exchange_strong(
                         expected, pack(seq, kWsProceed))) {  // Line 45.
@@ -346,10 +347,15 @@ class AfLock {
         writer_release_guard(writer_id);
     }
 
+    /// Line 51 compares C[i] and W[i], which must be read at one instant:
+    /// two plain reads can fake equality while a reader is still in the CS,
+    /// when a reader arrives (C, then W) or aborts (W, then C) between
+    /// them. equals_now() answers "not equal" when C[i] changed around the
+    /// read of W[i]. That costs no liveness: while RSIG is WAIT, every
+    /// change of C[i] or W[i] is followed by its reader's own call here,
+    /// and the call after the last change sees both counts settled.
     void help_wcs(std::uint32_t g, std::uint64_t seq) {  // Lines 50-54.
-        const std::int64_t c = c_[g]->read();
-        const std::int64_t w = w_[g]->read();
-        if (c == w) {
+        if (c_[g].equals_now(w_[g])) {
             std::uint64_t expected = pack(seq, kWsWait);
             if (wsig_[g].word.compare_exchange_strong(expected,
                                                       pack(seq, kWsCs))) {
@@ -377,22 +383,28 @@ class AfLock {
         }
     }
 
-    // ---- Misuse detection (compiled out with RWR_AF_MISUSE_CHECKS=0) ----
+    // ---- Misuse detection ----
+    static constexpr const char* kReaderBusy =
+        "AfLock: reader id already in an acquisition or passage "
+        "(concurrent id reuse or recursive lock_shared)";
+    static constexpr const char* kReaderIdle =
+        "AfLock: unlock_shared without matching lock_shared "
+        "(double release would drive C[i] negative)";
+
+    /// A reader's own leaf is 1 from line 31 to line 40 (C[i]) and from
+    /// line 34 to line 37 (W[i]), and 0 otherwise, so the f-array move that
+    /// the protocol line makes anyway is also the misuse check: it fails,
+    /// writing nothing, exactly when the id is misused.
+    static void move_leaf(FArrayCounter& counter, std::uint32_t slot,
+                          std::int32_t from, std::int32_t to,
+                          const char* misuse) {
+        if (!counter.move(slot, from, to)) {
+            throw std::logic_error(misuse);
+        }
+    }
+
+    // Writer checks: compiled out with RWR_AF_MISUSE_CHECKS=0.
 #if RWR_AF_MISUSE_CHECKS
-    void reader_acquire_guard(std::uint32_t id) {
-        if (reader_busy_[id].v.exchange(1) != 0) {
-            throw std::logic_error(
-                "AfLock: reader id already in an acquisition or passage "
-                "(concurrent id reuse or recursive lock_shared)");
-        }
-    }
-    void reader_release_guard(std::uint32_t id) {
-        if (reader_busy_[id].v.exchange(0) == 0) {
-            throw std::logic_error(
-                "AfLock: unlock_shared without matching lock_shared "
-                "(double release would drive C[i] negative)");
-        }
-    }
     void writer_acquire_guard(std::uint32_t id) {
         if (writer_busy_[id].v.exchange(1) != 0) {
             throw std::logic_error(
@@ -415,8 +427,6 @@ class AfLock {
         }
     }
 #else
-    void reader_acquire_guard(std::uint32_t) {}
-    void reader_release_guard(std::uint32_t) {}
     void writer_acquire_guard(std::uint32_t) {}
     void writer_release_guard(std::uint32_t) {}
     void note_wl_held(std::uint32_t) {}
@@ -425,10 +435,10 @@ class AfLock {
 #endif
 
     std::uint32_t n_, m_, f_, k_, groups_ = 0;
-    // c_/w_ hold cold unique_ptrs; the FArrayCounter nodes themselves are
-    // heap-allocated with one alignas(64) node per line (counter.hpp).
-    std::vector<std::unique_ptr<FArrayCounter>> c_;
-    std::vector<std::unique_ptr<FArrayCounter>> w_;
+    // The counters are read-only handles after construction; their nodes
+    // are heap-allocated with one alignas(64) node per line (counter.hpp).
+    std::vector<FArrayCounter> c_;
+    std::vector<FArrayCounter> w_;
     TournamentMutex wl_;
     std::unique_ptr<Signal[]> wsig_;
     alignas(64) std::atomic<std::uint64_t> wseq_{0};
@@ -446,7 +456,6 @@ class AfLock {
 #endif
 #if RWR_AF_MISUSE_CHECKS
     static constexpr std::uint32_t kNoHolder = 0xffffffffu;
-    std::unique_ptr<PaddedFlag[]> reader_busy_;
     std::unique_ptr<PaddedFlag[]> writer_busy_;
     alignas(64) mutable std::atomic<std::uint32_t> wl_holder_{kNoHolder};
 #endif

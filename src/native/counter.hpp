@@ -1,14 +1,20 @@
 // Native (std::atomic) K-process f-array counter -- the same Jayanti-style
 // tree as counter/sim_counter.hpp, compiled to real atomics.
 //
-// add(slot, delta): update the slot's single-writer leaf, then double-
-// refresh every ancestor (read node, read children, CAS <version+1, sum>).
-// Wait-free, Θ(log K) steps. read(): one load of the root.
+// move(slot, from, to): CAS the slot's leaf from `from` to `to`, then
+// double-refresh every ancestor (read node, read children, CAS
+// <version+1, sum>). Wait-free, Θ(log K) steps. A leaf that is not `from`
+// fails the CAS and nothing is written: each slot has one caller at a
+// time, so only a caller that misjudges its own leaf (or shares its slot)
+// sees the failure. add(slot, delta) is a move from the leaf's current
+// value. read(): one load of the root. equals_now(other): compares with a
+// second counter as of one instant (AfLock's HelpWCS needs C[i] = W[i]).
 //
 // Memory ordering: all operations use sequential consistency. These
-// algorithms (and the paper's model) assume an SC memory system; on x86 the
-// cost difference is confined to the stores, and correctness under weaker
-// orderings has not been analysed -- do not relax.
+// algorithms (and the paper's model) assume an SC memory system; on x86
+// every update here is a locked CAS whatever its ordering, so SC costs
+// nothing extra, and correctness under weaker orderings has not been
+// analysed -- do not relax.
 #pragma once
 
 #include <atomic>
@@ -35,32 +41,52 @@ class FArrayCounter {
         }
     }
 
-    /// Adds `delta` on behalf of `slot` (< capacity; one concurrent caller
-    /// per slot).
-    void add(std::uint32_t slot, std::int64_t delta) {
+    /// Moves `slot`'s leaf (slot < capacity) from `from` to `to` and
+    /// refreshes its ancestors; the counter gains to - from. Returns false,
+    /// writing nothing, when the leaf is not `from`.
+    [[nodiscard]] bool move(std::uint32_t slot, std::int32_t from,
+                            std::int32_t to) {
         const std::uint32_t leaf = num_internal_ + slot;
-        // Single-writer leaf: plain RMW through seq_cst load/store.
-        const std::uint64_t cur = nodes_[leaf].word.load();
-        const auto next = static_cast<std::int32_t>(value_of(cur) + delta);
-        nodes_[leaf].word.store(pack(0, next));
-
-        if (num_internal_ == 0) {
-            return;  // K == 1: the leaf is the root.
+        std::uint64_t expected = pack(0, from);
+        if (!nodes_[leaf].word.compare_exchange_strong(expected,
+                                                       pack(0, to))) {
+            return false;
         }
-        std::uint32_t u = (leaf - 1) / 2;
-        for (;;) {
+        for (std::uint32_t u = leaf; u != 0;) {  // K == 1: leaf is root.
+            u = (u - 1) / 2;
             if (!refresh(u)) {
                 refresh(u);  // Double refresh; outcome irrelevant.
             }
-            if (u == 0) {
-                break;
-            }
-            u = (u - 1) / 2;
+        }
+        return true;
+    }
+
+    /// Adds `delta` on behalf of `slot` (< capacity). Throws
+    /// std::logic_error if another caller changes the slot's leaf
+    /// meanwhile: one concurrent caller per slot.
+    void add(std::uint32_t slot, std::int64_t delta) {
+        const std::int32_t cur =
+            value_of(nodes_[num_internal_ + slot].word.load());
+        if (!move(slot, cur, static_cast<std::int32_t>(cur + delta))) {
+            throw std::logic_error(
+                "FArrayCounter: two concurrent callers on one slot");
         }
     }
 
     [[nodiscard]] std::int64_t read() const {
         return value_of(nodes_[0].word.load());
+    }
+
+    /// True when this count did not change around a read of `other` and
+    /// equals it at that instant; false otherwise. The root is read before
+    /// and after, and for K > 1 every change of the root bumps its
+    /// version. (At K = 1 the root is a leaf, so a change and its undoing
+    /// in between go unseen; only a caller that owns the one slot may rely
+    /// on the answer there.)
+    [[nodiscard]] bool equals_now(const FArrayCounter& other) const {
+        const std::uint64_t before = nodes_[0].word.load();
+        const std::int64_t theirs = other.read();
+        return nodes_[0].word.load() == before && value_of(before) == theirs;
     }
 
     [[nodiscard]] std::uint32_t capacity() const { return capacity_; }

@@ -8,8 +8,20 @@
 // Threads are lazily assigned reader/writer slots on first use; slots are
 // returned when the thread exits. A thread may not hold the lock in both
 // modes, nor recursively.
+//
+// Slot lookup: every slot pool has a process-wide id that is never reused,
+// and each thread caches (pool id, slot) pairs in a small direct-mapped
+// thread_local array that is trivially destructible. A repeat lookup is one
+// load and compare of that entry: no TLS-init call, no hash, no division.
+// Only a miss -- a thread's first use of a pool, or an entry evicted by a
+// pool whose id maps to the same place -- reaches the thread's lease map.
+// An entry left behind by a destroyed mutex never matches, since a later
+// mutex gets new ids even where it reuses the old one's address.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -28,12 +40,15 @@ namespace detail {
 /// exit via thread_local destructors.
 class SlotPool {
    public:
-    explicit SlotPool(std::uint32_t capacity) {
+    explicit SlotPool(std::uint32_t capacity) : id_(next_id()) {
         free_.reserve(capacity);
         for (std::uint32_t i = capacity; i-- > 0;) {
             free_.push_back(i);
         }
     }
+
+    /// Process-wide, never reused, never 0.
+    [[nodiscard]] std::uint64_t id() const { return id_; }
 
     std::uint32_t acquire() {
         std::lock_guard<std::mutex> g(mu_);
@@ -52,32 +67,62 @@ class SlotPool {
     }
 
    private:
+    static std::uint64_t next_id() {
+        static std::atomic<std::uint64_t> last{0};
+        return last.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+
+    const std::uint64_t id_;
     std::mutex mu_;
     std::vector<std::uint32_t> free_;
 };
 
-/// Per-thread slot lease keyed by pool instance. Pools are owned through
+/// One entry of the per-thread cache in front of ThreadSlots.
+struct CachedSlot {
+    std::uint64_t pool = 0;  ///< SlotPool::id(); 0 = empty.
+    std::uint32_t slot = 0;
+};
+
+/// Pool id x is cached in entry x mod 16 (a power of two, so no division).
+/// Constant-initialized and trivially destructible, so the thread_local
+/// needs no guard and no TLS-init call.
+inline std::array<CachedSlot, 16>& slot_cache() {
+    thread_local std::array<CachedSlot, 16> cache{};
+    return cache;
+}
+
+/// Per-thread slot leases keyed by pool id. Pools are owned through
 /// shared_ptr and leased through weak_ptr: a thread outliving the mutex (or
 /// the mutex outliving the thread) must not touch freed memory when the
-/// lease is returned at thread exit.
+/// lease is returned at thread exit. Leases of destroyed pools are dropped
+/// whenever the map has doubled since the last sweep, so a thread that
+/// churns through short-lived mutexes keeps O(live mutexes) leases, at
+/// amortized O(1) per new lease.
 class ThreadSlots {
    public:
     std::uint32_t get(const std::shared_ptr<SlotPool>& pool) {
-        auto it = leases_.find(pool.get());
+        auto it = leases_.find(pool->id());
         if (it != leases_.end()) {
             return it->second.slot;
         }
+        if (leases_.size() >= sweep_at_) {
+            std::erase_if(leases_, [](const auto& kv) {
+                return kv.second.pool.expired();
+            });
+            sweep_at_ = std::max(kMinSweep, 2 * leases_.size());
+        }
         const std::uint32_t s = pool->acquire();
-        leases_.emplace(pool.get(), Lease{pool, s});
+        leases_.emplace(pool->id(), Lease{pool, s});
         return s;
     }
 
     ~ThreadSlots() {
-        for (auto& [key, lease] : leases_) {
+        for (auto& [id, lease] : leases_) {
             if (auto pool = lease.pool.lock()) {
                 pool->release(lease.slot);
             }
         }
+        slot_cache().fill({});  // The slots are no longer ours.
     }
 
    private:
@@ -85,12 +130,24 @@ class ThreadSlots {
         std::weak_ptr<SlotPool> pool;
         std::uint32_t slot;
     };
-    std::unordered_map<const SlotPool*, Lease> leases_;
+    static constexpr std::size_t kMinSweep = 16;
+    std::size_t sweep_at_ = kMinSweep;
+    std::unordered_map<std::uint64_t, Lease> leases_;
 };
 
 inline ThreadSlots& thread_slots() {
     thread_local ThreadSlots slots;
     return slots;
+}
+
+/// This thread's slot in `pool`, leased on first use.
+inline std::uint32_t thread_slot(const std::shared_ptr<SlotPool>& pool) {
+    auto& cache = slot_cache();
+    CachedSlot& e = cache[pool->id() % cache.size()];
+    if (e.pool != pool->id()) {
+        e = {pool->id(), thread_slots().get(pool)};
+    }
+    return e.slot;
 }
 
 }  // namespace detail
@@ -113,32 +170,32 @@ class AfSharedMutex {
     void attach_telemetry(LockTelemetry* t) { lock_.attach_telemetry(t); }
 
     void lock_shared() {
-        lock_.lock_shared(detail::thread_slots().get(reader_slots_));
+        lock_.lock_shared(detail::thread_slot(reader_slots_));
     }
     void unlock_shared() {
-        lock_.unlock_shared(detail::thread_slots().get(reader_slots_));
+        lock_.unlock_shared(detail::thread_slot(reader_slots_));
     }
-    void lock() { lock_.lock(detail::thread_slots().get(writer_slots_)); }
+    void lock() { lock_.lock(detail::thread_slot(writer_slots_)); }
     void unlock() {
-        lock_.unlock(detail::thread_slots().get(writer_slots_));
+        lock_.unlock(detail::thread_slot(writer_slots_));
     }
 
     // std::shared_timed_mutex-style abortable acquisition; composes with
     // std::shared_lock/std::unique_lock try_to_lock and timed constructors.
     bool try_lock_shared() {
-        return lock_.try_lock_shared(detail::thread_slots().get(reader_slots_));
+        return lock_.try_lock_shared(detail::thread_slot(reader_slots_));
     }
     bool try_lock() {
-        return lock_.try_lock(detail::thread_slots().get(writer_slots_));
+        return lock_.try_lock(detail::thread_slot(writer_slots_));
     }
     template <class Rep, class Period>
     bool try_lock_shared_for(std::chrono::duration<Rep, Period> timeout) {
         return lock_.try_lock_shared_for(
-            detail::thread_slots().get(reader_slots_), timeout);
+            detail::thread_slot(reader_slots_), timeout);
     }
     template <class Rep, class Period>
     bool try_lock_for(std::chrono::duration<Rep, Period> timeout) {
-        return lock_.try_lock_for(detail::thread_slots().get(writer_slots_),
+        return lock_.try_lock_for(detail::thread_slot(writer_slots_),
                                   timeout);
     }
     template <class Clock, class Duration>

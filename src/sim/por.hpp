@@ -19,11 +19,18 @@
 // memory contents, the same per-process responses, and therefore the same
 // subsequent behaviour -- which is exactly why the explorer may prune one of
 // the two orders. Correctness of pruning additionally requires that every
-// *observer* of the run be insensitive to the order of independent steps;
-// checkers keyed on per-process/section state (MutualExclusionChecker,
-// RmeChecker, crash faults on victim-local step counts) are, but anything
-// keyed on the global step counter (Stall fault resume deadlines) is not --
-// Scenario::reduction_safe gates those out (explorer.hpp).
+// *observer* of the run be insensitive to the order of independent steps.
+// Crash faults on victim-local step counts are. Checkers keyed on section
+// state (MutualExclusionChecker, RmeChecker) are NOT: a process's CS dwell
+// is a run of Local steps, independent of everything above, yet whether
+// two processes are in the CS at the same moment depends on how that dwell
+// interleaves with the other's entry and exit steps. So a clean reduced
+// verdict does not prove mutual exclusion -- reduced DPOR misses the
+// FaaSimRWLock stale-wgate_ violation that unreduced DFS and random
+// schedules find (ROADMAP.md, "Fix first": "Reduced DPOR misses that
+// violation"). Anything keyed on the global step counter (Stall fault
+// resume deadlines) is not insensitive either; Scenario::reduction_safe
+// gates those out (explorer.hpp).
 #pragma once
 
 #include <cstdint>

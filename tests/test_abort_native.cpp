@@ -290,6 +290,76 @@ TEST(AfLockMisuse, FailedTryLeavesIdReusable) {
 }
 #endif  // RWR_AF_MISUSE_CHECKS
 
+// Reader misuse is caught by the C[i] leaf CAS itself, so these checks hold
+// in every build.
+
+/// Reader id 0 is held by another thread: every acquisition of it here
+/// must throw.
+void expect_reader_id_reuse_throws(AfLock& lock) {
+    EXPECT_THROW(lock.lock_shared(0), std::logic_error);
+    EXPECT_THROW(lock.try_lock_shared(0), std::logic_error);
+    EXPECT_THROW(lock.try_lock_shared_for(0, 1ms), std::logic_error);
+}
+
+TEST(AfLockReaderMisuse, IdHeldOnAnotherThreadThrows) {
+    AfLock lock(4, 1, 2);
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::thread a([&] {
+        lock.lock_shared(0);
+        holding.store(true);
+        while (!release.load()) {
+            std::this_thread::yield();
+        }
+        lock.unlock_shared(0);
+    });
+    while (!holding.load()) {
+        std::this_thread::yield();
+    }
+    expect_reader_id_reuse_throws(lock);
+    EXPECT_FALSE(lock.try_lock(0));  // a is still in the CS.
+    release.store(true);
+    a.join();
+    // The failed calls left C[g] alone: a's exit took it back to 0.
+    EXPECT_TRUE(lock.try_lock(0));
+    lock.unlock(0);
+    expect_lock_intact(lock);
+}
+
+TEST(AfLockReaderMisuse, IdParkedBehindAWriterThrows) {
+    ASSERT_TRUE(parking_enabled())
+        << "RWR_PARK=0 leaked into the test environment";
+    LockTelemetry telemetry;
+    AfLock lock(4, 1, 2);
+    lock.attach_telemetry(&telemetry);
+    lock.lock(0);  // RSIG = WAIT: reader 0 parks at line 36.
+    std::atomic<bool> entered{false};
+    std::thread a([&] {
+        lock.lock_shared(0);
+        entered.store(true);
+        lock.unlock_shared(0);
+    });
+    // Only the reader can park here, and it parks holding C[g] and W[g].
+    const auto parked = [&] {
+        return telemetry.aggregate().count(TelemetryCounter::kFutexWait) > 0;
+    };
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!parked() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_TRUE(parked());
+    if (parked()) {
+        expect_reader_id_reuse_throws(lock);
+    }
+    EXPECT_FALSE(entered.load());
+    lock.unlock(0);
+    a.join();
+    EXPECT_TRUE(entered.load());
+    EXPECT_TRUE(lock.try_lock(0));
+    lock.unlock(0);
+    expect_lock_intact(lock);
+}
+
 // ---- AfSharedMutex facade --------------------------------------------------
 
 TEST(AfSharedMutexTimed, TryAndTimedPathsInterop) {

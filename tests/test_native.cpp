@@ -6,9 +6,13 @@
 // sized so the suite stays fast while still forcing real interleavings via
 // yields in every spin loop.
 #include <gtest/gtest.h>
+#if __has_include(<malloc.h>)
+#include <malloc.h>  // mallinfo2
+#endif
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <tuple>
@@ -39,28 +43,68 @@ TEST(NativeCounter, CapacityOne) {
 }
 
 TEST(NativeCounter, ConcurrentAdds) {
+    // Once through add() and once through move() from the leaf value each
+    // thread tracks for its own slot: both paths must sum exactly.
     constexpr std::uint32_t kThreads = 4;
     constexpr int kIters = 5000;
-    FArrayCounter c(kThreads);
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&c, t] {
-            for (int i = 0; i < kIters; ++i) {
-                c.add(t, +1);
-                if (i % 3 == 0) {
-                    c.add(t, -1);
+    for (const bool via_move : {false, true}) {
+        FArrayCounter c(kThreads);
+        std::atomic<bool> move_failed{false};
+        std::vector<std::thread> threads;
+        for (std::uint32_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                std::int32_t leaf = 0;
+                const auto step = [&](std::int32_t delta) {
+                    if (!via_move) {
+                        c.add(t, delta);
+                    } else if (!c.move(t, leaf, leaf + delta)) {
+                        move_failed.store(true);
+                    }
+                    leaf += delta;
+                };
+                for (int i = 0; i < kIters; ++i) {
+                    step(+1);
+                    if (i % 3 == 0) {
+                        step(-1);
+                    }
                 }
-            }
-        });
+            });
+        }
+        for (auto& th : threads) {
+            th.join();
+        }
+        std::int64_t expected = 0;
+        for (std::uint32_t t = 0; t < kThreads; ++t) {
+            expected += kIters - (kIters + 2) / 3;
+        }
+        EXPECT_FALSE(move_failed.load()) << "via_move=" << via_move;
+        EXPECT_EQ(c.read(), expected) << "via_move=" << via_move;
     }
-    for (auto& th : threads) {
-        th.join();
+}
+
+TEST(NativeCounter, MoveFromTheWrongValueWritesNothing) {
+    // `ref` takes the same adds as `c` but never a failed move: the two
+    // must read the same after every step.
+    for (const std::uint32_t k : {1u, 8u}) {
+        FArrayCounter c(k);
+        FArrayCounter ref(k);
+        std::vector<std::int32_t> leaf(k, 0);
+        for (std::uint32_t i = 0; i < 4 * k; ++i) {
+            const std::uint32_t slot = (3 * i) % k;
+            EXPECT_FALSE(c.move(slot, leaf[slot] + 1, 7));
+            EXPECT_FALSE(c.move(slot, leaf[slot] - 1, leaf[slot]));
+            EXPECT_EQ(c.read(), ref.read()) << "k=" << k << " i=" << i;
+            const std::int32_t delta = (i % 2 == 0) ? 5 : -2;
+            c.add(slot, delta);
+            ref.add(slot, delta);
+            leaf[slot] += delta;
+            EXPECT_EQ(c.read(), ref.read()) << "k=" << k << " i=" << i;
+        }
+        // A move from the true leaf value still lands, as an add would.
+        ASSERT_TRUE(c.move(0, leaf[0], leaf[0] + 10));
+        ref.add(0, 10);
+        EXPECT_EQ(c.read(), ref.read()) << "k=" << k;
     }
-    std::int64_t expected = 0;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-        expected += kIters - (kIters + 2) / 3;
-    }
-    EXPECT_EQ(c.read(), expected);
 }
 
 TEST(NativeCounter, ReadNeverExceedsStartedAdds) {
@@ -207,6 +251,21 @@ TEST_P(NativeAfStress, MutualExclusionInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NativeAfStress,
                          ::testing::ValuesIn(native_af_grid()));
+
+TEST(NativeAfLock, OneGroupOfFourKeepsTheWriterOut) {
+    // f = 1 puts all four readers in one group. While the writer waits at
+    // line 21, an exiting reader checks C[0] == W[0]; a reader arriving
+    // between a read of C[0] and a read of W[0] made them look equal with
+    // a third reader still in the CS, and the writer entered beside it.
+    // That failed in about one round in seven on a 4-core host, so 40
+    // rounds all but always catch it.
+    for (int round = 0; round < 40; ++round) {
+        AfLock lock(4, 1, 1);
+        RwInvariants inv;
+        stress_rw(lock, 4, 1, 5000, &inv);
+        ASSERT_FALSE(inv.violated.load()) << "round " << round;
+    }
+}
 
 TEST(NativeAfLock, ArgumentValidation) {
     EXPECT_THROW(AfLock(4, 1, 0), std::invalid_argument);
@@ -362,6 +421,82 @@ TEST(AfSharedMutex, StdSharedLockInterop) {
     EXPECT_FALSE(inv.violated.load());
     EXPECT_EQ(value, 1000);
 }
+
+TEST(AfSharedMutex, SuccessorOfADestroyedMutexGetsItsOwnLease) {
+    // Each successor is built at its predecessor's address, after this
+    // thread used the predecessor. This thread must still take the
+    // successor's only reader slot, so a second thread finds none left --
+    // not a second holder of slot 0, which a lookup keyed by the mutex's
+    // address would make it.
+    std::optional<AfSharedMutex> mtx;
+    for (int generation = 0; generation < 4; ++generation) {
+        mtx.emplace(/*max_readers=*/1, /*max_writers=*/1);
+        mtx->lock_shared();
+        std::atomic<bool> exhausted{false};
+        std::atomic<bool> misused{false};
+        std::thread t([&] {
+            try {
+                mtx->lock_shared();
+                mtx->unlock_shared();
+            } catch (const std::runtime_error&) {
+                exhausted.store(true);
+            } catch (const std::logic_error&) {
+                misused.store(true);
+            }
+        });
+        t.join();
+        mtx->unlock_shared();
+        EXPECT_TRUE(exhausted.load()) << "generation " << generation;
+        EXPECT_FALSE(misused.load()) << "generation " << generation;
+    }
+}
+
+TEST(AfSharedMutex, SlotFreedAtThreadExitGoesToALaterThread) {
+    AfSharedMutex mtx(/*max_readers=*/1, /*max_writers=*/1);
+    for (int i = 0; i < 3; ++i) {
+        std::atomic<bool> threw{false};
+        std::thread t([&] {
+            try {
+                mtx.lock_shared();
+                mtx.unlock_shared();
+                mtx.lock();
+                mtx.unlock();
+            } catch (const std::exception&) {
+                threw.store(true);
+            }
+        });
+        t.join();
+        EXPECT_FALSE(threw.load()) << "thread " << i;
+    }
+    mtx.lock_shared();  // The slots are back for this thread too.
+    mtx.unlock_shared();
+    mtx.lock();
+    mtx.unlock();
+}
+
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+TEST(AfSharedMutex, LeasesOfDestroyedMutexesDoNotPileUp) {
+    // One thread creates, uses and destroys 100k mutexes. A lease it keeps
+    // for each dead one would hold on to its pool's allocation (~170 B per
+    // mutex, 17 MB in all); dropped leases keep the heap flat.
+    std::size_t grew = 0;
+    std::thread t([&] {
+        const std::size_t before = mallinfo2().uordblks;
+        for (int i = 0; i < 100'000; ++i) {
+            AfSharedMutex mtx(/*max_readers=*/2, /*max_writers=*/1);
+            mtx.lock_shared();
+            mtx.unlock_shared();
+            mtx.lock();
+            mtx.unlock();
+        }
+        const std::size_t after = mallinfo2().uordblks;
+        grew = after > before ? after - before : 0;
+    });
+    t.join();
+    EXPECT_LT(grew, std::size_t{1} << 20);
+}
+#endif
 
 TEST(AfSharedMutex, SlotExhaustionThrows) {
     AfSharedMutex mtx(/*max_readers=*/1, /*max_writers=*/1);
