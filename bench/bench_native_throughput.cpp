@@ -8,7 +8,9 @@
 //     facade at the A_f (64, 8) point, slot lookup included) and for the
 //     centralized, FAA and std::shared_mutex readers -- the
 //     instruction-path mirror of Theorem 18: the A_f reader gets cheaper
-//     as f rises (Θ(log(n/f))), the writer dearer (Θ(f));
+//     as f rises (Θ(log(n/f))), the writer dearer (Θ(f)). Named checks
+//     hold both ratios, f = 1 against f = n, to floors at n = 64 and
+//     n = 4096; a failed one exits 1;
 //   * grid: the telemetry-instrumented contended workloads
 //     (perf::run_perf) -- throughput, CPU, latency quantiles and
 //     telemetry counters per config.
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iostream>
+#include <map>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -64,21 +67,24 @@ void solo_table(bench::Kit& kit, std::uint32_t ms) {
             results->push_back(std::move(r));
         }
     };
+    std::map<NF, double> reader, writer;
     for (const auto& [n, f] : {NF{64, 1}, NF{64, 8}, NF{64, 64},
                                NF{4096, 1}, NF{4096, 64}, NF{4096, 4096}}) {
         AfLock lock(n, 1, f);
-        row("af", "reader", n, f, perf::solo_ns_per_call([&] {
-                lock.lock_shared(0);
-                lock.unlock_shared(0);
-            }, window));
+        reader[{n, f}] = perf::solo_ns_per_call([&] {
+            lock.lock_shared(0);
+            lock.unlock_shared(0);
+        }, window);
+        row("af", "reader", n, f, reader[{n, f}]);
     }
     for (const auto& [n, f] :
          {NF{64, 1}, NF{64, 64}, NF{4096, 1}, NF{4096, 4096}}) {
         AfLock lock(n, 1, f);
-        row("af", "writer", n, f, perf::solo_ns_per_call([&] {
-                lock.lock(0);
-                lock.unlock(0);
-            }, window));
+        writer[{n, f}] = perf::solo_ns_per_call([&] {
+            lock.lock(0);
+            lock.unlock(0);
+        }, window);
+        row("af", "writer", n, f, writer[{n, f}]);
     }
     const auto reader_ns = [&](auto& lock) {
         return perf::solo_ns_per_call([&] {
@@ -103,6 +109,25 @@ void solo_table(bench::Kit& kit, std::uint32_t ms) {
 
     std::cout << "=== E9a: uncontended passages, one thread ===\n";
     t.print();
+
+    // Theorem 18's shape, end to end: from f = 1 to f = n the writer
+    // (Θ(f)) gets dearer and the reader (Θ(log(n/f))) cheaper. The floors
+    // sit well under the measured ratios so a 25 ms window on a shared
+    // host still passes.
+    const struct {
+        std::uint32_t n;
+        double writer_floor, reader_floor;
+    } shapes[] = {{64, 2.0, 2.0}, {4096, 10.0, 3.0}};
+    for (const auto& s : shapes) {
+        const double w = writer[{s.n, s.n}] / writer[{s.n, 1}];
+        const double r = reader[{s.n, 1}] / reader[{s.n, s.n}];
+        kit.check(w >= s.writer_floor,
+                  "E9a n=" + fmt(s.n) + ": writer at f=n costs " + fmt(w, 2) +
+                      "x the writer at f=1, floor " + fmt(s.writer_floor, 1));
+        kit.check(r >= s.reader_floor,
+                  "E9a n=" + fmt(s.n) + ": reader at f=1 costs " + fmt(r, 2) +
+                      "x the reader at f=n, floor " + fmt(s.reader_floor, 1));
+    }
 }
 
 void grid_table(bench::Kit& kit, std::uint32_t ms) {

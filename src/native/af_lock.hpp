@@ -29,6 +29,29 @@
 // no unlock without lock, no unlock of a WL the caller does not hold) cost
 // an uncontended exchange per call and compile out with
 // RWR_AF_MISUSE_CHECKS=0; the reader checks hold in every build.
+//
+// Memory ordering: every access outside telemetry is seq_cst except two
+// kinds of store.
+//   * The WSIG stores of lines 7-9 (<seq, ⊥>) and line 16 (<seq, WAIT>)
+//     are release stores. Only the WL holder stores a WSIG word; readers
+//     change it only by CAS (line 45, HelpWCS lines 50-54). A reader's CAS
+//     expects <seq, ⊥> or <seq, WAIT>, with seq taken from the RSIG value
+//     that line 11 or line 18 stored, read by a seq_cst load. The holder
+//     makes that RSIG store after its WSIG stores, so they happen before
+//     every reader CAS that can succeed on them. The only WSIG loads are
+//     the holder's waits on its own words (lines 14, 21), so no store->load
+//     (Dekker) pair involves WSIG, and each word's modification order,
+//     which is all the CASes depend on, is unchanged.
+//   * The writer misuse record wl_holder_ is stored relaxed. Only
+//     check_wl_held reads it; it has no protocol role, and a thread always
+//     reads its own last store.
+// What stays seq_cst: the RSIG stores (lines 11, 18, 26), each half of a
+// Dekker pair with a reader's C[i] update followed by its RSIG load, and
+// each followed by a wake_all whose waiter-count read must not pass the
+// store (park.hpp); WSEQ (line 25); the f-arrays (counter.hpp), WL
+// (mutex.hpp), the writer_busy_ exchanges, the readers' CASes and parking.
+// The simulator's model is sequentially consistent, so AfSimLock is
+// unaffected and this class still mirrors it line for line.
 #pragma once
 
 #include <atomic>
@@ -199,7 +222,7 @@ class AfLock {
         note_wl_held(writer_id);
 
         for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
-            wsig_[i].word.store(pack(seq, kWsBot));
+            wsig_[i].word.store(pack(seq, kWsBot), std::memory_order_release);
         }
         rsig_.store(pack(seq, kRsPreEntry));  // Line 11.
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
@@ -225,7 +248,8 @@ class AfLock {
                     return false;
                 }
             }
-            wsig_[i].word.store(pack(seq, kWsWait));  // Line 16.
+            wsig_[i].word.store(pack(seq, kWsWait),  // Line 16.
+                                std::memory_order_release);
         }
 
         rsig_.store(pack(seq, kRsWait));  // Line 18.
@@ -418,8 +442,12 @@ class AfLock {
                 "AfLock: unlock without matching lock");
         }
     }
-    void note_wl_held(std::uint32_t id) { wl_holder_.store(id); }
-    void note_wl_released() { wl_holder_.store(kNoHolder); }
+    void note_wl_held(std::uint32_t id) {
+        wl_holder_.store(id, std::memory_order_relaxed);
+    }
+    void note_wl_released() {
+        wl_holder_.store(kNoHolder, std::memory_order_relaxed);
+    }
     void check_wl_held(std::uint32_t id) const {
         if (wl_holder_.load() != id) {
             throw std::logic_error(

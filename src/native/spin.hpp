@@ -114,14 +114,21 @@ class Deadline {
     static Deadline at(std::chrono::steady_clock::time_point tp) {
         return Deadline{tp};
     }
+    /// A deadline past the clock's range never comes, so it is infinite.
+    /// That is decided in long double, where neither `d` nor the clock's
+    /// remaining range can overflow (hours::max() overflows int64 ns).
     template <class Rep, class Period>
     static Deadline after(std::chrono::duration<Rep, Period> d) {
+        using Clock = std::chrono::steady_clock;
+        using Wide = std::chrono::duration<long double, Clock::period>;
         if (d <= d.zero()) {
             return immediate();
         }
-        return Deadline{std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(d)};
+        const Clock::time_point now = Clock::now();
+        if (Wide(d) >= Wide(Clock::time_point::max() - now)) {
+            return infinite();
+        }
+        return Deadline{now + std::chrono::duration_cast<Clock::duration>(d)};
     }
 
     [[nodiscard]] bool is_infinite() const { return !when_.has_value(); }

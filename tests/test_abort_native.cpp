@@ -68,15 +68,21 @@ TEST(TournamentMutexAbort, TryLockSucceedsWhenFree) {
 }
 
 TEST(TournamentMutexAbort, TimedLockAcquiresOnceReleased) {
-    TournamentMutex mx(2);
-    mx.lock(0);
-    std::atomic<bool> got{false};
-    std::thread t([&] { got.store(mx.try_lock_for(1, 2s)); });
-    std::this_thread::sleep_for(20ms);
-    mx.unlock(0);
-    t.join();
-    ASSERT_TRUE(got.load());
-    mx.unlock(1);
+    // hours::max() lies past steady_clock's range: it must wait like an
+    // untimed lock, not fail at once.
+    const auto check = [](auto timeout) {
+        TournamentMutex mx(2);
+        mx.lock(0);
+        std::atomic<bool> got{false};
+        std::thread t([&] { got.store(mx.try_lock_for(1, timeout)); });
+        std::this_thread::sleep_for(20ms);
+        mx.unlock(0);
+        t.join();
+        ASSERT_TRUE(got.load());
+        mx.unlock(1);
+    };
+    check(2s);
+    check(std::chrono::hours::max());
 }
 
 // ---- AfLock reader paths ---------------------------------------------------
@@ -108,16 +114,23 @@ TEST(AfLockAbort, ReaderTryFailsWhileWriterHoldsAndRollsBack) {
 }
 
 TEST(AfLockAbort, TimedReaderAcquiresOnceWriterLeaves) {
-    AfLock lock(2, 1, 1);
-    lock.lock(0);
-    std::atomic<bool> got{false};
-    std::thread t([&] { got.store(lock.try_lock_shared_for(0, 2s)); });
-    std::this_thread::sleep_for(20ms);
-    lock.unlock(0);
-    t.join();
-    ASSERT_TRUE(got.load());
-    lock.unlock_shared(0);
-    expect_lock_intact(lock);
+    // hours::max() lies past steady_clock's range: it must wait like an
+    // untimed lock_shared, not fail at once.
+    const auto check = [](auto timeout) {
+        AfLock lock(2, 1, 1);
+        lock.lock(0);
+        std::atomic<bool> got{false};
+        std::thread t(
+            [&] { got.store(lock.try_lock_shared_for(0, timeout)); });
+        std::this_thread::sleep_for(20ms);
+        lock.unlock(0);
+        t.join();
+        ASSERT_TRUE(got.load());
+        lock.unlock_shared(0);
+        expect_lock_intact(lock);
+    };
+    check(2s);
+    check(std::chrono::hours::max());
 }
 
 // ---- AfLock writer paths ---------------------------------------------------
@@ -385,6 +398,40 @@ TEST(AfSharedMutexTimed, TryAndTimedPathsInterop) {
     }
     EXPECT_TRUE(mtx.try_lock());
     mtx.unlock();
+}
+
+/// Runs `attempt` on another thread, calls `release` 20 ms later, and
+/// expects the attempt to have waited for it and succeeded.
+template <class Attempt, class Release>
+void expect_waits_then_acquires(Attempt attempt, Release release) {
+    std::atomic<bool> got{false};
+    std::thread t([&] { got.store(attempt()); });
+    std::this_thread::sleep_for(20ms);
+    release();
+    t.join();
+    EXPECT_TRUE(got.load());
+}
+
+TEST(AfSharedMutexTimed, TimeoutsPastTheClockRangeWait) {
+    // Each timeout lies past steady_clock's range. Adding one to now()
+    // used to overflow, and the call failed at once instead of waiting.
+    const auto forever = std::chrono::steady_clock::time_point::max();
+    AfSharedMutex mtx(4, 2);
+    mtx.lock();
+    expect_waits_then_acquires(
+        [&] { return std::shared_lock(mtx, forever).owns_lock(); },
+        [&] { mtx.unlock(); });
+    mtx.lock_shared();
+    expect_waits_then_acquires(
+        [&] { return std::unique_lock(mtx, forever).owns_lock(); },
+        [&] { mtx.unlock_shared(); });
+    mtx.lock_shared();
+    expect_waits_then_acquires(
+        [&] {
+            return std::unique_lock(mtx, std::chrono::hours::max())
+                .owns_lock();
+        },
+        [&] { mtx.unlock_shared(); });
 }
 
 // ---- Watchdog --------------------------------------------------------------

@@ -165,35 +165,96 @@ TEST(NativeTournamentMutex, SlotValidation) {
     EXPECT_THROW(mx.lock(2), std::invalid_argument);
 }
 
+/// The CS payload: plain (non-atomic) words that a writer rewrites and a
+/// reader verifies. A version, data derived from it, and a checksum: a
+/// reader that overlaps a writer sees them disagree, and one that lacks
+/// the lock's happens-before edge from the last writer's CS is a data race
+/// TSan reports even when the interleaving happens to be harmless.
+struct Record {
+    static constexpr std::uint32_t kData = 6;
+    std::uint64_t version = 0;
+    std::uint64_t data[kData] = {};
+    std::uint64_t checksum = 0;
+
+    /// A distinct odd multiplier per word; version 0 is all zeros, so a
+    /// fresh record is intact.
+    static std::uint64_t data_word(std::uint64_t v, std::uint32_t i) {
+        return v * (0x9e3779b97f4a7c15ull + 2 * i);
+    }
+    [[nodiscard]] std::uint64_t sum() const {
+        std::uint64_t s = version;
+        for (const std::uint64_t d : data) {
+            s ^= d;
+        }
+        return s;
+    }
+    /// Writes the version and the first half of the data; finish_write()
+    /// writes the rest, so a yield in between widens the torn window.
+    void begin_write() {
+        ++version;
+        for (std::uint32_t i = 0; i < kData / 2; ++i) {
+            data[i] = data_word(version, i);
+        }
+    }
+    void finish_write() {
+        for (std::uint32_t i = kData / 2; i < kData; ++i) {
+            data[i] = data_word(version, i);
+        }
+        checksum = sum();
+    }
+    [[nodiscard]] bool intact() const {
+        for (std::uint32_t i = 0; i < kData; ++i) {
+            if (data[i] != data_word(version, i)) {
+                return false;
+            }
+        }
+        return checksum == sum();
+    }
+};
+
+/// The counters are relaxed so that the lock under test is the only source
+/// of happens-before between CSes: a seq_cst counter would hand TSan the
+/// very edge the lock must provide, and hide a missing one.
 struct RwInvariants {
+    static constexpr auto kRelaxed = std::memory_order_relaxed;
     std::atomic<std::int32_t> readers{0};
     std::atomic<std::int32_t> writers{0};
     std::atomic<bool> violated{false};
     std::atomic<std::int32_t> max_readers{0};
+    Record record;
 
     void reader_cs() {
-        const auto r = readers.fetch_add(1) + 1;
-        if (writers.load() != 0) {
-            violated.store(true);
+        const auto r = readers.fetch_add(1, kRelaxed) + 1;
+        if (writers.load(kRelaxed) != 0 || !record.intact()) {
+            violated.store(true, kRelaxed);
         }
-        auto mr = max_readers.load();
-        while (r > mr && !max_readers.compare_exchange_weak(mr, r)) {
+        auto mr = max_readers.load(kRelaxed);
+        while (r > mr &&
+               !max_readers.compare_exchange_weak(mr, r, kRelaxed)) {
         }
         std::this_thread::yield();
-        readers.fetch_sub(1);
+        if (!record.intact()) {
+            violated.store(true, kRelaxed);
+        }
+        readers.fetch_sub(1, kRelaxed);
     }
     void writer_cs() {
-        if (writers.fetch_add(1) != 0 || readers.load() != 0) {
-            violated.store(true);
+        if (writers.fetch_add(1, kRelaxed) != 0 ||
+            readers.load(kRelaxed) != 0) {
+            violated.store(true, kRelaxed);
         }
+        record.begin_write();
         std::this_thread::yield();
-        if (readers.load() != 0) {
-            violated.store(true);
+        record.finish_write();
+        if (readers.load(kRelaxed) != 0) {
+            violated.store(true, kRelaxed);
         }
-        writers.fetch_sub(1);
+        writers.fetch_sub(1, kRelaxed);
     }
 };
 
+/// n reader threads and m writer threads, `iters` passages each. After the
+/// joins the record must be intact and hold exactly one version per write.
 template <typename Lock>
 void stress_rw(Lock& lock, std::uint32_t n, std::uint32_t m, int iters,
                RwInvariants* inv) {
@@ -219,6 +280,8 @@ void stress_rw(Lock& lock, std::uint32_t n, std::uint32_t m, int iters,
     for (auto& th : threads) {
         th.join();
     }
+    EXPECT_TRUE(inv->record.intact());
+    EXPECT_EQ(inv->record.version, std::uint64_t{m} * iters);
 }
 
 using NativeAfPoint = std::tuple<std::uint32_t /*n*/, std::uint32_t /*m*/,
@@ -226,7 +289,9 @@ using NativeAfPoint = std::tuple<std::uint32_t /*n*/, std::uint32_t /*m*/,
 
 class NativeAfStress : public ::testing::TestWithParam<NativeAfPoint> {};
 
-/// Every valid (f <= n) point of the sweep.
+/// Every valid (f <= n) point of the small sweep, then two writers against
+/// eight readers in several groups: four readers per group (f = 2) and one
+/// per group (f = 8), where the writer's WSIG loops run longest.
 std::vector<NativeAfPoint> native_af_grid() {
     std::vector<NativeAfPoint> grid;
     for (const std::uint32_t n : {2u, 4u}) {
@@ -238,6 +303,8 @@ std::vector<NativeAfPoint> native_af_grid() {
             }
         }
     }
+    grid.emplace_back(8, 2, 2);
+    grid.emplace_back(8, 2, 8);
     return grid;
 }
 

@@ -36,6 +36,31 @@ TEST(DeadlineTest, NonPositiveDurationIsImmediate) {
     EXPECT_FALSE(Deadline::after(1h).is_immediate());
 }
 
+// A timeout past steady_clock's range used to overflow the addition to
+// now() (UBSan: signed integer overflow), and the wrapped deadline had
+// already passed, so a timed acquisition failed at once.
+template <class Duration>
+void expect_infinite(Duration d) {
+    auto deadline = Deadline::after(d);
+    EXPECT_TRUE(deadline.is_infinite());
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_FALSE(deadline.poll());
+    }
+}
+
+TEST(DeadlineTest, HoursMaxIsInfinite) {
+    expect_infinite(std::chrono::hours::max());
+    EXPECT_FALSE(Deadline::after(std::chrono::hours(1)).is_infinite());
+}
+
+TEST(DeadlineTest, MillisecondsMaxIsInfinite) {
+    expect_infinite(std::chrono::milliseconds::max());
+}
+
+TEST(DeadlineTest, NanosecondsMaxIsInfinite) {
+    expect_infinite(std::chrono::nanoseconds::max());
+}
+
 // The latch regression: poll() amortizes clock reads with a call-count
 // stride, and the buggy version returned *false* on the stride's off
 // cycles even after a clock read had already observed expiry. A caller
