@@ -3,7 +3,7 @@
 // Simulated: f-array add must cost Θ(log K) steps/RMRs and read O(1);
 // the naive single-word CAS counter degrades under contention (retries).
 // Native: ns per add and read on one thread (perf::solo_ns_per_call;
-// the timings are indicative only).
+// the timings are indicative only), beside the CASes a solo add makes.
 //
 // Exit 1 (check named on stderr) unless a solo add takes exactly
 // 4*log2(K)+2 steps and a read 1 step at every K, the naive counter's
@@ -129,22 +129,27 @@ void simulated_tables(bench::Kit& kit) {
                  "counter's retries grow with contention)\n\n";
 }
 
+/// K = 8 is AfSharedMutex(64, 8)'s group size and K = 64 that of A_f at
+/// (n, f) = (64, 1); a solo add CASes its leaf and then one node per level
+/// of the 8-ary tree.
 void native_table() {
     constexpr std::chrono::milliseconds kWindow(200);
     std::cout << "=== E5c: native f-array counter, ns per call, one thread "
                  "===\n";
-    Table t({"op", "K", "ns"});
-    for (const std::uint32_t K : {1u, 16u, 256u, 4096u}) {
+    Table t({"op", "K", "CASes", "ns"});
+    for (const std::uint32_t K : {1u, 8u, 16u, 64u, 256u, 4096u}) {
         native::FArrayCounter c(K);
-        t.row({"add", fmt(K), fmt(native::perf::solo_ns_per_call(
-                                      [&] { c.add(0, 1); }, kWindow))});
+        t.row({"add", fmt(K), fmt(1 + c.height()),
+               fmt(native::perf::solo_ns_per_call([&] { c.add(0, 1); },
+                                                  kWindow))});
     }
     for (const std::uint32_t K : {1u, 256u, 4096u}) {
         native::FArrayCounter c(K);
         c.add(0, 42);
-        t.row({"read", fmt(K), fmt(native::perf::solo_ns_per_call(
-                                       [&] { (void)c.read(); }, kWindow),
-                                   2)});
+        t.row({"read", fmt(K), fmt(0),
+               fmt(native::perf::solo_ns_per_call([&] { (void)c.read(); },
+                                                  kWindow),
+                   2)});
     }
     t.print();
 }

@@ -150,6 +150,18 @@ inline std::uint32_t thread_slot(const std::shared_ptr<SlotPool>& pool) {
     return e.slot;
 }
 
+/// Time left until `deadline`, zero or less once it has passed, which
+/// Deadline::after turns into an immediate deadline. Computed in long
+/// double, so that no time point, min() and max() included, overflows the
+/// subtraction.
+template <class Clock, class Duration>
+std::chrono::duration<long double, typename Clock::period> time_left(
+    std::chrono::time_point<Clock, Duration> deadline) {
+    using Wide = std::chrono::duration<long double, typename Clock::period>;
+    return Wide(deadline.time_since_epoch()) -
+           Wide(Clock::now().time_since_epoch());
+}
+
 }  // namespace detail
 
 class AfSharedMutex {
@@ -201,11 +213,11 @@ class AfSharedMutex {
     template <class Clock, class Duration>
     bool try_lock_shared_until(
         std::chrono::time_point<Clock, Duration> deadline) {
-        return try_lock_shared_for(deadline - Clock::now());
+        return try_lock_shared_for(detail::time_left(deadline));
     }
     template <class Clock, class Duration>
     bool try_lock_until(std::chrono::time_point<Clock, Duration> deadline) {
-        return try_lock_for(deadline - Clock::now());
+        return try_lock_for(detail::time_left(deadline));
     }
 
     [[nodiscard]] const AfLock& underlying() const { return lock_; }

@@ -434,6 +434,62 @@ TEST(AfSharedMutexTimed, TimeoutsPastTheClockRangeWait) {
         [&] { mtx.unlock_shared(); });
 }
 
+/// Holds `mtx` on another thread (`hold`, later `release`) while `attempts`
+/// runs on this one. The holder gives up after 500 ms even if `attempts`
+/// has not returned, so an attempt that waits for it acquires instead of
+/// hanging.
+template <class Hold, class Release, class Attempts>
+void while_held_elsewhere(Hold hold, Release release, Attempts attempts) {
+    std::atomic<bool> held{false};
+    std::atomic<bool> done{false};
+    std::thread holder([&] {
+        hold();
+        held.store(true);
+        const auto give_up = std::chrono::steady_clock::now() + 500ms;
+        while (!done.load() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(1ms);
+        }
+        release();
+    });
+    while (!held.load()) {
+        std::this_thread::yield();
+    }
+    attempts();
+    done.store(true);
+    holder.join();
+}
+
+TEST(AfSharedMutexTimed, PastDeadlinesFailAtOnce) {
+    // Each deadline has passed. Subtracting now() from either clock's
+    // min() used to overflow into a far-future deadline, so the attempt
+    // waited for the holder to leave and then acquired.
+    using std::chrono::steady_clock;
+    using std::chrono::system_clock;
+    AfSharedMutex mtx(4, 2);
+    const auto fails_at_once = [&](auto lock_with) {
+        EXPECT_FALSE(lock_with(steady_clock::time_point::min()));
+        EXPECT_FALSE(lock_with(system_clock::time_point::min()));
+        EXPECT_FALSE(lock_with(steady_clock::now() - 1h));
+        EXPECT_FALSE(lock_with(system_clock::now() - 1h));
+    };
+    while_held_elsewhere(
+        [&] { mtx.lock(); }, [&] { mtx.unlock(); },
+        [&] {
+            fails_at_once([&](auto deadline) {
+                return std::shared_lock(mtx, deadline).owns_lock();
+            });
+        });
+    while_held_elsewhere(
+        [&] { mtx.lock_shared(); }, [&] { mtx.unlock_shared(); },
+        [&] {
+            fails_at_once([&](auto deadline) {
+                return std::unique_lock(mtx, deadline).owns_lock();
+            });
+        });
+    EXPECT_TRUE(mtx.try_lock());
+    mtx.unlock();
+}
+
 // ---- Watchdog --------------------------------------------------------------
 
 TEST(WatchdogTest, DisarmedInTimeDoesNotFire) {

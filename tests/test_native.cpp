@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -42,43 +43,110 @@ TEST(NativeCounter, CapacityOne) {
     EXPECT_EQ(c.read(), 7);
 }
 
+TEST(NativeCounter, HeightIsCeilLog8) {
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes = {
+        {1, 0},  {2, 1},    {8, 1},    {9, 2},           {64, 2},
+        {65, 3}, {4096, 4}, {4097, 5}, {1u << 30, 10}};
+    for (const auto& [capacity, height] : shapes) {
+        EXPECT_EQ(FArrayCounter::height_for(capacity), height)
+            << "capacity=" << capacity;
+        if (capacity <= 4097) {  // 2^30 slots would take 78 GB.
+            EXPECT_EQ(FArrayCounter(capacity).height(), height)
+                << "capacity=" << capacity;
+        }
+    }
+}
+
+TEST(NativeCounter, RejectsBadArgs) {
+    for (const std::uint32_t capacity :
+         {0u, (1u << 30) + 1, 0x80000001u, 0xffffffffu}) {
+        EXPECT_THROW(FArrayCounter{capacity}, std::invalid_argument)
+            << "capacity=" << capacity;
+    }
+    // Capacity 3 used to count slot 3 on a padding leaf and put slot 4
+    // past the node array; capacity 9 is one leaf into a second subtree.
+    for (const std::uint32_t capacity : {1u, 3u, 8u, 9u}) {
+        FArrayCounter c(capacity);
+        for (const std::uint32_t slot :
+             {capacity, capacity + 1, 2 * capacity + 7, 0xffffffffu}) {
+            EXPECT_THROW((void)c.move(slot, 0, 1), std::out_of_range)
+                << "capacity=" << capacity << " slot=" << slot;
+            EXPECT_THROW(c.add(slot, 5), std::out_of_range)
+                << "capacity=" << capacity << " slot=" << slot;
+        }
+        EXPECT_EQ(c.read(), 0) << "capacity=" << capacity;
+        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
+            EXPECT_TRUE(c.move(slot, 0, 1)) << "slot=" << slot;
+        }
+        EXPECT_EQ(c.read(), std::int64_t{capacity});
+    }
+}
+
+TEST(NativeCounter, SumsAtEveryShape) {
+    // Full and partial last subtrees at one, two and three 8-ary levels.
+    // Slot s adds its own delta, so a sum that lost or doubled a leaf, or
+    // read one from another slot, would show.
+    const auto delta = [](std::uint32_t slot) {
+        return (slot % 2 == 0 ? 1 : -1) * static_cast<std::int32_t>(slot + 1);
+    };
+    for (const std::uint32_t capacity :
+         {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 513u}) {
+        FArrayCounter c(capacity);
+        std::int64_t sum = 0;
+        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
+            c.add(slot, delta(slot));
+            sum += delta(slot);
+            ASSERT_EQ(c.read(), sum)
+                << "capacity=" << capacity << " slot=" << slot;
+        }
+        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
+            ASSERT_TRUE(c.move(slot, delta(slot), 0))
+                << "capacity=" << capacity << " slot=" << slot;
+        }
+        EXPECT_EQ(c.read(), 0) << "capacity=" << capacity;
+    }
+}
+
 TEST(NativeCounter, ConcurrentAdds) {
-    // Once through add() and once through move() from the leaf value each
-    // thread tracks for its own slot: both paths must sum exactly.
-    constexpr std::uint32_t kThreads = 4;
+    // K threads, once through add() and once through move() from the leaf
+    // value each thread tracks for its own slot: both paths must sum
+    // exactly. At K = 8 every slot is a child of the root; at K = 9 the
+    // ninth leaf is alone in a second subtree.
     constexpr int kIters = 5000;
-    for (const bool via_move : {false, true}) {
-        FArrayCounter c(kThreads);
-        std::atomic<bool> move_failed{false};
-        std::vector<std::thread> threads;
-        for (std::uint32_t t = 0; t < kThreads; ++t) {
-            threads.emplace_back([&, t] {
-                std::int32_t leaf = 0;
-                const auto step = [&](std::int32_t delta) {
-                    if (!via_move) {
-                        c.add(t, delta);
-                    } else if (!c.move(t, leaf, leaf + delta)) {
-                        move_failed.store(true);
+    for (const std::uint32_t k : {4u, 8u, 9u}) {
+        for (const bool via_move : {false, true}) {
+            FArrayCounter c(k);
+            std::atomic<bool> move_failed{false};
+            std::vector<std::thread> threads;
+            for (std::uint32_t t = 0; t < k; ++t) {
+                threads.emplace_back([&, t] {
+                    std::int32_t leaf = 0;
+                    const auto step = [&](std::int32_t delta) {
+                        if (!via_move) {
+                            c.add(t, delta);
+                        } else if (!c.move(t, leaf, leaf + delta)) {
+                            move_failed.store(true);
+                        }
+                        leaf += delta;
+                    };
+                    for (int i = 0; i < kIters; ++i) {
+                        step(+1);
+                        if (i % 3 == 0) {
+                            step(-1);
+                        }
                     }
-                    leaf += delta;
-                };
-                for (int i = 0; i < kIters; ++i) {
-                    step(+1);
-                    if (i % 3 == 0) {
-                        step(-1);
-                    }
-                }
-            });
+                });
+            }
+            for (auto& th : threads) {
+                th.join();
+            }
+            const std::int64_t expected =
+                std::int64_t{k} * (kIters - (kIters + 2) / 3);
+            EXPECT_FALSE(move_failed.load())
+                << "K=" << k << " via_move=" << via_move;
+            EXPECT_EQ(c.read(), expected)
+                << "K=" << k << " via_move=" << via_move;
         }
-        for (auto& th : threads) {
-            th.join();
-        }
-        std::int64_t expected = 0;
-        for (std::uint32_t t = 0; t < kThreads; ++t) {
-            expected += kIters - (kIters + 2) / 3;
-        }
-        EXPECT_FALSE(move_failed.load()) << "via_move=" << via_move;
-        EXPECT_EQ(c.read(), expected) << "via_move=" << via_move;
     }
 }
 
@@ -291,7 +359,9 @@ class NativeAfStress : public ::testing::TestWithParam<NativeAfPoint> {};
 
 /// Every valid (f <= n) point of the small sweep, then two writers against
 /// eight readers in several groups: four readers per group (f = 2) and one
-/// per group (f = 8), where the writer's WSIG loops run longest.
+/// per group (f = 8), where the writer's WSIG loops run longest. Last, two
+/// groups whose counters fill one 8-ary root (K = 8) and two whose ninth
+/// reader sits alone in a second subtree (K = 9).
 std::vector<NativeAfPoint> native_af_grid() {
     std::vector<NativeAfPoint> grid;
     for (const std::uint32_t n : {2u, 4u}) {
@@ -305,6 +375,8 @@ std::vector<NativeAfPoint> native_af_grid() {
     }
     grid.emplace_back(8, 2, 2);
     grid.emplace_back(8, 2, 8);
+    grid.emplace_back(16, 2, 2);
+    grid.emplace_back(18, 1, 2);
     return grid;
 }
 
