@@ -5,7 +5,8 @@
 //   * solo: ns per uncontended passage on one thread
 //     (perf::solo_ns_per_call) for A_f readers and writers over an (n, f)
 //     sweep, for AfSharedMutex(64, 8) readers and writers (the id-less
-//     facade at the A_f (64, 8) point, slot lookup included) and for the
+//     facade at the A_f (64, 8) point, slot lookup included), for the
+//     writers' lock WL alone (TournamentMutex(8), n = 0) and for the
 //     centralized, FAA and std::shared_mutex readers -- the
 //     instruction-path mirror of Theorem 18: the A_f reader gets cheaper
 //     as f rises (Θ(log(n/f))), the writer dearer (Θ(f)). Named checks
@@ -38,6 +39,7 @@
 #include "harness/table.hpp"
 #include "native/af_lock.hpp"
 #include "native/baselines.hpp"
+#include "native/mutex.hpp"
 #include "native/park.hpp"
 #include "native/perf.hpp"
 #include "native/shared_mutex.hpp"
@@ -99,6 +101,13 @@ void solo_table(bench::Kit& kit, std::uint32_t ms) {
         perf::solo_ns_per_call([&] {
             facade.lock();
             facade.unlock();
+        }, window), 8);
+    // The writers' lock WL alone, as the facade's writer climbs it (m = 8).
+    TournamentMutex wl(8);
+    row("tournament", "writer", 0, 1,
+        perf::solo_ns_per_call([&] {
+            wl.lock(0);
+            wl.unlock(0);
         }, window), 8);
     CentralizedRWLock centralized;
     row("centralized", "reader", 1, 1, reader_ns(centralized));

@@ -40,7 +40,6 @@ enum class WsOp : Word {
     return (seq << 8) | static_cast<Word>(op);
 }
 [[nodiscard]] constexpr Word sig_seq(Word w) { return w >> 8; }
-[[nodiscard]] constexpr Word sig_op_raw(Word w) { return w & 0xff; }
 [[nodiscard]] constexpr RsOp sig_rs_op(Word w) {
     return static_cast<RsOp>(w & 0xff);
 }

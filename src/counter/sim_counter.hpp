@@ -80,10 +80,6 @@ class FArraySimCounter {
     /// Reads the value contribution of tree slot `u` (internal or leaf).
     sim::SimTask<std::int64_t> read_slot(sim::Process& p, std::uint32_t u);
 
-    [[nodiscard]] bool is_leaf_slot(std::uint32_t u) const {
-        return u >= num_internal_;
-    }
-
     std::uint32_t capacity_;      ///< K.
     std::uint32_t num_leaves_;    ///< K rounded up to a power of two.
     std::uint32_t num_internal_;  ///< num_leaves_ - 1.

@@ -92,20 +92,43 @@ void ShmSegment::reset() {
 }
 
 ShmSegment ShmSegment::create(const std::string& name, std::uint64_t words) {
-    return map_segment(name, words, true);
-}
-
-ShmSegment ShmSegment::attach(const std::string& name, std::uint64_t words) {
-    return map_segment(name, words, false);
-}
-
-ShmSegment ShmSegment::map_segment(const std::string& name,
-                                   std::uint64_t words, bool create) {
-    const int flags = create ? O_RDWR | O_CREAT | O_EXCL : O_RDWR;
-    const int fd = ::shm_open(name.c_str(), flags, 0600);
+    const int fd = ::shm_open(name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
     if (fd < 0) {
         die("shm_open(" + name + ")");
     }
+    return map_segment(name, words, fd, true);
+}
+
+ShmSegment ShmSegment::create_numbered(const std::string& prefix,
+                                       std::uint64_t words) {
+    constexpr int kMaxTries = 64;
+    static std::atomic<std::uint64_t> next_number{0};
+    for (int tries = 0; tries < kMaxTries; ++tries) {
+        const std::string name = prefix + std::to_string(next_number++);
+        const int fd =
+            ::shm_open(name.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
+        if (fd >= 0) {
+            return map_segment(name, words, fd, true);
+        }
+        if (errno != EEXIST) {
+            die("shm_open(" + name + ")");
+        }
+    }
+    throw std::runtime_error("shm_open(" + prefix + "*): " +
+                             std::to_string(kMaxTries) +
+                             " names in a row already exist");
+}
+
+ShmSegment ShmSegment::attach(const std::string& name, std::uint64_t words) {
+    const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
+    if (fd < 0) {
+        die("shm_open(" + name + ")");
+    }
+    return map_segment(name, words, fd, false);
+}
+
+ShmSegment ShmSegment::map_segment(const std::string& name,
+                                   std::uint64_t words, int fd, bool create) {
     const std::size_t bytes = words * sizeof(Word);
     if (create && ::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
         ::close(fd);
@@ -144,10 +167,11 @@ LockServiceDaemon::LockServiceDaemon(const TableConfig& cfg,
 LockServiceDaemon::~LockServiceDaemon() { stop(); }
 
 void LockServiceDaemon::start() {
-    const std::string name =
-        "/rwr_dist." + std::to_string(::getpid()) + "." +
-        std::to_string(reinterpret_cast<std::uintptr_t>(this) & 0xFFFF);
-    shm_ = ShmSegment::create(name, lay_.total_words());
+    // The number keeps two live daemons of one process apart; skipping a
+    // taken name steps over segments that killed runs left behind under a
+    // pid that has come back.
+    shm_ = ShmSegment::create_numbered(
+        "/rwr_dist." + std::to_string(::getpid()) + ".", lay_.total_words());
 
     const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (lfd < 0) {

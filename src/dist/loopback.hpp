@@ -35,19 +35,26 @@ class ShmSegment {
     /// Creates (O_CREAT | O_EXCL) a zero-filled segment of `words` words.
     /// Throws std::runtime_error on any syscall failure.
     static ShmSegment create(const std::string& name, std::uint64_t words);
+    /// Creates a segment named `prefix` followed by the next number of a
+    /// process-wide counter. A name that already exists is skipped, not
+    /// unlinked (it is not this segment's); throws std::runtime_error
+    /// after 64 taken names in a row or on any other failure.
+    static ShmSegment create_numbered(const std::string& prefix,
+                                      std::uint64_t words);
     /// Attaches to an existing segment created by `create`.
     static ShmSegment attach(const std::string& name, std::uint64_t words);
 
     [[nodiscard]] std::atomic<Word>* data() const { return words_; }
-    [[nodiscard]] std::uint64_t size_words() const { return size_words_; }
     [[nodiscard]] const std::string& name() const { return name_; }
     [[nodiscard]] bool valid() const { return words_ != nullptr; }
 
     void reset();
 
    private:
+    /// Maps the segment open on `fd` and closes `fd`; `create` makes this
+    /// the owner, which sizes the segment first and unlinks it on failure.
     static ShmSegment map_segment(const std::string& name,
-                                  std::uint64_t words, bool create);
+                                  std::uint64_t words, int fd, bool create);
 
     std::string name_;
     std::atomic<Word>* words_ = nullptr;
@@ -143,7 +150,6 @@ class DistClient {
     void connect(const std::string& host, std::uint16_t port);
     void close();
 
-    [[nodiscard]] bool connected() const { return fd_ >= 0; }
     [[nodiscard]] const TableConfig& config() const { return cfg_; }
     [[nodiscard]] std::atomic<Word>* words() const { return shm_.data(); }
 

@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "mutex/abortable.hpp"
+#include "mutex/sim_mutex.hpp"
 #include "rmr/memory.hpp"
 #include "rmr/types.hpp"
 #include "sim/passage.hpp"

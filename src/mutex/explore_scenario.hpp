@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 
-#include "mutex/abortable.hpp"
 #include "mutex/sim_mutex.hpp"
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"

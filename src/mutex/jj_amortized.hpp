@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "mutex/abortable.hpp"
+#include "mutex/sim_mutex.hpp"
 #include "rmr/memory.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"

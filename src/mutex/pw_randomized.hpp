@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "mutex/abortable.hpp"
 #include "mutex/jj_amortized.hpp"
+#include "mutex/sim_mutex.hpp"
 #include "rmr/memory.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"

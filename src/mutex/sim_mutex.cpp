@@ -24,44 +24,77 @@ TournamentSimMutex::TournamentSimMutex(Memory& mem, const std::string& name,
     }
 }
 
-sim::SimTask<void> TournamentSimMutex::node_enter(sim::Process& p,
-                                                  std::uint32_t n, Word side) {
+sim::SimTask<EnterResult> TournamentSimMutex::node_enter(
+    sim::Process& p, std::uint32_t n, Word side, AbortControl ctl,
+    std::uint64_t& steps) {
     const Node& node = nodes_[n];
     co_await p.write(node.flag[side], 1);
     co_await p.write(node.victim, side);
+    steps += 2;
     // Peterson spin: wait while the rival competes and we are the victim.
     for (;;) {
+        if (steps >= ctl.patience) {
+            // The abort move: retract the competing flag. The rival's spin
+            // reads it as 0 and proceeds; we never held this node, so no
+            // other state needs repair here (the caller rolls back the
+            // nodes already won below).
+            co_await p.write(node.flag[side], 0);
+            co_return EnterResult::Aborted;
+        }
         const Word rival = co_await p.read(node.flag[1 - side]);
+        ++steps;
         if (rival == 0) {
-            break;
+            co_return EnterResult::Acquired;
         }
         const Word victim = co_await p.read(node.victim);
+        ++steps;
         if (victim != side) {
-            break;
+            co_return EnterResult::Acquired;
         }
     }
 }
 
-sim::SimTask<void> TournamentSimMutex::node_exit(sim::Process& p,
-                                                 std::uint32_t n, Word side) {
-    co_await p.write(nodes_[n].flag[side], 0);
+sim::SimTask<void> TournamentSimMutex::release_below(sim::Process& p,
+                                                     std::uint32_t slot,
+                                                     std::uint32_t pos) {
+    // The children on slot's leaf-to-root path strictly below `pos`; their
+    // parents are the nodes we hold. Released top-down (reverse of
+    // acquisition order).
+    std::uint32_t path[32];
+    std::uint32_t depth = 0;
+    std::uint32_t child = (num_leaves_ - 1) + slot;
+    while (child != pos) {
+        path[depth++] = child;
+        child = (child - 1) / 2;
+    }
+    for (std::uint32_t i = depth; i-- > 0;) {
+        const std::uint32_t parent = (path[i] - 1) / 2;
+        const Word side = (path[i] == 2 * parent + 1) ? 0 : 1;
+        co_await p.write(nodes_[parent].flag[side], 0);
+    }
 }
 
-sim::SimTask<void> TournamentSimMutex::enter(sim::Process& p,
-                                             std::uint32_t slot) {
+sim::SimTask<EnterResult> TournamentSimMutex::enter_abortable(
+    sim::Process& p, std::uint32_t slot, AbortControl ctl) {
     if (slot >= m_) {
         throw std::invalid_argument("TournamentSimMutex::enter: bad slot");
     }
     // Ascend leaf -> root. Leaf index in the conceptual full tree is
     // (num_leaves_ - 1) + slot; at each step the node's side is the low bit
     // of the child position.
+    std::uint64_t steps = 0;
     std::uint32_t pos = (num_leaves_ - 1) + slot;
     while (pos != 0) {
         const std::uint32_t parent = (pos - 1) / 2;
         const Word side = (pos == 2 * parent + 1) ? 0 : 1;
-        co_await node_enter(p, parent, side);
+        const EnterResult r = co_await node_enter(p, parent, side, ctl, steps);
+        if (r == EnterResult::Aborted) {
+            co_await release_below(p, slot, pos);
+            co_return EnterResult::Aborted;
+        }
         pos = parent;
     }
+    co_return EnterResult::Acquired;
 }
 
 sim::SimTask<void> TournamentSimMutex::exit(sim::Process& p,
@@ -69,21 +102,7 @@ sim::SimTask<void> TournamentSimMutex::exit(sim::Process& p,
     if (slot >= m_) {
         throw std::invalid_argument("TournamentSimMutex::exit: bad slot");
     }
-    // Release top-down (reverse of acquisition order).
-    std::uint32_t path[32];
-    std::uint32_t depth = 0;
-    std::uint32_t pos = (num_leaves_ - 1) + slot;
-    while (pos != 0) {
-        path[depth++] = pos;
-        pos = (pos - 1) / 2;
-    }
-    // path[depth-1] is a child of the root; walk from the root downwards.
-    for (std::uint32_t i = depth; i-- > 0;) {
-        const std::uint32_t child = path[i];
-        const std::uint32_t parent = (child - 1) / 2;
-        const Word side = (child == 2 * parent + 1) ? 0 : 1;
-        co_await node_exit(p, parent, side);
-    }
+    co_await release_below(p, slot, 0);
 }
 
 YaTournamentSimMutex::YaTournamentSimMutex(Memory& mem,

@@ -13,6 +13,33 @@
 // node a process spins on two variables that its single rival writes O(1)
 // times per passage (bounded bypass 1 makes the spin RMR-bounded).
 //
+// Aborts. The abort signal of the abortable mutual exclusion literature
+// (Jayanti STOC'03 formulation): while busy-waiting in the entry section a
+// process may receive an abort signal, after which it must leave the entry
+// protocol within a bounded number of its own steps, restoring the
+// invariant that it is a passive non-participant. AbortControl is the
+// simulator's deterministic stand-in for that signal: an attempt aborts
+// once it has executed `patience` shared-memory steps of its entry
+// section. Patience is process-local state (the entry counts its own steps
+// in a C++ local, never as a simulator step), so abort placement never
+// reads the global clock -- which keeps abort scenarios safe under
+// partial-order reduction (commuting independent steps of other processes
+// cannot move the abort point), exactly like the crash-placement plans of
+// the recover tier. AbortableSimMutex::enter_abortable returns Acquired or
+// Aborted; an aborted attempt may leave O(1) state behind (e.g. an
+// abandoned queue entry) that a later passage of ANY process consumes in
+// O(1) -- that deferred cleanup is what the amortized accounting in
+// mutex/abort_experiment.hpp attributes back to the abort episode.
+//
+// TournamentSimMutex is abortable in place, as the native TournamentMutex
+// is: a waiter that gives up retracts its competing flag at the node it is
+// stuck at, then releases the nodes it had already won, top-down, through
+// the walk exit() uses. The retraction is safe because a Peterson waiter
+// owns no node state its rival depends on beyond the flag itself: lowering
+// it can only unblock the rival. That makes the tree E18's deterministic
+// Theta(log m) contrast: an aborted attempt pays the climb to its abort
+// level AND the rollback, and the retry pays the climb again.
+//
 // TasSimMutex is the contrast baseline: one test-and-set word; correct and
 // deadlock-free but with unbounded RMR complexity under contention (every
 // failed CAS is an RMR) and no starvation freedom.
@@ -24,6 +51,7 @@
 #include <vector>
 
 #include "rmr/memory.hpp"
+#include "sim/passage.hpp"
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 
@@ -52,11 +80,45 @@ struct MutexPassage {
     }
 };
 
-class TournamentSimMutex final : public SimMutex {
+/// Per-attempt abort policy, polled by abortable entry sections between
+/// their own steps. kNever = an ordinary (blocking) acquisition.
+struct AbortControl {
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    /// Abort once the attempt has executed this many entry steps.
+    std::uint64_t patience = kNever;
+
+    [[nodiscard]] static AbortControl never() { return {}; }
+    [[nodiscard]] static AbortControl after(std::uint64_t steps) {
+        return {steps};
+    }
+};
+
+using EnterResult = sim::EnterResult;
+
+/// A SimMutex whose entry section can give up. `enter` (the non-abortable
+/// base interface) is the never-abort special case, so every abortable
+/// mutex drops into any slot that takes a SimMutex.
+class AbortableSimMutex : public SimMutex {
+   public:
+    /// Returns Acquired holding the lock, or Aborted having left the entry
+    /// protocol (bounded abort: the give-up path takes O(1) own steps for
+    /// the queue-based locks, O(log m) for the tournament rollback).
+    virtual sim::SimTask<EnterResult> enter_abortable(sim::Process& p,
+                                                      std::uint32_t slot,
+                                                      AbortControl ctl) = 0;
+
+    sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) override {
+        co_await enter_abortable(p, slot, AbortControl::never());
+    }
+};
+
+class TournamentSimMutex final : public AbortableSimMutex {
    public:
     TournamentSimMutex(Memory& mem, const std::string& name, std::uint32_t m);
 
-    sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) override;
+    sim::SimTask<EnterResult> enter_abortable(sim::Process& p,
+                                              std::uint32_t slot,
+                                              AbortControl ctl) override;
     sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) override;
     [[nodiscard]] std::string name() const override { return "tournament"; }
 
@@ -68,9 +130,16 @@ class TournamentSimMutex final : public SimMutex {
         VarId victim;   ///< Which side yields.
     };
 
-    /// Peterson two-process entry/exit at node `n`, competing as `side`.
-    sim::SimTask<void> node_enter(sim::Process& p, std::uint32_t n, Word side);
-    sim::SimTask<void> node_exit(sim::Process& p, std::uint32_t n, Word side);
+    /// Peterson two-process entry at node `n`, competing as `side`, counting
+    /// own steps against ctl.patience. Returns Aborted with the flag
+    /// already retracted.
+    sim::SimTask<EnterResult> node_enter(sim::Process& p, std::uint32_t n,
+                                         Word side, AbortControl ctl,
+                                         std::uint64_t& steps);
+    /// Releases the nodes on `slot`'s path strictly below tree position
+    /// `pos`, top-down: exit (pos = the root) and the abort rollback.
+    sim::SimTask<void> release_below(sim::Process& p, std::uint32_t slot,
+                                     std::uint32_t pos);
 
     std::uint32_t m_;
     std::uint32_t num_leaves_;  ///< m rounded up to a power of two.

@@ -30,7 +30,7 @@
 // an uncontended exchange per call and compile out with
 // RWR_AF_MISUSE_CHECKS=0; the reader checks hold in every build.
 //
-// Memory ordering: every access outside telemetry is seq_cst except two
+// Memory ordering: every access outside telemetry is seq_cst except three
 // kinds of store.
 //   * The WSIG stores of lines 7-9 (<seq, ⊥>) and line 16 (<seq, WAIT>)
 //     are release stores. Only the WL holder stores a WSIG word; readers
@@ -42,14 +42,19 @@
 //     the holder's waits on its own words (lines 14, 21), so no store->load
 //     (Dekker) pair involves WSIG, and each word's modification order,
 //     which is all the CASes depend on, is unchanged.
+//   * The WSEQ store of line 25 is a release store. Only WL holders read
+//     WSEQ, and only after acquiring WL, whose hand-off already orders the
+//     previous holder's store before the next holder's load; no reader
+//     reads it, so it is in no Dekker pair either.
 //   * The writer misuse record wl_holder_ is stored relaxed. Only
 //     check_wl_held reads it; it has no protocol role, and a thread always
 //     reads its own last store.
 // What stays seq_cst: the RSIG stores (lines 11, 18, 26), each half of a
 // Dekker pair with a reader's C[i] update followed by its RSIG load, and
 // each followed by a wake_all whose waiter-count read must not pass the
-// store (park.hpp); WSEQ (line 25); the f-arrays (counter.hpp), WL
-// (mutex.hpp), the writer_busy_ exchanges, the readers' CASes and parking.
+// store (park.hpp); the f-arrays (counter.hpp), WL (mutex.hpp, apart from
+// the relaxed flag store its header argues for), the writer_busy_
+// exchanges, the readers' CASes and parking.
 // The simulator's model is sequentially consistent, so AfSimLock is
 // unaffected and this class still mirrors it line for line.
 #pragma once
@@ -359,7 +364,7 @@ class AfLock {
     /// the aborted passage, and the RSIG store releases any reader parked
     /// on line 36.
     void writer_exit_section(std::uint32_t writer_id, std::uint64_t seq) {
-        wseq_.store(seq + 1);                      // Line 25.
+        wseq_.store(seq + 1, std::memory_order_release);  // Line 25.
         rsig_.store(pack(seq + 1, kRsNop));        // Line 26.
         rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
         note_wl_released();

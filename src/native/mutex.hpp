@@ -5,6 +5,21 @@
 // Slots, not threads, are the identity: callers pass their slot index, and
 // one slot must never be used by two threads concurrently. This mirrors the
 // paper's model where process identity is part of the algorithm.
+//
+// Memory ordering. Peterson needs each rival's flag store ordered before
+// the other rival's flag load, a store->load (Dekker) pair. A node entry
+// stores its flag relaxed and writes `victim` with exchange, a seq_cst
+// RMW, and loads the rival's flag and `victim` seq_cst. Both rivals'
+// victim exchanges are RMWs of one word, so the later one reads the
+// earlier one's value; that read synchronizes with the earlier exchange,
+// which orders the earlier thread's flag store before the later thread's
+// flag load. So the later thread sees the earlier one competing and, being
+// the victim, waits; the earlier thread may miss the later flag and enter,
+// which is safe. On x86 the entry costs one locked RMW (the exchange)
+// instead of two. The flag clears of unlock() and of an abort stay seq_cst
+// stores: each is followed by a wake_all, whose waiter-count load must not
+// pass the store (park.hpp). Setting a flag never satisfies a parked
+// rival, so it needs no wake.
 #pragma once
 
 #include <atomic>
@@ -142,12 +157,12 @@ class TournamentMutex {
     bool node_lock(std::uint32_t n, int side, Deadline& deadline,
                    bool& waited) {
         Node& node = nodes_[n];
-        node.flag[side].store(1);
-        node.victim.store(static_cast<std::uint32_t>(side));
+        // Relaxed: the victim exchange orders it (header comment).
+        node.flag[side].store(1, std::memory_order_relaxed);
+        node.victim.exchange(static_cast<std::uint32_t>(side));
         // Our victim store may be exactly what the parked rival waits for.
         node.spot.wake_all(RWR_TELEM_PTR(telemetry_));
         // Peterson: wait while the rival competes and we are the victim.
-        // seq_cst throughout -- Peterson is broken under weaker orderings.
         const auto may_enter = [&] {
             return node.flag[1 - side].load() == 0 ||
                    node.victim.load() != static_cast<std::uint32_t>(side);

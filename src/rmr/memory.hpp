@@ -49,9 +49,6 @@ class Memory {
         return values_[v.index];
     }
 
-    /// Directly set a variable without simulating a step (test setup only).
-    void poke(VarId v, Word value) { values_.at(v.index) = value; }
-
     [[nodiscard]] Protocol protocol() const { return protocol_; }
     [[nodiscard]] std::size_t num_variables() const { return values_.size(); }
     [[nodiscard]] const std::string& name(VarId v) const {

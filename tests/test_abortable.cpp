@@ -1,27 +1,30 @@
 // The abortable writer-mutex tier (E18 foundations): JJAmortizedMutex,
-// PwRandomizedMutex and AbortableTournamentMutex correctness under
-// abort-heavy workloads in CC and DSM, the amortized-RMR ledger's
+// PwRandomizedMutex and the Peterson tree TournamentSimMutex correctness
+// under abort-heavy workloads in CC and DSM, the amortized-RMR ledger's
 // reconciliation invariant (sum of episode RMRs == Memory's per-history
 // total -- the proof every RMR is charged exactly once), exhaustive
 // single-abort-placement exploration with the probe-until-unfired
 // discipline (plus the broken-abort mutant proving the sweep has teeth),
-// adversary-scheduler determinism, the repeated-trial estimator, and the
-// shape of the Pareek-Woelfel arbitration tree.
+// the tree's abort rollback, adversary-scheduler determinism, the
+// repeated-trial estimator, and the shape of the Pareek-Woelfel
+// arbitration tree.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "mutex/abort_experiment.hpp"
-#include "mutex/abortable.hpp"
-#include "mutex/abortable_tournament.hpp"
 #include "mutex/explore_scenario.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "mutex/pw_randomized.hpp"
 #include "mutex/sim_mutex.hpp"
 #include "sim/broken_locks.hpp"
 #include "sim/explorer.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/system.hpp"
 
 namespace rwr::mutex {
 namespace {
@@ -86,7 +89,7 @@ std::vector<LockCase> abortable_cases(std::uint32_t m) {
                      }});
     cases.push_back({"tournament/cc", Protocol::WriteBack, [](Memory& mem) {
                          return std::unique_ptr<SimMutex>(
-                             std::make_unique<AbortableTournamentMutex>(
+                             std::make_unique<TournamentSimMutex>(
                                  mem, "tournament", 4));
                      }});
     (void)m;
@@ -160,11 +163,12 @@ TEST(AbortExperiment, ZeroAbortRateNeverAborts) {
 TEST(AbortExperiment, NonAbortableBuildersRideTheGridBlocking) {
     // A plain SimMutex builder must work with abort_rate > 0: the rate is
     // ignored (blocking enter), which is how the growth baselines share
-    // the E18 grid.
+    // the E18 grid. The Yang-Anderson tree is one of them; the Peterson
+    // tree is abortable and would abort here.
     AbortExperimentConfig cfg;
     cfg.builder = [](Memory& mem) {
         return std::unique_ptr<SimMutex>(
-            std::make_unique<TournamentSimMutex>(mem, "wl", 3));
+            std::make_unique<YaTournamentSimMutex>(mem, "wl", 3));
     };
     cfg.m = 3;
     cfg.passages = 8;
@@ -299,15 +303,29 @@ TEST(AbortPlacement, JJEveryPlacementKeepsMutualExclusion) {
     EXPECT_GT(out.fired_placements, 0u);
 }
 
+AbortableMutexFactory tournament_factory() {
+    return [](Memory& mem, std::uint32_t m) {
+        return std::unique_ptr<AbortableSimMutex>(
+            std::make_unique<TournamentSimMutex>(mem, "tournament", m));
+    };
+}
+
 TEST(AbortPlacement, TournamentEveryPlacementKeepsMutualExclusion) {
-    const SweepOutcome out = sweep_abort_placements(
-        [](Memory& mem, std::uint32_t m) {
-            return std::unique_ptr<AbortableSimMutex>(
-                std::make_unique<AbortableTournamentMutex>(mem, "tournament",
-                                                           m));
-        },
-        2, /*passages=*/2, /*cs_steps=*/1, "tournament",
-        /*expect_clean=*/true);
+    const SweepOutcome out =
+        sweep_abort_placements(tournament_factory(), 2, /*passages=*/2,
+                               /*cs_steps=*/1, "tournament",
+                               /*expect_clean=*/true);
+    EXPECT_EQ(out.violations, 0u);
+    EXPECT_GT(out.fired_placements, 0u);
+}
+
+TEST(AbortPlacement, TournamentThreeSlotsEveryPlacementKeepsMutualExclusion) {
+    // Two levels: slot 0 can abort at n1 (against slot 1) or at the root
+    // (against slot 2) with n1 already won, so the rollback runs too.
+    const SweepOutcome out =
+        sweep_abort_placements(tournament_factory(), 3, /*passages=*/2,
+                               /*cs_steps=*/1, "tournament-3",
+                               /*expect_clean=*/true);
     EXPECT_EQ(out.violations, 0u);
     EXPECT_GT(out.fired_placements, 0u);
 }
@@ -342,6 +360,71 @@ TEST(AbortPlacement, BrokenAbortMutantIsCaught) {
         2, /*passages=*/1, /*cs_steps=*/20, "broken-abort",
         /*expect_clean=*/false);
     EXPECT_GT(out.violations, 0u);
+}
+
+// ---- The tree's abort rollback ----------------------------------------------
+
+sim::SimTask<void> enter_once(SimMutex& mx, sim::Process& p,
+                              std::uint32_t slot) {
+    co_await mx.enter(p, slot);
+}
+
+sim::SimTask<void> attempt_once(AbortableSimMutex& mx, sim::Process& p,
+                                std::uint32_t slot, AbortControl ctl,
+                                EnterResult* result) {
+    *result = co_await mx.enter_abortable(p, slot, ctl);
+}
+
+VarId var_named(const Memory& mem, const std::string& name) {
+    for (std::uint32_t i = 0; i < mem.num_variables(); ++i) {
+        if (mem.name(VarId{i}) == name) {
+            return VarId{i};
+        }
+    }
+    throw std::invalid_argument("no variable " + name);
+}
+
+TEST(TournamentSimMutex, AbortAtTheRootReleasesTheNodesWonBelow) {
+    // m = 3: slots 0 and 1 meet at n1, slot 2 comes up through n2, and the
+    // two winners meet at the root n0. Slot 2 holds the lock. Slot 0 wins
+    // n1 unopposed and runs out of patience at the root: it must retract
+    // its root flag AND release n1, or slot 1 waits at n1 behind a flag
+    // nobody lowers. The sweeps above cannot see a leaked n1 flag: every
+    // aborter there retries, and the retry's climb rewrites it.
+    sim::System sys(Protocol::WriteBack);
+    TournamentSimMutex mx(sys.memory(), "tournament", 3);
+    const Memory& mem = sys.memory();
+    const VarId root_flag0 = var_named(mem, "tournament.n0.flag0");
+    const VarId n1_flag0 = var_named(mem, "tournament.n1.flag0");
+    const auto at_root = [&](const sim::Process&) {
+        return mem.peek(root_flag0) == 1;
+    };
+    sim::Process& holder = sys.add_process(sim::Role::Writer);
+    sim::Process& aborter = sys.add_process(sim::Role::Writer);
+    sim::Process& follower = sys.add_process(sim::Role::Writer);
+    EnterResult result = EnterResult::Acquired;
+    holder.set_task(enter_once(mx, holder, 2));
+    aborter.set_task(attempt_once(mx, aborter, 0, AbortControl::after(8),
+                                  &result));
+    follower.set_task(enter_once(mx, follower, 1));
+
+    sim::run_solo(sys, holder.id(), 1000);
+    ASSERT_TRUE(holder.finished());  // Holds the lock and never exits.
+    // Slot 0 wins n1 and announces itself at the root...
+    sim::run_solo(sys, aborter.id(), 1000, at_root);
+    ASSERT_EQ(mem.peek(root_flag0), 1u);
+    EXPECT_EQ(mem.peek(n1_flag0), 1u);
+    // ...then gives up there and rolls back.
+    sim::run_solo(sys, aborter.id(), 1000);
+    ASSERT_TRUE(aborter.finished());
+    EXPECT_EQ(result, EnterResult::Aborted);
+    EXPECT_EQ(mem.peek(root_flag0), 0u);
+    EXPECT_EQ(mem.peek(n1_flag0), 0u);
+    // Slot 1, solo, wins n1 and reaches the root, where it waits for the
+    // holder.
+    sim::run_solo(sys, follower.id(), 1000, at_root);
+    EXPECT_EQ(mem.peek(root_flag0), 1u);
+    EXPECT_FALSE(follower.finished());
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -86,6 +89,62 @@ TEST(DistLoopback, SecondDaemonGetsItsOwnPortAndSegment) {
     EXPECT_NE(a.shm_name(), b.shm_name());
     b.stop();
     a.stop();
+}
+
+/// Connects to `d` and checks that it answers HELLO with its geometry.
+void expect_hello(const LockServiceDaemon& d) {
+    DistClient client;
+    client.connect("127.0.0.1", d.port());
+    EXPECT_EQ(client.config().shards, d.layout().config().shards);
+    EXPECT_NE(client.words(), nullptr);
+    client.close();
+}
+
+TEST(DistLoopback, DaemonsWhoseAddressesAgreeInTheLow16BitsBothStart) {
+    // Two live daemons 64 KiB apart: a segment name derived from the
+    // daemon's address modulo 2^16 would be the same for both, and the
+    // second start() would fail on O_EXCL.
+    constexpr std::size_t kApart = std::size_t{1} << 16;
+    static_assert(alignof(LockServiceDaemon) <= alignof(std::max_align_t));
+    const auto buf = std::make_unique<std::max_align_t[]>(
+        (kApart + sizeof(LockServiceDaemon)) / sizeof(std::max_align_t) + 1);
+    auto* const base = reinterpret_cast<unsigned char*>(buf.get());
+    struct Placed {
+        LockServiceDaemon* d;
+        ~Placed() { d->~LockServiceDaemon(); }
+    };
+    const Placed a{new (base) LockServiceDaemon(tiny_cfg(true))};
+    const Placed b{new (base + kApart) LockServiceDaemon(tiny_cfg(true))};
+    ASSERT_EQ((reinterpret_cast<std::uintptr_t>(a.d) ^
+               reinterpret_cast<std::uintptr_t>(b.d)) & 0xFFFF,
+              0u);
+    a.d->start();
+    b.d->start();
+    EXPECT_NE(a.d->shm_name(), b.d->shm_name());
+    expect_hello(*a.d);
+    expect_hello(*b.d);
+}
+
+TEST(DistLoopback, StartSkipsASegmentNameThatExists) {
+    // A segment under the next name in line, as a killed run whose pid
+    // came back would leave it: start() takes the name after it and
+    // leaves the segment alone.
+    LockServiceDaemon first(tiny_cfg(true));
+    first.start();
+    const std::string& name = first.shm_name();
+    const std::size_t dot = name.rfind('.');
+    ASSERT_NE(dot, std::string::npos);
+    const std::string prefix = name.substr(0, dot + 1);
+    const std::uint64_t k = std::stoull(name.substr(dot + 1));
+    const ShmSegment stale =
+        ShmSegment::create(prefix + std::to_string(k + 1), 1);
+    LockServiceDaemon second(tiny_cfg(true));
+    second.start();
+    EXPECT_EQ(second.shm_name(), prefix + std::to_string(k + 2));
+    expect_hello(second);
+    second.stop();
+    EXPECT_NO_THROW(ShmSegment::attach(stale.name(), 1));
+    first.stop();
 }
 
 /// A control server that answers one HELLO with a canned reply, as a

@@ -207,15 +207,20 @@ TEST(NativeCounter, ReadNeverExceedsStartedAdds) {
     EXPECT_EQ(c.read(), 6000);
 }
 
-TEST(NativeTournamentMutex, ExclusionStress) {
-    constexpr std::uint32_t kThreads = 4;
-    constexpr int kIters = 3000;
-    TournamentMutex mx(kThreads);
+/// m threads on an m-slot tree, 12000 passages in all. At m = 8 the
+/// threads outnumber a 4-core host's cores, so losers park as well as spin.
+class NativeTournamentMutexStress
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(NativeTournamentMutexStress, ExclusionStress) {
+    const std::uint32_t m = GetParam();
+    const int iters = 12000 / static_cast<int>(m);
+    TournamentMutex mx(m);
     std::int64_t plain_counter = 0;  // Deliberately non-atomic.
     std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
+    for (std::uint32_t t = 0; t < m; ++t) {
         threads.emplace_back([&, t] {
-            for (int i = 0; i < kIters; ++i) {
+            for (int i = 0; i < iters; ++i) {
                 mx.lock(t);
                 plain_counter += 1;  // Data race iff exclusion fails.
                 mx.unlock(t);
@@ -225,8 +230,11 @@ TEST(NativeTournamentMutex, ExclusionStress) {
     for (auto& th : threads) {
         th.join();
     }
-    EXPECT_EQ(plain_counter, static_cast<std::int64_t>(kThreads) * kIters);
+    EXPECT_EQ(plain_counter, static_cast<std::int64_t>(m) * iters);
 }
+
+INSTANTIATE_TEST_SUITE_P(Slots, NativeTournamentMutexStress,
+                         ::testing::Values(2u, 4u, 8u));
 
 TEST(NativeTournamentMutex, SlotValidation) {
     TournamentMutex mx(2);
