@@ -3,17 +3,15 @@
 //   bench_compare --check FILE.json          validate schema, exit 0/1
 //   bench_compare OLD.json NEW.json [--max-perf-drop 0.50]
 //
-// Compare mode joins rows on the row key (bench_json.hpp RowKey) and
-// flags: throughput_ops drops beyond 10% (bench_diff.hpp kMaxDrop),
-// exact counts (sim_rmr means, explore schedules, dist network RMRs,
-// amortized RMRs) that change at all, in either direction -- they are
-// deterministic, so any move is a real protocol or engine change -- and
-// wall-clock rates (steps_per_sec, schedules_per_sec, ops_per_sec)
-// dropping beyond --max-perf-drop (machine-dependent, hence the much wider
-// default tolerance -- it guards against order-of-magnitude engine
-// regressions, not noise). Rows where
-// either run spent less than 5 ms (kMinPerfMs) of wall time are exempt from
-// the wall-clock gate: they measure scheduler jitter, not the engine.
+// Compare mode joins rows on the row key (bench_json.hpp row_key) and
+// flags each field by its gate in bench_json.hpp kFields: an Exact field
+// that changed at all, in either direction ([CHANGED]), and a Rate that
+// dropped past its tolerance ([REGRESS]). throughput_ops may drop 10%
+// (bench_diff.hpp kMaxDrop); a group's wall-clock rate may drop
+// --max-perf-drop, a fraction in [0, 1) that is machine-dependent, hence
+// the much wider default -- it guards against order-of-magnitude engine
+// regressions, not noise -- and only where both runs spent at least 5 ms
+// (kMinPerfMs) of wall time in that group.
 //
 // Baseline rows MISSING from the new run, and baseline fields a matched
 // new row lacks, are a hard error, one message each: the checked-in
@@ -21,18 +19,21 @@
 // hide a regression by deleting its row or field. Rows only the new run
 // has are informational ([new]).
 //
-// Exit 1 iff anything regressed or went missing, so CI or a local loop
-// can gate on it:
+// Exit 1 iff anything regressed or went missing, or a file is unreadable
+// or invalid, so CI or a local loop can gate on it; exit 2 with a usage
+// line on an unknown flag or a bad --max-perf-drop:
 //
 //   bench_native_throughput --json new.json && bench_compare BENCH_native.json new.json
 //
 // The join/diff logic lives in harness/bench_diff.hpp (unit-tested in
 // tests/test_bench_diff.cpp); this binary is the CLI around it.
-#include <cstring>
+#include <charconv>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "harness/bench_diff.hpp"
@@ -57,7 +58,11 @@ int compare(const Value& oldd, const Value& newd,
                   << ": present in baseline but absent from the new run\n";
     }
     for (const auto& f : rep.regressions) {
-        if (f.exact) {
+        if (f.exact && f.before_text != f.after_text) {
+            std::cout << "  [CHANGED] " << f.key << " " << f.metric << ": "
+                      << f.before_text << " -> " << f.after_text
+                      << " (exact: any change fails)\n";
+        } else if (f.exact) {
             std::cout << std::setprecision(
                              std::numeric_limits<double>::digits10)
                       << "  [CHANGED] " << f.key << " " << f.metric << ": "
@@ -73,11 +78,21 @@ int compare(const Value& oldd, const Value& newd,
     return rep.ok() ? 0 : 1;
 }
 
-int usage() {
-    std::cerr << "usage: bench_compare --check FILE.json\n"
+int usage(const std::string& why) {
+    std::cerr << "bench_compare: " << why
+              << "\nusage: bench_compare --check FILE.json\n"
                  "       bench_compare OLD.json NEW.json "
                  "[--max-perf-drop FRAC]\n";
     return 2;
+}
+
+/// --max-perf-drop's value: a fraction in [0, 1), or -1 when malformed.
+double parse_drop(std::string_view text) {
+    double frac = -1;
+    const char* end = text.data() + text.size();
+    const auto [stop, err] = std::from_chars(text.data(), end, frac);
+    return err == std::errc{} && stop == end && frac >= 0 && frac < 1 ? frac
+                                                                      : -1;
 }
 
 }  // namespace
@@ -87,26 +102,35 @@ int main(int argc, char** argv) {
     bench::DiffOptions opts;
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
+        const std::string arg = argv[i];
+        if (arg == "--check") {
             check_only = true;
-        } else if (std::strcmp(argv[i], "--max-perf-drop") == 0 &&
-                   i + 1 < argc) {
-            opts.max_perf_drop = std::stod(argv[++i]);
+        } else if (arg == "--max-perf-drop") {
+            if (i + 1 == argc) {
+                return usage("--max-perf-drop needs a value");
+            }
+            opts.max_perf_drop = parse_drop(argv[++i]);
+            if (opts.max_perf_drop < 0) {
+                return usage("--max-perf-drop wants a fraction in [0, 1), "
+                             "got '" + std::string(argv[i]) + "'");
+            }
+        } else if (arg.starts_with("-")) {
+            return usage("unknown flag '" + arg + "'");
         } else {
-            files.emplace_back(argv[i]);
+            files.push_back(arg);
         }
     }
     try {
         if (check_only) {
             if (files.size() != 1) {
-                return usage();
+                return usage("--check takes one file");
             }
             bench::validate(bench::read_file(files[0]));
             std::cout << files[0] << ": schema ok\n";
             return 0;
         }
         if (files.size() != 2) {
-            return usage();
+            return usage("compare takes two files");
         }
         const Value oldd = bench::read_file(files[0]);
         const Value newd = bench::read_file(files[1]);

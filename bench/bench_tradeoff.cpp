@@ -10,15 +10,17 @@
 // independent (protocol, n, f) cells run on a thread pool (--jobs N).
 //
 // Flags:
-//   --json <path>  additionally emits every sweep row as an "rwr-bench-v1"
-//                  document: sim_rmr (exact, deterministic -- any delta is
-//                  a real protocol change) plus sim_perf {steps, wall_ms,
-//                  steps_per_sec} (engine speed; gated by bench_compare
-//                  --max-perf-drop with a wide tolerance).
+//   --json <path>  additionally emits the sweep as an "rwr-bench-v1"
+//                  document, one row per (protocol, n, f): sim_rmr and
+//                  proc_rmr (exact, deterministic -- any delta is a real
+//                  protocol change) plus sim_perf {steps, wall_ms,
+//                  steps_per_sec} (engine speed; steps_per_sec is gated by
+//                  bench_compare --max-perf-drop with a wide tolerance).
 //   --jobs N       worker threads (default: hardware concurrency). Cell
 //                  results are bit-identical for every N.
 //
 // Exit 1 when a cell does not finish (or the JSON cannot be written).
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iostream>
@@ -116,7 +118,15 @@ void run_sweep(bench::Kit& kit) {
             if (!r.finished) {
                 continue;
             }
-            json_row(kit.results(), c, cfgs[i], r);
+            // At n = 32, f = log n and f = sqrt n are both 6: the table
+            // shows both choices, the document one row per row key.
+            if (std::none_of(cells.begin(), cells.begin() + i,
+                             [&](const Cell& o) {
+                                 return o.proto == c.proto && o.n == c.n &&
+                                        o.f == c.f;
+                             })) {
+                json_row(kit.results(), c, cfgs[i], r);
+            }
             const std::uint32_t K = (c.n + c.f - 1) / c.f;
             const double rd_pred = log2_of(K);
             const double wr_pred = static_cast<double>(c.f);

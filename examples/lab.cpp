@@ -7,15 +7,21 @@
 //
 // A thin front-end over the same harness the benches and tests use;
 // intended for poking at parameter combinations the canned benches don't
-// sweep.
+// sweep. Each command lists the flags it accepts (kCommands); every flag
+// takes a value except --round-robin. An unknown command or flag, a
+// missing value, a malformed number or an unknown lock, protocol or
+// section prints the reason and the usage to stderr and exits 2.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "adversary/adversary.hpp"
-#include "harness/bench_json.hpp"
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "native/perf.hpp"
@@ -26,43 +32,42 @@ namespace {
 using namespace rwr;
 using namespace rwr::harness;
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
-    std::map<std::string, std::string> flags;
-    for (int i = first; i + 1 < argc; i += 2) {
-        std::string key = argv[i];
-        if (key.rfind("--", 0) == 0) {
-            key = key.substr(2);
-        }
-        flags[key] = argv[i + 1];
+using bench::UsageError;
+
+/// The flags given, by name without "--"; a switch maps to "".
+using Flags = std::map<std::string, std::string>;
+
+template <typename T>
+T flag_num(const Flags& f, const std::string& k, T def) {
+    const auto it = f.find(k);
+    if (it == f.end()) {
+        return def;
     }
-    return flags;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, err] = std::from_chars(text.data(), end, value);
+    if (err != std::errc{} || stop != end) {
+        throw UsageError("--" + k + " wants a number, got '" + text + "'");
+    }
+    return value;
 }
 
-std::uint64_t flag_u64(const std::map<std::string, std::string>& f,
-                       const std::string& k, std::uint64_t def) {
-    auto it = f.find(k);
-    return it == f.end() ? def : std::stoull(it->second);
-}
-
-LockKind flag_lock(const std::map<std::string, std::string>& f) {
+LockKind flag_lock(const Flags& f) {
     const auto it = f.find("lock");
     const std::string name = it == f.end() ? "af" : it->second;
+    std::string known;
     for (const auto kind : all_lock_kinds()) {
-        std::string canon = to_string(kind);
-        if (canon == name || (name == "af" && kind == LockKind::Af)) {
+        if (to_string(kind) == name ||
+            (name == "af" && kind == LockKind::Af)) {
             return kind;
         }
+        known += " " + to_string(kind);
     }
-    std::cerr << "unknown lock '" << name << "'; try: ";
-    for (const auto kind : all_lock_kinds()) {
-        std::cerr << to_string(kind) << " ";
-    }
-    std::cerr << "\n";
-    std::exit(2);
+    throw UsageError("unknown lock '" + name + "'; try:" + known);
 }
 
-Protocol flag_protocol(const std::map<std::string, std::string>& f) {
+Protocol flag_protocol(const Flags& f) {
     const auto it = f.find("protocol");
     const std::string p = it == f.end() ? "wb" : it->second;
     if (p == "wt" || p == "write-through") {
@@ -74,20 +79,19 @@ Protocol flag_protocol(const std::map<std::string, std::string>& f) {
     if (p == "dsm") {
         return Protocol::Dsm;
     }
-    std::cerr << "unknown protocol '" << p << "' (wt|wb|dsm)\n";
-    std::exit(2);
+    throw UsageError("unknown protocol '" + p + "' (wt|wb|dsm)");
 }
 
-int cmd_tradeoff(const std::map<std::string, std::string>& f) {
+int cmd_tradeoff(const Flags& f) {
     ExperimentConfig cfg;
     cfg.lock = flag_lock(f);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 16));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
-    cfg.passages = flag_u64(f, "passages", 3);
-    cfg.cs_steps = flag_u64(f, "cs-steps", 1);
-    cfg.seed = flag_u64(f, "seed", 1);
+    cfg.n = flag_num<std::uint32_t>(f, "n", 16);
+    cfg.m = flag_num<std::uint32_t>(f, "m", 1);
+    cfg.f = flag_num<std::uint32_t>(f, "f", 1);
+    cfg.passages = flag_num<std::uint64_t>(f, "passages", 3);
+    cfg.cs_steps = flag_num<std::uint64_t>(f, "cs-steps", 1);
+    cfg.seed = flag_num<std::uint64_t>(f, "seed", 1);
     cfg.sched = f.count("round-robin") ? SchedKind::RoundRobin
                                        : SchedKind::Random;
     const auto res = run_experiment(cfg);
@@ -120,7 +124,7 @@ int cmd_tradeoff(const std::map<std::string, std::string>& f) {
     return res.me_violations == 0 ? 0 : 1;
 }
 
-Section flag_section(const std::map<std::string, std::string>& f) {
+Section flag_section(const Flags& f) {
     const auto it = f.find("section");
     const std::string s = it == f.end() ? "entry" : it->second;
     if (s == "entry") {
@@ -132,36 +136,35 @@ Section flag_section(const std::map<std::string, std::string>& f) {
     if (s == "exit") {
         return Section::Exit;
     }
-    std::cerr << "unknown section '" << s << "' (entry|critical|exit)\n";
-    std::exit(2);
+    throw UsageError("unknown section '" + s + "' (entry|critical|exit)");
 }
 
-int cmd_faults(const std::map<std::string, std::string>& f) {
+int cmd_faults(const Flags& f) {
     ExperimentConfig cfg;
     cfg.lock = flag_lock(f);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 2));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
-    cfg.passages = flag_u64(f, "passages", 2);
-    cfg.seed = flag_u64(f, "seed", 1);
-    cfg.max_steps = flag_u64(f, "max-steps", 100'000);
+    cfg.n = flag_num<std::uint32_t>(f, "n", 2);
+    cfg.m = flag_num<std::uint32_t>(f, "m", 1);
+    cfg.f = flag_num<std::uint32_t>(f, "f", 1);
+    cfg.passages = flag_num<std::uint64_t>(f, "passages", 2);
+    cfg.seed = flag_num<std::uint64_t>(f, "seed", 1);
+    cfg.max_steps = flag_num<std::uint64_t>(f, "max-steps", 100'000);
     cfg.sched = f.count("round-robin") ? SchedKind::RoundRobin
                                        : SchedKind::Random;
-    const auto victim =
-        static_cast<rwr::ProcId>(flag_u64(f, "crash", cfg.n + cfg.m));
+    const auto victim = flag_num<rwr::ProcId>(f, "crash", cfg.n + cfg.m);
     if (victim < cfg.n + cfg.m) {
-        const auto step = flag_u64(f, "step", 1);
-        const auto stall = flag_u64(f, "stall-steps", 0);
+        const auto step = flag_num<std::uint64_t>(f, "step", 1);
+        const auto stall = flag_num<std::uint64_t>(f, "stall-steps", 0);
         if (stall > 0) {
             cfg.faults.stall(victim, flag_section(f), step, stall);
         } else {
             cfg.faults.crash(victim, flag_section(f), step);
         }
     }
-    cfg.progress_window = flag_u64(f, "window", 2000);
-    cfg.wall_deadline_ms = flag_u64(f, "wall-ms", 0);
+    cfg.progress_window = flag_num<std::uint64_t>(f, "window", 2000);
+    cfg.wall_deadline_ms = flag_num<std::uint64_t>(f, "wall-ms", 0);
     cfg.record_schedule = true;
+    const bool replay = flag_num<std::uint32_t>(f, "replay", 0) != 0;
 
     const auto res = run_experiment(cfg);
     std::printf(
@@ -175,7 +178,7 @@ int cmd_faults(const std::map<std::string, std::string>& f) {
     if (!res.progress_diagnosis.empty()) {
         std::printf("--- diagnosis ---\n%s", res.progress_diagnosis.c_str());
     }
-    if (f.count("replay")) {
+    if (replay) {
         // Re-run the recorded schedule on a fresh system and check that the
         // stuck execution reproduces step for step.
         ExperimentConfig rcfg = cfg;
@@ -195,12 +198,12 @@ int cmd_faults(const std::map<std::string, std::string>& f) {
     return 0;
 }
 
-int cmd_adversary(const std::map<std::string, std::string>& f) {
+int cmd_adversary(const Flags& f) {
     adversary::AdversaryConfig cfg;
     cfg.lock = flag_lock(f);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 64));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
+    cfg.n = flag_num<std::uint32_t>(f, "n", 64);
+    cfg.f = flag_num<std::uint32_t>(f, "f", 1);
     const auto res = adversary::run_adversary(cfg);
     if (!res.completed) {
         std::printf("construction incomplete: %s\n", res.note.c_str());
@@ -220,22 +223,22 @@ int cmd_adversary(const std::map<std::string, std::string>& f) {
     return 0;
 }
 
-int cmd_explore(const std::map<std::string, std::string>& f) {
+int cmd_explore(const Flags& f) {
     ExperimentConfig cfg;
     cfg.lock = flag_lock(f);
     cfg.protocol = flag_protocol(f);
-    cfg.n = static_cast<std::uint32_t>(flag_u64(f, "n", 2));
-    cfg.m = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 1));
-    cfg.passages = flag_u64(f, "passages", 1);
-    const int depth = static_cast<int>(flag_u64(f, "depth", 10));
+    cfg.n = flag_num<std::uint32_t>(f, "n", 2);
+    cfg.m = flag_num<std::uint32_t>(f, "m", 1);
+    cfg.f = flag_num<std::uint32_t>(f, "f", 1);
+    cfg.passages = flag_num<std::uint64_t>(f, "passages", 1);
+    const int depth = static_cast<int>(flag_num<std::uint32_t>(f, "depth", 10));
     sim::ExploreOptions opt;
     opt.branch_depth = depth;
     opt.finish_budget = 100'000;
     // Default off: plain `lab explore` keeps the historical full-tree
     // schedule counts; --reduce 1 switches on partial-order reduction.
-    opt.reduce = flag_u64(f, "reduce", 0) != 0;
-    opt.jobs = static_cast<unsigned>(flag_u64(f, "jobs", 1));
+    opt.reduce = flag_num<std::uint32_t>(f, "reduce", 0) != 0;
+    opt.jobs = flag_num<unsigned>(f, "jobs", 1);
     const auto res = sim::explore(scenario_factory(cfg), opt);
     std::printf("schedules=%llu violations=%llu incomplete=%llu "
                 "truncated=%llu\n",
@@ -249,7 +252,7 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
     return res.ok() ? 0 : 1;
 }
 
-int cmd_metrics(const std::map<std::string, std::string>& f) try {
+int cmd_metrics(const Flags& f) try {
     namespace perf = rwr::native::perf;
     namespace bench = rwr::harness::bench;
     namespace json = rwr::harness::json;
@@ -257,10 +260,10 @@ int cmd_metrics(const std::map<std::string, std::string>& f) try {
     perf::PerfConfig cfg;
     const auto lit = f.find("lock");
     cfg.lock = perf::perf_lock_from(lit == f.end() ? "af" : lit->second);
-    cfg.readers = static_cast<std::uint32_t>(flag_u64(f, "n", 2));
-    cfg.writers = static_cast<std::uint32_t>(flag_u64(f, "m", 1));
-    cfg.f = static_cast<std::uint32_t>(flag_u64(f, "f", 0));
-    cfg.duration_ms = static_cast<std::uint32_t>(flag_u64(f, "ms", 200));
+    cfg.readers = flag_num<std::uint32_t>(f, "n", 2);
+    cfg.writers = flag_num<std::uint32_t>(f, "m", 1);
+    cfg.f = flag_num<std::uint32_t>(f, "f", 0);
+    cfg.duration_ms = flag_num<std::uint32_t>(f, "ms", 200);
 
     const auto res = perf::run_perf(cfg);
     std::printf(
@@ -315,59 +318,104 @@ int cmd_metrics(const std::map<std::string, std::string>& f) try {
         std::printf("wrote %s\n", jit->second.c_str());
     }
     return 0;
+} catch (const UsageError&) {
+    throw;
 } catch (const std::exception& e) {
     std::cerr << "metrics: " << e.what() << "\n";
     return 2;
 }
 
+int cmd_list(const Flags&) {
+    for (const auto kind : rwr::harness::all_lock_kinds()) {
+        std::puts(rwr::harness::to_string(kind).c_str());
+    }
+    return 0;
+}
+
+struct Command {
+    const char* name;
+    const char* summary;
+    std::vector<std::string> flags;  ///< Each takes a value.
+    int (*run)(const Flags&);
+};
+
+/// --round-robin, the one switch, is accepted where "round-robin" is
+/// listed.
+const std::vector<Command> kCommands = {
+    {"tradeoff", "measure per-section RMRs",
+     {"lock", "protocol", "n", "m", "f", "passages", "cs-steps", "seed",
+      "round-robin"},
+     cmd_tradeoff},
+    {"adversary", "run the Theorem 5 construction",
+     {"lock", "protocol", "n", "f"},
+     cmd_adversary},
+    {"explore",
+     "exhaustive schedule search (--reduce 1 for partial-order reduction)",
+     {"lock", "protocol", "n", "m", "f", "passages", "depth", "reduce",
+      "jobs"},
+     cmd_explore},
+    {"faults",
+     "crash/stall injection + livelock watchdog (--crash PID --section "
+     "entry|critical|exit --step K; --stall-steps S stalls instead; "
+     "--replay 1 re-runs the schedule)",
+     {"lock", "protocol", "n", "m", "f", "passages", "seed", "max-steps",
+      "round-robin", "crash", "section", "step", "stall-steps", "window",
+      "wall-ms", "replay"},
+     cmd_faults},
+    {"metrics",
+     "native throughput + live lock telemetry (--lock "
+     "af|centralized|faa|phase-fair, --json PATH)",
+     {"lock", "n", "m", "f", "ms", "json"},
+     cmd_metrics},
+    {"list", "list available locks", {}, cmd_list},
+};
+
+Flags parse_flags(const Command& cmd, int argc, char** argv) {
+    Flags flags;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::string name = arg.starts_with("--") ? arg.substr(2) : "";
+        if (std::find(cmd.flags.begin(), cmd.flags.end(), name) ==
+            cmd.flags.end()) {
+            throw UsageError(std::string(cmd.name) + " does not take '" +
+                             arg + "'");
+        }
+        if (name == "round-robin") {
+            flags[name] = "";
+        } else if (i + 1 == argc) {
+            throw UsageError(arg + " needs a value");
+        } else {
+            flags[name] = argv[++i];
+        }
+    }
+    return flags;
+}
+
 void usage() {
-    std::puts(
-        "usage: lab <command> [--flag value ...]\n"
-        "  tradeoff   measure per-section RMRs  (--lock --protocol --n --m "
-        "--f --passages --cs-steps --seed)\n"
-        "  adversary  run the Theorem 5 construction (--lock --protocol "
-        "--n --f)\n"
-        "  explore    exhaustive schedule search (--reduce 1 for "
-        "partial-order reduction, --jobs N) (--lock --n --m --f "
-        "--depth)\n"
-        "  faults     crash/stall injection + livelock watchdog (--crash PID "
-        "--section entry|critical|exit --step K [--stall-steps S] "
-        "[--window W] [--wall-ms MS] [--replay 1])\n"
-        "  metrics    native throughput + live lock telemetry (--lock "
-        "af|centralized|faa|phase-fair --n --m --f --ms [--json PATH])\n"
-        "  list       list available locks");
+    std::cerr << "usage: lab <command> [--flag value ...]\n";
+    for (const Command& cmd : kCommands) {
+        std::cerr << "  " << cmd.name << ": " << cmd.summary << "\n   ";
+        for (const auto& flag : cmd.flags) {
+            std::cerr << " --" << flag;
+        }
+        std::cerr << "\n";
+    }
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     if (argc < 2) {
-        usage();
-        return 2;
+        throw UsageError("no command given");
     }
-    const std::string cmd = argv[1];
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "tradeoff") {
-        return cmd_tradeoff(flags);
-    }
-    if (cmd == "adversary") {
-        return cmd_adversary(flags);
-    }
-    if (cmd == "explore") {
-        return cmd_explore(flags);
-    }
-    if (cmd == "faults") {
-        return cmd_faults(flags);
-    }
-    if (cmd == "metrics") {
-        return cmd_metrics(flags);
-    }
-    if (cmd == "list") {
-        for (const auto kind : rwr::harness::all_lock_kinds()) {
-            std::puts(rwr::harness::to_string(kind).c_str());
+    for (const Command& cmd : kCommands) {
+        if (cmd.name == std::string(argv[1])) {
+            return cmd.run(parse_flags(cmd, argc, argv));
         }
-        return 0;
     }
+    throw UsageError(std::string("unknown command '") + argv[1] + "'");
+} catch (const UsageError& e) {
+    std::cerr << "lab: " << e.what() << "\n";
     usage();
     return 2;
 }

@@ -110,10 +110,18 @@ sim::SimTask<void> FaaSimRWLock::writer_entry(sim::Process& p) {
     co_await p.write(wgate_, 0);
     const Word prior = co_await p.fetch_add(state_, kWriterBit);
     if ((prior & 0xffffffffu) != 0) {
-        // In-flight readers: the last one flips wgate_ on its way out.
+        // In-flight readers: the last one flips wgate_ on its way out. The
+        // gate only says some reader drained a writer's readers: one that
+        // backed out under the previous writer can set it after our reset
+        // while a reader that entered between the two writers is still in
+        // the CS. The count in state_ decides, as in the native FaaRWLock.
         for (;;) {
             const Word g = co_await p.read(wgate_);
-            if (g == 1) {
+            if (g != 1) {
+                continue;
+            }
+            const Word s = co_await p.read(state_);
+            if ((s & 0xffffffffu) == 0) {
                 break;
             }
         }

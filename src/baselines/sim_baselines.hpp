@@ -53,8 +53,9 @@ class CentralizedSimRWLock final : public sim::SimRWLock {
 
 /// Centralized FAA lock, writer preference. Writers serialize on an
 /// m-process tournament mutex, then close the reader gate and wait for
-/// in-flight readers to drain.
-class FaaSimRWLock final : public sim::SimRWLock {
+/// in-flight readers to drain. Not final: sim/broken_locks.hpp keeps a
+/// mutant writer.
+class FaaSimRWLock : public sim::SimRWLock {
    public:
     FaaSimRWLock(Memory& mem, std::uint32_t n, std::uint32_t m);
 
@@ -66,7 +67,7 @@ class FaaSimRWLock final : public sim::SimRWLock {
 
     static constexpr Word kWriterBit = Word{1} << 40;
 
-   private:
+   protected:
     mutex::TournamentSimMutex wl_;
     VarId state_;  ///< Writer bit + reader count (FAA-updated).
     VarId rgate_;  ///< Readers may proceed when == current epoch.

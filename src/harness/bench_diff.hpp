@@ -2,15 +2,11 @@
 // drive it on in-memory documents (tests/test_bench_diff.cpp).
 //
 // diff() joins two rwr-bench-v1 documents on the bench name and the row
-// key (bench_json.hpp RowKey: lock, protocol, n, m, f, threads, workload)
-// and reports three things:
-//   * regressions -- an exact count changed at all, in either direction
-//     (sim_rmr means, explore.schedules_explored,
-//     dist.network_rmrs_per_op, amortized.writer_amortized_rmrs and
-//     .expected_rmr: deterministic, so any move is a protocol or engine
-//     change), or a wall-clock rate dropped beyond its tolerance
-//     (throughput_ops, sim_perf.steps_per_sec, explore.schedules_per_sec,
-//     dist.ops_per_sec);
+// key (bench_json.hpp row_key) and reports three things:
+//   * regressions -- a field whose gate fails. Each field's gate is its
+//     line in bench_json.hpp kFields: an Exact field fails on any change,
+//     in either direction; a Rate fails on a drop past its tolerance; an
+//     Info field is not compared;
 //   * missing    -- rows present in the baseline but absent from the new
 //     run, and fields a baseline row has but its matched new row lacks. A
 //     vanished row or field means the new binary silently stopped covering
@@ -19,8 +15,8 @@
 //     -- so missing entries are a HARD comparison failure
 //     (DiffReport::ok() is false), not an informational note. The
 //     checked-in baselines are thereby the manifest of required rows and
-//     fields. Fields under latency_ns are exempt: a native histogram with
-//     no samples is left out of its row;
+//     fields. Members of a Sparse object (latency_ns) are exempt: a
+//     native histogram with no samples is left out of its row;
 //   * added      -- rows only the new run has (informational: new coverage
 //     is fine).
 #pragma once
@@ -34,30 +30,30 @@
 
 namespace rwr::harness::bench {
 
-/// Tolerated fractional drop of throughput_ops. The exact counts (sim_rmr
-/// means, explore schedule counts, dist network RMRs, amortized RMRs) have
-/// no tolerance: any change fails.
+/// Tolerated fractional drop of a top-level Rate (throughput_ops).
 inline constexpr double kMaxDrop = 0.10;
 /// Rows where either run's wall_ms is below this floor are exempt from the
 /// wall-clock gates (sub-floor cells measure jitter).
 inline constexpr double kMinPerfMs = 5.0;
 
 struct DiffOptions {
-    /// Tolerated fractional drop of the wall-clock rates (sim_perf
-    /// steps_per_sec, explore schedules_per_sec, dist ops_per_sec): noise,
-    /// hence much wider than kMaxDrop.
+    /// Tolerated fractional drop of a Rate inside a group (kFields): a
+    /// wall-clock rate is noise, hence much wider than kMaxDrop.
     double max_perf_drop = 0.50;
 };
 
 struct DiffFlag {
     std::string key;
-    std::string metric;
+    std::string metric;  ///< The field's kFields path, "group.name".
     double before = 0;
     double after = 0;
     /// Fractional worsening (> 0 is worse). For an exact count, the signed
     /// fractional move (the absolute move off a zero baseline).
     double change = 0;
-    bool exact = false;  ///< An exact count that moved.
+    bool exact = false;  ///< An Exact field that changed.
+    /// A changed string field's two values (before/after stay 0).
+    std::string before_text = {};
+    std::string after_text = {};
 };
 
 struct DiffReport {
@@ -74,24 +70,6 @@ struct DiffReport {
     }
 };
 
-inline std::string row_key(const std::string& bench_name,
-                           const json::Value& row) {
-    std::string key = bench_name;
-    for (const auto& [field, tag] : kRowKeyFields) {
-        const json::Value* v = row.find(field);
-        key += "/";
-        key += tag;
-        if (v == nullptr) {
-            key += "-";
-        } else if (v->type() == json::Value::Type::String) {
-            key += v->as_string();
-        } else {
-            key += std::to_string(v->as_uint());
-        }
-    }
-    return key;
-}
-
 inline std::map<std::string, const json::Value*> index_rows(
     const json::Value& doc) {
     const std::string name = doc.find("bench")->as_string();
@@ -105,7 +83,7 @@ inline std::map<std::string, const json::Value*> index_rows(
 namespace detail {
 
 /// A rate (higher is better) fails when it drops by more than max_frac.
-inline void diff_rate(const std::string& key, const char* metric,
+inline void diff_rate(const std::string& key, const std::string& metric,
                       double before, double after, double max_frac,
                       std::vector<DiffFlag>* flags) {
     if (before <= 0) {
@@ -117,30 +95,63 @@ inline void diff_rate(const std::string& key, const char* metric,
     }
 }
 
-/// An exact count fails on any change, a decrease included: it is
+/// An exact field fails on any change, a decrease included: it is
 /// deterministic, so a move means the protocol or the engine changed.
-inline void diff_exact(const std::string& key, const char* metric,
-                       double before, double after,
+inline void diff_exact(const std::string& key, const std::string& metric,
+                       const json::Value& before, const json::Value& after,
                        std::vector<DiffFlag>* flags) {
-    if (after != before) {
-        const double change =
-            before == 0 ? after - before : (after - before) / before;
-        flags->push_back({key, metric, before, after, change, true});
+    if (before.type() == json::Value::Type::String) {
+        if (after.as_string() != before.as_string()) {
+            flags->push_back({key, metric, 0, 0, 0, true, before.as_string(),
+                              after.as_string()});
+        }
+        return;
+    }
+    const double b = before.as_double();
+    const double a = after.as_double();
+    if (a != b) {
+        flags->push_back({key, metric, b, a, b == 0 ? a - b : (a - b) / b,
+                          true});
     }
 }
 
-/// Appends `prefix` + the dotted path of every field under `base` that
-/// `now` lacks, descending into objects except latency_ns.
-inline void missing_fields(const json::Value& base, const json::Value& now,
-                           const std::string& prefix,
-                           std::vector<std::string>* out) {
-    for (const auto& [name, value] : base.members()) {
-        const json::Value* mine = now.find(name);
-        if (mine == nullptr) {
-            out->push_back(prefix + name);
-        } else if (value.type() == json::Value::Type::Object &&
-                   name != "latency_ns") {
-            missing_fields(value, *mine, prefix + name + ".", out);
+/// Whether both runs spent at least kMinPerfMs in a group: sub-floor
+/// cells finish in fractions of a millisecond, and their rates measure
+/// scheduling noise, not engine speed.
+inline bool measurable(const json::Value& base, const json::Value& now) {
+    const json::Value* ow = base.find("wall_ms");
+    const json::Value* nw = now.find("wall_ms");
+    return ow != nullptr && nw != nullptr && ow->as_double() >= kMinPerfMs &&
+           nw->as_double() >= kMinPerfMs;
+}
+
+/// Compares each member of a baseline row (group "") or of one of its
+/// groups with the joined run's `now`, by the member's gate.
+inline void diff_object(const std::string& key, const std::string& group,
+                        const json::Value& base, const json::Value& now,
+                        const DiffOptions& opts, DiffReport* rep) {
+    for (const auto& [name, before] : base.members()) {
+        const std::string path = group.empty() ? name : group + "." + name;
+        const json::Value* after = now.find(name);
+        if (after == nullptr) {
+            rep->missing.push_back(key + " " + path);
+            continue;
+        }
+        // nullptr: a member of an Open object, which has no gate.
+        const Field* field = find_field(path);
+        if (field == nullptr || field->type == Type::Sparse) {
+            continue;
+        }
+        if (field->type == Type::Group || field->type == Type::Open) {
+            diff_object(key, path, before, *after, opts, rep);
+        } else if (field->gate == Gate::Exact) {
+            diff_exact(key, path, before, *after, &rep->regressions);
+        } else if (field->gate == Gate::Rate && group.empty()) {
+            diff_rate(key, path, before.as_double(), after->as_double(),
+                      kMaxDrop, &rep->regressions);
+        } else if (field->gate == Gate::Rate && measurable(base, now)) {
+            diff_rate(key, path, before.as_double(), after->as_double(),
+                      opts.max_perf_drop, &rep->regressions);
         }
     }
 }
@@ -160,116 +171,7 @@ inline DiffReport diff(const json::Value& oldd, const json::Value& newd,
             continue;
         }
         ++rep.joined;
-        const json::Value* new_row = it->second;
-        detail::missing_fields(*old_row, *new_row, key + " ", &rep.missing);
-        const json::Value* old_t = old_row->find("throughput_ops");
-        const json::Value* new_t = new_row->find("throughput_ops");
-        if (old_t != nullptr && new_t != nullptr) {
-            detail::diff_rate(key, "throughput_ops", old_t->as_double(),
-                              new_t->as_double(), kMaxDrop,
-                              &rep.regressions);
-        }
-        const json::Value* old_r = old_row->find("sim_rmr");
-        const json::Value* new_r = new_row->find("sim_rmr");
-        if (old_r != nullptr && new_r != nullptr) {
-            for (const char* m :
-                 {"reader_mean_passage", "writer_mean_passage"}) {
-                const json::Value* ov = old_r->find(m);
-                const json::Value* nv = new_r->find(m);
-                if (ov != nullptr && nv != nullptr) {
-                    detail::diff_exact(key, m, ov->as_double(),
-                                       nv->as_double(), &rep.regressions);
-                }
-            }
-        }
-        const json::Value* old_e = old_row->find("explore");
-        const json::Value* new_e = new_row->find("explore");
-        if (old_e != nullptr && new_e != nullptr) {
-            // The schedule count is deterministic for a given engine, so a
-            // move means the reduction or the tree changed -- exact, like
-            // an RMR mean. Throughput is wall-clock, gated with the wide
-            // perf tolerance over the same wall floor as sim_perf.
-            const json::Value* oc = old_e->find("schedules_explored");
-            const json::Value* nc = new_e->find("schedules_explored");
-            if (oc != nullptr && nc != nullptr) {
-                detail::diff_exact(key, "explore.schedules_explored",
-                                   oc->as_double(), nc->as_double(),
-                                   &rep.regressions);
-            }
-            const json::Value* ov = old_e->find("schedules_per_sec");
-            const json::Value* nv = new_e->find("schedules_per_sec");
-            const json::Value* ow = old_e->find("wall_ms");
-            const json::Value* nw = new_e->find("wall_ms");
-            const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= kMinPerfMs &&
-                                    nw->as_double() >= kMinPerfMs;
-            if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_rate(key, "explore.schedules_per_sec",
-                                  ov->as_double(), nv->as_double(),
-                                  opts.max_perf_drop, &rep.regressions);
-            }
-        }
-        const json::Value* old_d = old_row->find("dist");
-        const json::Value* new_d = new_row->find("dist");
-        if (old_d != nullptr && new_d != nullptr) {
-            // network_rmrs_per_op is exact on the sim backend (the grid is
-            // deterministic), so any move is a protocol change. ops_per_sec
-            // only exists on native loopback rows and is wall-clock: wide
-            // gate over the dist wall_ms floor, mirroring sim_perf.
-            const json::Value* on = old_d->find("network_rmrs_per_op");
-            const json::Value* nn = new_d->find("network_rmrs_per_op");
-            if (on != nullptr && nn != nullptr) {
-                detail::diff_exact(key, "dist.network_rmrs_per_op",
-                                   on->as_double(), nn->as_double(),
-                                   &rep.regressions);
-            }
-            const json::Value* ov = old_d->find("ops_per_sec");
-            const json::Value* nv = new_d->find("ops_per_sec");
-            const json::Value* ow = old_d->find("wall_ms");
-            const json::Value* nw = new_d->find("wall_ms");
-            const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= kMinPerfMs &&
-                                    nw->as_double() >= kMinPerfMs;
-            if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_rate(key, "dist.ops_per_sec", ov->as_double(),
-                                  nv->as_double(), opts.max_perf_drop,
-                                  &rep.regressions);
-            }
-        }
-        const json::Value* old_a = old_row->find("amortized");
-        const json::Value* new_a = new_row->find("amortized");
-        if (old_a != nullptr && new_a != nullptr) {
-            // writer_amortized_rmrs is exact on deterministic grid rows and
-            // seed-deterministic on randomized ones; expected_rmr is the
-            // trial-set mean under a fixed base seed. Both are exact.
-            for (const char* m : {"writer_amortized_rmrs", "expected_rmr"}) {
-                const json::Value* ov = old_a->find(m);
-                const json::Value* nv = new_a->find(m);
-                if (ov != nullptr && nv != nullptr) {
-                    detail::diff_exact(key, m, ov->as_double(),
-                                       nv->as_double(), &rep.regressions);
-                }
-            }
-        }
-        const json::Value* old_p = old_row->find("sim_perf");
-        const json::Value* new_p = new_row->find("sim_perf");
-        if (old_p != nullptr && new_p != nullptr) {
-            const json::Value* ov = old_p->find("steps_per_sec");
-            const json::Value* nv = new_p->find("steps_per_sec");
-            const json::Value* ow = old_p->find("wall_ms");
-            const json::Value* nw = new_p->find("wall_ms");
-            // Sub-floor cells finish in fractions of a millisecond; their
-            // steps_per_sec is dominated by scheduling noise, not engine
-            // speed, so only rows where both runs spent real time qualify.
-            const bool measurable = ow != nullptr && nw != nullptr &&
-                                    ow->as_double() >= kMinPerfMs &&
-                                    nw->as_double() >= kMinPerfMs;
-            if (ov != nullptr && nv != nullptr && measurable) {
-                detail::diff_rate(key, "sim_perf.steps_per_sec",
-                                  ov->as_double(), nv->as_double(),
-                                  opts.max_perf_drop, &rep.regressions);
-            }
-        }
+        detail::diff_object(key, "", *old_row, *it->second, opts, &rep);
     }
     for (const auto& [key, row] : new_idx) {
         if (old_idx.find(key) == old_idx.end()) {

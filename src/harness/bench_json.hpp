@@ -1,50 +1,31 @@
 // The "rwr-bench-v1" JSON schema: one document per bench binary run, a
 // flat results array so bench_compare can join rows across runs.
 //
-//   {
-//     "schema":  "rwr-bench-v1",
-//     "bench":   "native_throughput" | "tradeoff" | "metrics",
-//     "results": [ { "lock", "n", "f", "threads",          <- required
-//                    "m"?, "protocol"?,
-//                    "throughput_ops"?,                    <- native rows
-//                    "latency_ns"?   { <histo>: {p50,p90,p99,max} },
-//                    "telemetry"?    { <counter>: u64 },
-//                    "sim_rmr"?      { reader_mean_passage, reader_max_passage,
-//                                      writer_mean_passage, writer_max_passage },
-//                    "sim_perf"?     { steps, wall_ms, steps_per_sec },
-//                    "explore"?      { schedules_explored, violations,
-//                                      truncated_runs, reduction_factor,
-//                                      schedules_per_sec, wall_ms },
-//                    "proc_rmr"?     { reader_total_mean, reader_total_max,
-//                                      writer_total_mean, writer_total_max },
-//                    "dist"?         { ops, network_rmrs_per_op, sessions,
-//                                      shards, ops_per_sec?, p50_acquire_us?,
-//                                      p99_acquire_us?, wall_ms? },
-//                    "amortized"?    { episodes, aborted, passages,
-//                                      writer_amortized_rmrs,
-//                                      abort_rmr_mean?, abort_rmr_max?,
-//                                      expected_rmr?, ci95?, trials?,
-//                                      worst_case_rmr? } } ]
-//   }
+//   { "schema": "rwr-bench-v1", "bench": "<name>", "results": [ <row>, ... ] }
+//
+// kFields below is the schema: every field a row may carry, with its type,
+// whether it is required, whether it is a payload, and its gate in
+// bench_compare. validate() and diff() (bench_diff.hpp) are loops over it,
+// so a new field is one table line. validate() rejects a field with no
+// line, and every writer validates its document (write_file), so such a
+// field fails its own bench run instead of shipping ungated.
 //
 // Every writer starts a row with key_row(): the row key (lock, protocol?,
 // n, m, f, threads, workload?) that bench_compare joins runs on, defined
-// once below. A row must carry at least one payload group
-// (throughput_ops, sim_rmr, sim_perf, explore, dist or amortized);
-// validate() enforces exactly this and is shared by the writers (so a
-// binary can never emit an invalid file) and by `bench_compare --check`.
-// sim_rmr counts are exact (any diff is a protocol change); sim_perf.steps
-// is exact too, but wall_ms / steps_per_sec are wall-clock and
-// machine-dependent -- bench_compare gates them with a much wider
-// tolerance (--max-perf-drop) than the sim-RMR gate.
+// once below. A row must carry at least one payload field, and no two
+// rows of a document may share a key. `bench_compare --check` runs
+// validate() too.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,7 +45,7 @@ inline json::Value make_doc(const std::string& bench_name) {
 }
 
 /// The row key: the fields bench_compare joins rows of two runs on
-/// (bench_diff.hpp row_key). Every row writer starts from key_row().
+/// (row_key()). Every row writer starts from key_row().
 struct RowKey {
     std::string lock;
     std::string protocol = {};  ///< Omitted from the row when empty.
@@ -80,6 +61,26 @@ struct RowKey {
 inline constexpr std::pair<const char*, const char*> kRowKeyFields[] = {
     {"lock", ""}, {"protocol", ""}, {"n", "n"},       {"m", "m"},
     {"f", "f"},   {"threads", "t"}, {"workload", "w"}};
+
+/// A row's join key: the bench name and each kRowKeyFields value behind
+/// its tag, "-" for an absent field.
+inline std::string row_key(const std::string& bench_name,
+                           const json::Value& row) {
+    std::string key = bench_name;
+    for (const auto& [field, tag] : kRowKeyFields) {
+        const json::Value* v = row.find(field);
+        key += "/";
+        key += tag;
+        if (v == nullptr) {
+            key += "-";
+        } else if (v->type() == json::Value::Type::String) {
+            key += v->as_string();
+        } else {
+            key += std::to_string(v->as_uint());
+        }
+    }
+    return key;
+}
 
 /// A results row holding just its key, fields in kRowKeyFields order;
 /// the payload groups are set() after it.
@@ -97,6 +98,146 @@ inline json::Value key_row(const RowKey& key) {
         row.set("workload", key.workload);
     }
     return row;
+}
+
+/// A field's JSON type. A Group is an object of the "group.name" fields
+/// of the table; Open and Sparse objects hold members it does not name.
+/// An Open object's members may not vanish from a baseline's row; a
+/// Sparse object's come and go (an empty histogram is left out).
+enum class Type : std::uint8_t { Number, String, Bool, Group, Open, Sparse };
+
+/// What bench_compare does with a field's value:
+///   Exact -- deterministic: any change fails, in either direction;
+///   Rate  -- wall-clock, higher is better: at the top level a drop past
+///            kMaxDrop fails; inside a group a drop past --max-perf-drop
+///            fails when both runs spent kMinPerfMs in its wall_ms;
+///   Info  -- presence only: the value is not compared.
+enum class Gate : std::uint8_t { Exact, Rate, Info };
+
+struct Field {
+    std::string_view path;  ///< "name", or "group.name" inside a Group.
+    Type type;
+    bool required;  ///< In every row, or wherever its group is present.
+    bool payload;   ///< A row must carry at least one payload field.
+    Gate gate;
+};
+
+namespace table {
+using enum Type;
+using enum Gate;
+// clang-format off
+inline constexpr Field kFields[] = {
+    // path                                type    required payload gate
+    // The row key; joined rows agree on it.
+    {"lock",                               String, true,  false, Exact},
+    {"protocol",                           String, false, false, Exact},
+    {"n",                                  Number, true,  false, Exact},
+    {"m",                                  Number, false, false, Exact},
+    {"f",                                  Number, true,  false, Exact},
+    {"threads",                            Number, true,  false, Exact},
+    {"workload",                           String, false, false, Exact},
+    // Native rows (native/perf.hpp): the run's setup and wall-clock.
+    {"duration_ms",                        Number, false, false, Info},
+    {"warmup_ms",                          Number, false, false, Info},
+    {"think_us",                           Number, false, false, Info},
+    {"cs_us",                              Number, false, false, Info},
+    {"pinning",                            Bool,   false, false, Info},
+    {"parking",                            Bool,   false, false, Info},
+    {"reader_ops",                         Number, false, false, Info},
+    {"writer_ops",                         Number, false, false, Info},
+    {"throughput_ops",                     Number, false, true,  Rate},
+    {"cpu_s",                              Number, false, false, Info},
+    {"latency_ns",                         Sparse, false, false, Info},
+    {"telemetry",                          Open,   false, false, Info},
+    // Simulated RMRs per passage and per process, exact.
+    {"sim_rmr",                            Group,  false, true,  Info},
+    {"sim_rmr.reader_mean_passage",        Number, true,  false, Exact},
+    {"sim_rmr.reader_max_passage",         Number, false, false, Exact},
+    {"sim_rmr.writer_mean_passage",        Number, true,  false, Exact},
+    {"sim_rmr.writer_max_passage",         Number, false, false, Exact},
+    {"proc_rmr",                           Group,  false, false, Info},
+    {"proc_rmr.reader_total_mean",         Number, true,  false, Exact},
+    {"proc_rmr.reader_total_max",          Number, true,  false, Exact},
+    {"proc_rmr.writer_total_mean",         Number, true,  false, Exact},
+    {"proc_rmr.writer_total_max",          Number, true,  false, Exact},
+    // Simulator speed: exact steps, wall-clock rate.
+    {"sim_perf",                           Group,  false, true,  Info},
+    {"sim_perf.steps",                     Number, true,  false, Exact},
+    {"sim_perf.wall_ms",                   Number, true,  false, Info},
+    {"sim_perf.steps_per_sec",             Number, true,  false, Rate},
+    // Schedule exploration: exact verdicts and counts, wall-clock rate.
+    {"explore",                            Group,  false, true,  Info},
+    {"explore.schedules_explored",         Number, true,  false, Exact},
+    {"explore.violations",                 Number, true,  false, Exact},
+    {"explore.truncated_runs",             Number, true,  false, Exact},
+    {"explore.reduction_factor",           Number, true,  false, Exact},
+    {"explore.schedules_per_sec",          Number, true,  false, Rate},
+    {"explore.wall_ms",                    Number, true,  false, Info},
+    // The lock service: exact on the sim backend; the optional fields are
+    // native loopback wall-clock.
+    {"dist",                               Group,  false, true,  Info},
+    {"dist.ops",                           Number, true,  false, Exact},
+    {"dist.network_rmrs_per_op",           Number, true,  false, Exact},
+    {"dist.sessions",                      Number, true,  false, Info},
+    {"dist.shards",                        Number, true,  false, Info},
+    {"dist.ops_per_sec",                   Number, false, false, Rate},
+    {"dist.p50_acquire_us",                Number, false, false, Info},
+    {"dist.p99_acquire_us",                Number, false, false, Info},
+    {"dist.wall_ms",                       Number, false, false, Info},
+    // Abortable mutexes: exact on round-robin rows, seeded on randomized
+    // trial rows.
+    {"amortized",                          Group,  false, true,  Info},
+    {"amortized.episodes",                 Number, true,  false, Exact},
+    {"amortized.aborted",                  Number, true,  false, Exact},
+    {"amortized.passages",                 Number, true,  false, Exact},
+    {"amortized.writer_amortized_rmrs",    Number, true,  false, Exact},
+    {"amortized.abort_rmr_mean",           Number, false, false, Exact},
+    {"amortized.abort_rmr_max",            Number, false, false, Exact},
+    {"amortized.expected_rmr",             Number, false, false, Exact},
+    {"amortized.ci95",                     Number, false, false, Info},
+    {"amortized.trials",                   Number, false, false, Info},
+    {"amortized.worst_case_rmr",           Number, false, false, Exact},
+    // Recoverable locks (bench_recoverable): crash recovery costs and the
+    // worst crash placement, exact.
+    {"recover",                            Group,  false, false, Info},
+    {"recover.restarts",                   Number, false, false, Exact},
+    {"recover.max_recovery_steps",         Number, false, false, Exact},
+    {"recover.max_chain_recovery_steps",   Number, false, false, Exact},
+    {"recover.reader_recover_mean",        Number, false, false, Exact},
+    {"recover.writer_recover_mean",        Number, false, false, Exact},
+    {"recover.recovery_episodes",          Number, false, false, Exact},
+    {"recover.recovery_mean_rmrs",         Number, false, false, Exact},
+    {"recover.recovery_max_rmrs",          Number, false, false, Exact},
+    {"recover.victim",                     Number, false, false, Exact},
+    {"recover.section",                    String, false, false, Exact},
+    {"recover.step_in_section",            Number, false, false, Exact},
+    // The crash adversary's worst schedule, exact.
+    {"adversary",                          Group,  false, false, Info},
+    {"adversary.candidates",               Number, false, false, Exact},
+    {"adversary.discarded_unfired",        Number, false, false, Exact},
+    {"adversary.worst_family",             String, false, false, Exact},
+    {"adversary.worst_schedule",           String, false, false, Exact},
+    {"adversary.worst_score",              Number, false, false, Exact},
+    {"adversary.passage_rmrs_mean",        Number, false, false, Exact},
+    {"adversary.passage_rmrs_max",         Number, false, false, Exact},
+    {"adversary.recovery_rmrs_mean",       Number, false, false, Exact},
+    {"adversary.recovery_rmrs_max",        Number, false, false, Exact},
+    {"adversary.total_restarts",           Number, false, false, Exact},
+};
+// clang-format on
+}  // namespace table
+using table::kFields;
+
+// diff() compares numbers and strings only, and a rate is a number.
+static_assert(std::ranges::all_of(kFields, [](const Field& f) {
+    return f.gate == Gate::Info || f.type == Type::Number ||
+           (f.type == Type::String && f.gate == Gate::Exact);
+}));
+
+/// The table line for `path` ("name" or "group.name"), or nullptr.
+constexpr const Field* find_field(std::string_view path) {
+    const Field* it = std::ranges::find(kFields, path, &Field::path);
+    return it == std::end(kFields) ? nullptr : it;
 }
 
 /// "sim_rmr" payload, per-passage means only. Values keep their JSON
@@ -190,6 +331,50 @@ inline json::Value proc_rmr_to_json(const std::vector<std::uint64_t>& per_proc,
     return obj;
 }
 
+namespace detail {
+
+inline bool has_type(const json::Value& v, Type type) {
+    switch (type) {
+        case Type::Number: return v.is_number();
+        case Type::String: return v.type() == json::Value::Type::String;
+        case Type::Bool: return v.type() == json::Value::Type::Bool;
+        default: return v.type() == json::Value::Type::Object;
+    }
+}
+
+/// Checks the members of a row (group "") or of one of its groups against
+/// kFields; sets *payload when one of them is a payload.
+inline void validate_object(const json::Value& obj, const std::string& group,
+                            const std::string& at, bool* payload) {
+    const std::string prefix = group.empty() ? "" : group + ".";
+    for (const auto& [name, value] : obj.members()) {
+        const Field* field = find_field(prefix + name);
+        if (field == nullptr) {
+            throw std::runtime_error(at + "has unknown field \"" + prefix +
+                                     name + "\"");
+        }
+        if (!has_type(value, field->type)) {
+            throw std::runtime_error(at + "\"" + prefix + name +
+                                     "\" has the wrong type");
+        }
+        *payload = *payload || field->payload;
+        if (field->type == Type::Group) {
+            validate_object(value, prefix + name, at, payload);
+        }
+    }
+    for (const Field& field : kFields) {
+        if (field.required && field.path.starts_with(prefix) &&
+            field.path.find('.', prefix.size()) == std::string_view::npos &&
+            obj.find(std::string(field.path.substr(prefix.size()))) ==
+                nullptr) {
+            throw std::runtime_error(at + "lacks \"" +
+                                     std::string(field.path) + "\"");
+        }
+    }
+}
+
+}  // namespace detail
+
 /// Throws std::runtime_error describing the first schema violation.
 inline void validate(const json::Value& doc) {
     const auto* schema = doc.find("schema");
@@ -207,172 +392,24 @@ inline void validate(const json::Value& doc) {
         results->type() != json::Value::Type::Array) {
         throw std::runtime_error("schema: missing \"results\" array");
     }
-    std::size_t i = 0;
-    for (const auto& row : results->items()) {
+    std::map<std::string, std::size_t> keys;
+    for (std::size_t i = 0; i < results->items().size(); ++i) {
+        const json::Value& row = results->items()[i];
         const std::string at = "schema: results[" + std::to_string(i) + "] ";
-        ++i;
         if (row.type() != json::Value::Type::Object) {
             throw std::runtime_error(at + "is not an object");
         }
-        const auto* lock = row.find("lock");
-        if (lock == nullptr || lock->type() != json::Value::Type::String) {
-            throw std::runtime_error(at + "lacks string \"lock\"");
+        bool payload = false;
+        detail::validate_object(row, "", at, &payload);
+        if (!payload) {
+            throw std::runtime_error(at + "carries no payload field");
         }
-        for (const char* key : {"n", "f", "threads"}) {
-            const auto* v = row.find(key);
-            if (v == nullptr || !v->is_number()) {
-                throw std::runtime_error(at + "lacks numeric \"" + key +
-                                         "\"");
-            }
-        }
-        // Optional row fields added by the parking/placement harness; when
-        // present they must be well typed (a stringly-typed "true" would
-        // silently fork the bench_diff row keyspace).
-        const auto* workload = row.find("workload");
-        if (workload != nullptr &&
-            workload->type() != json::Value::Type::String) {
-            throw std::runtime_error(at + "workload not a string");
-        }
-        for (const char* key : {"pinning", "parking"}) {
-            const auto* v = row.find(key);
-            if (v != nullptr && v->type() != json::Value::Type::Bool) {
-                throw std::runtime_error(at + "\"" + key + "\" not a bool");
-            }
-        }
-        for (const char* key : {"cpu_s", "think_us", "cs_us"}) {
-            const auto* v = row.find(key);
-            if (v != nullptr && !v->is_number()) {
-                throw std::runtime_error(at + "\"" + key + "\" not numeric");
-            }
-        }
-        const auto* tput = row.find("throughput_ops");
-        const auto* rmr = row.find("sim_rmr");
-        const auto* perf = row.find("sim_perf");
-        const auto* expl = row.find("explore");
-        const auto* dist = row.find("dist");
-        const auto* amort = row.find("amortized");
-        if (tput == nullptr && rmr == nullptr && perf == nullptr &&
-            expl == nullptr && dist == nullptr && amort == nullptr) {
-            throw std::runtime_error(
-                at +
-                "carries none of throughput_ops / sim_rmr / sim_perf / "
-                "explore / dist / amortized");
-        }
-        if (tput != nullptr && !tput->is_number()) {
-            throw std::runtime_error(at + "throughput_ops not numeric");
-        }
-        if (rmr != nullptr) {
-            if (rmr->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "sim_rmr not an object");
-            }
-            for (const char* key :
-                 {"reader_mean_passage", "writer_mean_passage"}) {
-                const auto* v = rmr->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "sim_rmr lacks \"" +
-                                             key + "\"");
-                }
-            }
-        }
-        if (perf != nullptr) {
-            if (perf->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "sim_perf not an object");
-            }
-            for (const char* key : {"steps", "wall_ms", "steps_per_sec"}) {
-                const auto* v = perf->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "sim_perf lacks \"" + key +
-                                             "\"");
-                }
-            }
-        }
-        if (expl != nullptr) {
-            if (expl->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "explore not an object");
-            }
-            // schedules_explored / violations / truncated_runs are
-            // sim-exact (deterministic for a given engine); wall_ms and
-            // schedules_per_sec are wall-clock. reduction_factor relates
-            // the row to its full-enumeration sibling.
-            for (const char* key :
-                 {"schedules_explored", "violations", "truncated_runs",
-                  "reduction_factor", "schedules_per_sec", "wall_ms"}) {
-                const auto* v = expl->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "explore lacks \"" + key +
-                                             "\"");
-                }
-            }
-        }
-        if (dist != nullptr) {
-            if (dist->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "dist not an object");
-            }
-            // ops / network_rmrs_per_op / sessions / shards are exact on
-            // the sim backend (deterministic grid rows); the latency and
-            // throughput fields only appear on native loopback rows, where
-            // they are wall-clock.
-            for (const char* key :
-                 {"ops", "network_rmrs_per_op", "sessions", "shards"}) {
-                const auto* v = dist->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "dist lacks \"" + key +
-                                             "\"");
-                }
-            }
-            for (const char* key : {"ops_per_sec", "p50_acquire_us",
-                                    "p99_acquire_us", "wall_ms"}) {
-                const auto* v = dist->find(key);
-                if (v != nullptr && !v->is_number()) {
-                    throw std::runtime_error(at + "dist \"" + key +
-                                             "\" not numeric");
-                }
-            }
-        }
-        if (amort != nullptr) {
-            if (amort->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "amortized not an object");
-            }
-            // episodes / aborted / passages / writer_amortized_rmrs are
-            // exact on deterministic (round-robin) grid rows; the optional
-            // fields only appear on randomized-trial rows, where they
-            // summarize the seeded trial set (still bit-identical for a
-            // fixed base seed, but statistical in meaning).
-            for (const char* key :
-                 {"episodes", "aborted", "passages",
-                  "writer_amortized_rmrs"}) {
-                const auto* v = amort->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "amortized lacks \"" + key +
-                                             "\"");
-                }
-            }
-            for (const char* key :
-                 {"abort_rmr_mean", "abort_rmr_max", "expected_rmr", "ci95",
-                  "trials", "worst_case_rmr"}) {
-                const auto* v = amort->find(key);
-                if (v != nullptr && !v->is_number()) {
-                    throw std::runtime_error(at + "amortized \"" + key +
-                                             "\" not numeric");
-                }
-            }
-        }
-        // Optional per-process RMR breakdown; payload-like but never a
-        // row's only payload (it always rides beside sim_rmr).
-        const auto* prmr = row.find("proc_rmr");
-        if (prmr != nullptr) {
-            if (prmr->type() != json::Value::Type::Object) {
-                throw std::runtime_error(at + "proc_rmr not an object");
-            }
-            for (const char* key :
-                 {"reader_total_mean", "reader_total_max",
-                  "writer_total_mean", "writer_total_max"}) {
-                const auto* v = prmr->find(key);
-                if (v == nullptr || !v->is_number()) {
-                    throw std::runtime_error(at + "proc_rmr lacks \"" + key +
-                                             "\"");
-                }
-            }
+        const auto [it, fresh] =
+            keys.emplace(row_key(bench->as_string(), row), i);
+        if (!fresh) {
+            throw std::runtime_error(at + "repeats the row key " + it->first +
+                                     " of results[" +
+                                     std::to_string(it->second) + "]");
         }
     }
 }

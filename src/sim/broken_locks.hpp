@@ -1,14 +1,16 @@
 // Deliberately broken RW locks ("mutants") for validating that the
-// exploration machinery still has teeth. test_checker_teeth keeps private
-// copies to stay self-contained; this header is the shared source for the
+// exploration machinery still has teeth: test_checker_teeth, and the
 // reduction-era users (test_explore_reduction, bench_explore) that must
-// prove the reduced search preserves every violation verdict.
+// prove the reduced search preserves every violation verdict. Users link
+// rwr_baselines (which brings rwr_mutex).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
+#include "baselines/sim_baselines.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"
@@ -99,6 +101,34 @@ class TocTouLock final : public SimRWLock {
     VarId wlock_;
 };
 
+/// The simulated FAA lock with its old writer, which leaves the drain
+/// wait on the first wgate_ == 1 it reads. A reader that backed out under
+/// the previous writer can set the gate after this writer's reset, while
+/// a reader that entered between the two writers is still in the CS.
+class StaleGateFaaLock final : public baselines::FaaSimRWLock {
+   public:
+    StaleGateFaaLock(Memory& mem, std::uint32_t n, std::uint32_t m)
+        : FaaSimRWLock(mem, n, m) {}
+
+    SimTask<void> writer_entry(Process& p) override {
+        co_await wl_.enter(p, p.role_index());
+        co_await p.write(rgate_, 0);
+        co_await p.write(wgate_, 0);
+        const Word prior = co_await p.fetch_add(state_, kWriterBit);
+        if ((prior & 0xffffffffu) != 0) {
+            for (;;) {
+                const Word g = co_await p.read(wgate_);
+                if (g == 1) {
+                    break;
+                }
+            }
+        }
+    }
+    [[nodiscard]] std::string name() const override {
+        return "stale-gate-faa";
+    }
+};
+
 /// Abortable-mutex mutant: the JJ ticket queue with its abort path
 /// "helpfully" advancing the grant cursor past its own ticket instead of
 /// abandoning the entry. The next claimant then self-grants off the
@@ -127,14 +157,21 @@ class BrokenAbortTicketMutex final : public mutex::JJAmortizedMutex {
 };
 
 /// n readers + m writers driving 2 passages of `LockT` with a throwing
-/// mutual-exclusion checker -- the standard mutant scenario.
+/// mutual-exclusion checker -- the standard mutant scenario. A lock sized
+/// by (n, m) is built with them.
 template <typename LockT>
 [[nodiscard]] inline ScenarioFactory broken_factory(std::uint32_t n,
                                                     std::uint32_t m) {
     return [n, m]() {
         Scenario sc;
         sc.sys = std::make_unique<System>(Protocol::WriteBack);
-        auto lock = std::make_unique<LockT>(sc.sys->memory());
+        std::unique_ptr<LockT> lock;
+        if constexpr (std::is_constructible_v<LockT, Memory&, std::uint32_t,
+                                              std::uint32_t>) {
+            lock = std::make_unique<LockT>(sc.sys->memory(), n, m);
+        } else {
+            lock = std::make_unique<LockT>(sc.sys->memory());
+        }
         for (std::uint32_t i = 0; i < n + m; ++i) {
             Process& p =
                 sc.sys->add_process(i < n ? Role::Reader : Role::Writer);

@@ -26,9 +26,10 @@
 // two processes are in the CS at the same moment depends on how that dwell
 // interleaves with the other's entry and exit steps. So a clean reduced
 // verdict does not prove mutual exclusion -- reduced DPOR misses the
-// FaaSimRWLock stale-wgate_ violation that unreduced DFS and random
-// schedules find (ROADMAP.md, "Fix first": "Reduced DPOR misses that
-// violation"). Anything keyed on the global step counter (Stall fault
+// stale-wgate_ violation of the StaleGateFaaLock mutant
+// (sim/broken_locks.hpp) that unreduced DFS and random schedules find
+// (ROADMAP.md, "The next benchmark PR": "Reduced DPOR misses overlapping
+// sections"). Anything keyed on the global step counter (Stall fault
 // resume deadlines) is not insensitive either; Scenario::reduction_safe
 // gates those out (explorer.hpp).
 #pragma once

@@ -90,6 +90,23 @@ TEST(FaaLock, ReaderExitIsConstantRmr) {
     }
 }
 
+TEST(FaaLock, WriterDoesNotTrustAStaleDrainGate) {
+    // Reader 0 backs out under the writer's first passage and sets wgate_
+    // after the second passage has reset it, while reader 1, which entered
+    // between the two passages, is still in the CS. A writer that leaves
+    // its drain wait on wgate_ == 1 alone enters beside reader 1.
+    ExperimentConfig cfg;
+    cfg.lock = LockKind::Faa;
+    cfg.protocol = Protocol::WriteBack;
+    cfg.n = 2;
+    cfg.m = 1;
+    cfg.passages = 2;
+    cfg.replay = {2, 2, 2, 0, 0, 2, 2, 2, 1, 2, 2, 2, 0, 2, 1};
+    const auto res = run_experiment(cfg);
+    EXPECT_TRUE(res.finished);
+    EXPECT_EQ(res.me_violations, 0u);
+}
+
 TEST(FaaLock, ReadersShareCs) {
     ExperimentConfig cfg;
     cfg.lock = LockKind::Faa;

@@ -7,6 +7,8 @@
 // either direction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,9 +33,9 @@ json::Value make_row(const std::string& lock, std::uint64_t n,
     row.set("threads", n + 1);
     auto rmr = json::Value::object();
     rmr.set("reader_mean_passage", reader_mean);
-    rmr.set("reader_max_passage", reader_mean);
+    rmr.set("reader_max_passage", std::uint64_t{20});
     rmr.set("writer_mean_passage", writer_mean);
-    rmr.set("writer_max_passage", writer_mean);
+    rmr.set("writer_max_passage", std::uint64_t{12});
     row.set("sim_rmr", std::move(rmr));
     auto perf = json::Value::object();
     perf.set("steps", std::uint64_t{1000});
@@ -146,7 +148,7 @@ TEST(BenchDiff, SimRmrIncreaseBeyondToleranceRegresses) {
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
     EXPECT_FALSE(rep.ok());
     ASSERT_EQ(rep.regressions.size(), 1u);
-    EXPECT_EQ(rep.regressions[0].metric, "reader_mean_passage");
+    EXPECT_EQ(rep.regressions[0].metric, "sim_rmr.reader_mean_passage");
     EXPECT_DOUBLE_EQ(rep.regressions[0].before, 10.0);
     EXPECT_DOUBLE_EQ(rep.regressions[0].after, 11.5);
     EXPECT_GT(rep.regressions[0].change, 0.10);
@@ -162,10 +164,10 @@ TEST(BenchDiff, SimRmrDecreaseFailsTheExactGate) {
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
     EXPECT_FALSE(rep.ok());
     ASSERT_EQ(rep.regressions.size(), 2u);
-    EXPECT_EQ(rep.regressions[0].metric, "reader_mean_passage");
+    EXPECT_EQ(rep.regressions[0].metric, "sim_rmr.reader_mean_passage");
     EXPECT_TRUE(rep.regressions[0].exact);
     EXPECT_DOUBLE_EQ(rep.regressions[0].change, -0.5);
-    EXPECT_EQ(rep.regressions[1].metric, "writer_mean_passage");
+    EXPECT_EQ(rep.regressions[1].metric, "sim_rmr.writer_mean_passage");
 }
 
 TEST(BenchDiff, ExactCountMovingOffZeroFails) {
@@ -177,7 +179,7 @@ TEST(BenchDiff, ExactCountMovingOffZeroFails) {
     results_of(newd)->push_back(make_row("af", 8, 0.5, 5.0));
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
     ASSERT_EQ(rep.regressions.size(), 1u);
-    EXPECT_EQ(rep.regressions[0].metric, "reader_mean_passage");
+    EXPECT_EQ(rep.regressions[0].metric, "sim_rmr.reader_mean_passage");
     EXPECT_DOUBLE_EQ(rep.regressions[0].change, 0.5);
     EXPECT_TRUE(bench::diff(oldd, oldd, DiffOptions{}).ok());
 }
@@ -304,11 +306,11 @@ TEST(BenchDiff, AmortizedRmrIncreaseBeyondToleranceRegresses) {
     const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
     EXPECT_FALSE(rep.ok());
     ASSERT_EQ(rep.regressions.size(), 2u);
-    EXPECT_EQ(rep.regressions[0].metric, "writer_amortized_rmrs");
+    EXPECT_EQ(rep.regressions[0].metric, "amortized.writer_amortized_rmrs");
     EXPECT_DOUBLE_EQ(rep.regressions[0].before, 10.0);
     EXPECT_DOUBLE_EQ(rep.regressions[0].after, 20.0);
     EXPECT_DOUBLE_EQ(rep.regressions[0].change, 1.0);
-    EXPECT_EQ(rep.regressions[1].metric, "expected_rmr");
+    EXPECT_EQ(rep.regressions[1].metric, "amortized.expected_rmr");
 }
 
 TEST(BenchDiff, AmortizedAnyChangeFailsButCi95IsNotGated) {
@@ -322,8 +324,8 @@ TEST(BenchDiff, AmortizedAnyChangeFailsButCi95IsNotGated) {
     EXPECT_FALSE(rep.ok());
     EXPECT_EQ(rep.joined, 1u);
     ASSERT_EQ(rep.regressions.size(), 2u);
-    EXPECT_EQ(rep.regressions[0].metric, "writer_amortized_rmrs");
-    EXPECT_EQ(rep.regressions[1].metric, "expected_rmr");
+    EXPECT_EQ(rep.regressions[0].metric, "amortized.writer_amortized_rmrs");
+    EXPECT_EQ(rep.regressions[1].metric, "amortized.expected_rmr");
     // ci95/trials are descriptive, not gated.
     auto wider = bench::make_doc("abortable");
     results_of(wider)->push_back(make_amortized_row(10.0, 9.0, /*ci95=*/2.0));
@@ -350,6 +352,161 @@ TEST(BenchDiff, WorkloadIsPartOfTheRowKey) {
     EXPECT_EQ(bench::row_key("t", oversub),
               "t/af/write-back/n8/m1/f1/t9/woversub");
 }
+
+TEST(BenchDiff, ChangedStringFieldReportsBothValues) {
+    // A crash placement is exact like a count: a worst case found in
+    // another section is a different result.
+    auto row = make_row("rjjj", 2, 10.0, 5.0);
+    auto rec = json::Value::object();
+    rec.set("section", "entry");
+    row.set("recover", rec);
+    auto oldd = bench::make_doc("recoverable");
+    results_of(oldd)->push_back(row);
+    rec.set("section", "exit");
+    row.set("recover", std::move(rec));
+    auto newd = bench::make_doc("recoverable");
+    results_of(newd)->push_back(std::move(row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "recover.section");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_EQ(rep.regressions[0].before_text, "entry");
+    EXPECT_EQ(rep.regressions[0].after_text, "exit");
+}
+
+// The gates on the checked-in baselines. This test names the fields it
+// expects to be presence-only or wall-clock rates; every other field of
+// every row must be compared exactly. Each case changes one field of one
+// row and diffs the baseline against the changed copy.
+class BaselineGates : public ::testing::TestWithParam<const char*> {};
+
+bool presence_only(const std::string& path) {
+    static const std::set<std::string> kInfo = {
+        "sim_perf.wall_ms", "explore.wall_ms", "dist.wall_ms",
+        "dist.p50_acquire_us", "dist.p99_acquire_us", "dist.sessions",
+        "dist.shards", "amortized.ci95", "amortized.trials", "duration_ms",
+        "warmup_ms", "think_us", "cs_us", "cpu_s", "reader_ops",
+        "writer_ops", "pinning", "parking"};
+    return kInfo.count(path) > 0 || path.starts_with("telemetry.") ||
+           path.starts_with("latency_ns.");
+}
+
+bool is_rate(const std::string& path) {
+    return path == "throughput_ops" || path == "sim_perf.steps_per_sec" ||
+           path == "explore.schedules_per_sec" || path == "dist.ops_per_sec";
+}
+
+/// Every leaf below `obj` as a path of member names.
+void leaves(const json::Value& obj, std::vector<std::string>* path,
+            std::vector<std::vector<std::string>>* out) {
+    for (const auto& [name, value] : obj.members()) {
+        path->push_back(name);
+        if (value.type() == json::Value::Type::Object) {
+            leaves(value, path, out);
+        } else {
+            out->push_back(*path);
+        }
+        path->pop_back();
+    }
+}
+
+void set_leaf(json::Value* obj, const std::vector<std::string>& path,
+              std::size_t depth, json::Value v) {
+    if (depth + 1 == path.size()) {
+        obj->set(path[depth], std::move(v));
+        return;
+    }
+    json::Value child = *obj->find(path[depth]);
+    set_leaf(&child, path, depth + 1, std::move(v));
+    obj->set(path[depth], std::move(child));
+}
+
+/// `v` changed: a rate cut to a quarter (a drop past every tolerance),
+/// anything else moved up by one, extended or negated.
+json::Value changed(const json::Value& v, bool rate) {
+    switch (v.type()) {
+        case json::Value::Type::Bool: return json::Value(!v.as_bool());
+        case json::Value::Type::String: return json::Value(v.as_string() + "x");
+        case json::Value::Type::Double:
+            return json::Value(rate ? v.as_double() / 4 : v.as_double() + 1);
+        default:
+            return rate ? json::Value(v.as_double() / 4)
+                        : json::Value(v.as_uint() + 1);
+    }
+}
+
+TEST_P(BaselineGates, EveryFieldOfEveryRowIsGated) {
+    const auto base =
+        bench::read_file(std::string(RWR_SOURCE_DIR "/") + GetParam());
+    const std::string bench_name = base.find("bench")->as_string();
+    const auto& rows = base.find("results")->items();
+    std::size_t probed = 0;
+    std::vector<std::string> wrong;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const std::string key = bench::row_key(bench_name, rows[r]);
+        std::vector<std::string> at;
+        std::vector<std::vector<std::string>> paths;
+        leaves(rows[r], &at, &paths);
+        for (const auto& path : paths) {
+            std::string dotted = path[0];
+            for (std::size_t i = 1; i < path.size(); ++i) {
+                dotted += "." + path[i];
+            }
+            if (std::ranges::any_of(bench::kRowKeyFields, [&](const auto& kf) {
+                    return dotted == kf.first;
+                })) {
+                continue;  // Changing a key field unjoins the row.
+            }
+            const json::Value* leaf = &rows[r];
+            for (const auto& name : path) {
+                leaf = leaf->find(name);
+            }
+            const bool rate = is_rate(dotted);
+            json::Value row = rows[r];
+            set_leaf(&row, path, 0, changed(*leaf, rate));
+            auto doc = bench::make_doc(bench_name);
+            auto* out = results_of(doc);
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                out->push_back(i == r ? row : rows[i]);
+            }
+            const DiffReport rep = bench::diff(base, doc, DiffOptions{});
+            // A group's rate is gated only above the group's wall floor.
+            bool flags = !presence_only(dotted);
+            if (rate && path.size() == 2) {
+                const json::Value* wall =
+                    rows[r].find(path[0])->find("wall_ms");
+                flags = wall != nullptr &&
+                        wall->as_double() >= bench::kMinPerfMs &&
+                        leaf->as_double() > 0;
+            }
+            const bool ok =
+                rep.missing.empty() &&
+                (flags ? rep.regressions.size() == 1 &&
+                             rep.regressions[0].key == key &&
+                             rep.regressions[0].metric == dotted &&
+                             rep.regressions[0].exact == !rate
+                       : rep.regressions.empty());
+            ++probed;
+            if (!ok) {
+                wrong.push_back(key + " " + dotted);
+            }
+        }
+    }
+    EXPECT_GT(probed, 0u);
+    EXPECT_TRUE(wrong.empty())
+        << wrong.size() << " of " << probed
+        << " changed fields gated wrongly, the first: " << wrong.front();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselineGates,
+    ::testing::Values("BENCH_sim.json", "BENCH_dsm.json", "BENCH_recover.json",
+                      "BENCH_separation.json", "BENCH_explore.json",
+                      "BENCH_dist.json", "BENCH_abort.json"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+        std::string name = info.param;
+        return name.substr(6, name.size() - 11);  // BENCH_<name>.json
+    });
 
 }  // namespace
 }  // namespace rwr::harness

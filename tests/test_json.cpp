@@ -246,6 +246,31 @@ TEST(BenchJsonTest, RejectsSchemaViolations) {
     arow2.set("amortized", std::move(a2));
     bad_amort2.set("results", Value::array()).push_back(std::move(arow2));
     EXPECT_THROW(bench::validate(bad_amort2), std::runtime_error);
+
+    // A field the schema table does not name: no gate would compare it.
+    auto unknown = bench::make_doc("x");
+    auto urow = valid_native_row();
+    urow.set("recovery", Value::object());
+    unknown.set("results", Value::array()).push_back(std::move(urow));
+    EXPECT_THROW(bench::validate(unknown), std::runtime_error);
+
+    // The same inside a known group.
+    auto unknown_in_group = bench::make_doc("x");
+    auto grow = valid_native_row();
+    auto g = Value::object();
+    g.set("reader_mean_passage", 3.5);
+    g.set("writer_mean_passage", 9.0);
+    g.set("reader_p99_passage", 7);
+    grow.set("sim_rmr", std::move(g));
+    unknown_in_group.set("results", Value::array()).push_back(std::move(grow));
+    EXPECT_THROW(bench::validate(unknown_in_group), std::runtime_error);
+
+    // Two rows with one row key: bench_compare could join only one.
+    auto dup = bench::make_doc("x");
+    auto& rows = dup.set("results", Value::array());
+    rows.push_back(valid_native_row());
+    rows.push_back(valid_native_row());
+    EXPECT_THROW(bench::validate(dup), std::runtime_error);
 }
 
 TEST(BenchJsonTest, WriteValidatesAndRoundTripsThroughDisk) {
