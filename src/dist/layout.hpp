@@ -110,6 +110,17 @@ class TableLayout {
                std::uint64_t{cfg_.sessions} * kClientSegWords;
     }
 
+    /// Throws std::out_of_range unless `lock` and `session` name a lock
+    /// and a session of this table. Every table operation checks its ids
+    /// before its first verb: a bad one would address the words of
+    /// another lock or session, or none at all.
+    void check_ids(std::uint32_t lock, std::uint32_t session) const {
+        if (lock >= cfg_.num_locks() || session >= cfg_.sessions)
+            [[unlikely]] {
+            throw_bad_ids(lock, session);
+        }
+    }
+
     // ---- Lock placement --------------------------------------------------
 
     /// Lock l's home shard: the group-to-shard hash.
@@ -183,6 +194,15 @@ class TableLayout {
     }
 
    private:
+    [[noreturn, gnu::cold, gnu::noinline]] void throw_bad_ids(
+        std::uint32_t lock, std::uint32_t session) const {
+        throw std::out_of_range(
+            "TableLayout: lock " + std::to_string(lock) + " of " +
+            std::to_string(cfg_.num_locks()) + ", session " +
+            std::to_string(session) + " of " +
+            std::to_string(cfg_.sessions));
+    }
+
     TableConfig cfg_;
     std::uint32_t bitmap_words_;
     std::uint32_t lock_stride_;

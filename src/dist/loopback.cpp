@@ -4,14 +4,17 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace rwr::dist {
 
@@ -21,10 +24,12 @@ namespace {
     throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+/// MSG_NOSIGNAL: a peer that has closed its end fails the write with
+/// EPIPE instead of killing this process with SIGPIPE.
 void write_all(int fd, const void* buf, std::size_t len) {
     const char* p = static_cast<const char*>(buf);
     while (len > 0) {
-        const ssize_t n = ::write(fd, p, len);
+        const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) {
                 continue;
@@ -173,7 +178,7 @@ void LockServiceDaemon::start() {
     shm_ = ShmSegment::create_numbered(
         "/rwr_dist." + std::to_string(::getpid()) + ".", lay_.total_words());
 
-    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (lfd < 0) {
         die("socket");
     }
@@ -207,8 +212,9 @@ void LockServiceDaemon::stop() {
     stopping_.store(true);
     const int lfd = listen_fd_.load();
     if (lfd >= 0) {
-        // Shutdown unblocks the accept(); close only after the join so the
-        // fd number cannot be recycled under serve_loop's feet.
+        // Shutdown wakes serve_loop's poll() and fails its accept(); close
+        // only after the join so the fd number cannot be recycled under
+        // serve_loop's feet.
         ::shutdown(lfd, SHUT_RDWR);
     }
     if (server_.joinable()) {
@@ -223,63 +229,105 @@ void LockServiceDaemon::stop() {
 }
 
 void LockServiceDaemon::serve_loop() {
+    const int lfd = listen_fd_.load();
+    std::vector<Connection> conns;
+    std::vector<pollfd> fds;
     while (!stopping_.load()) {
-        const int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-        if (fd < 0) {
+        fds.assign(1, pollfd{lfd, POLLIN, 0});
+        for (const Connection& c : conns) {
+            fds.push_back(pollfd{c.fd, POLLIN, 0});
+        }
+        if (::poll(fds.data(), fds.size(), -1) < 0) {
             if (errno == EINTR) {
                 continue;
             }
-            break;  // Listener closed by stop().
+            break;
         }
-        try {
-            handle_connection(fd);
-        } catch (const std::exception&) {
-            // A malformed or dropped connection must not kill the daemon.
+        for (std::size_t i = conns.size(); i-- > 0;) {
+            if (fds[i + 1].revents != 0 && !serve_ready(conns[i])) {
+                ::close(conns[i].fd);
+                conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+            }
         }
-        ::close(fd);
+        if (fds[0].revents != 0) {
+            const int fd = ::accept4(lfd, nullptr, nullptr, SOCK_NONBLOCK);
+            if (fd >= 0) {
+                conns.emplace_back().fd = fd;
+            } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
+                       errno != EINTR && errno != ECONNABORTED) {
+                break;  // Listener shut down by stop().
+            }
+        }
+    }
+    for (const Connection& c : conns) {
+        ::close(c.fd);
     }
     running_.store(false);
 }
 
-void LockServiceDaemon::handle_connection(int fd) {
-    CtrlRequest req;
-    while (read_all(fd, &req, sizeof(req))) {
-        CtrlReply rep;
-        if (req.magic != kCtrlMagic || req.version != kCtrlVersion) {
-            rep.ok = 0;
-            write_all(fd, &rep, sizeof(rep));
-            return;
+bool LockServiceDaemon::serve_ready(Connection& c) {
+    auto* const buf = reinterpret_cast<char*>(&c.req);
+    for (;;) {
+        const ssize_t n =
+            ::recv(c.fd, buf + c.got, sizeof(c.req) - c.got, 0);
+        if (n <= 0) {
+            // Nothing more to read for now, or the peer is gone.
+            return n < 0 &&
+                   (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
         }
-        switch (static_cast<CtrlOp>(req.op)) {
-            case CtrlOp::Hello: {
-                const TableConfig& cfg = lay_.config();
-                rep.ok = 1;
-                rep.shards = cfg.shards;
-                rep.locks_per_shard = cfg.locks_per_shard;
-                rep.sessions = cfg.sessions;
-                rep.homed = cfg.homed ? 1 : 0;
-                rep.total_words = lay_.total_words();
-                std::strncpy(rep.shm_name, shm_.name().c_str(),
-                             kShmNameMax - 1);
-                break;
-            }
-            case CtrlOp::Stats:
-                rep = stats();
-                rep.ok = 1;
-                break;
-            case CtrlOp::Shutdown:
-                rep.ok = 1;
-                write_all(fd, &rep, sizeof(rep));
-                stopping_.store(true);
-                // Unblock our own accept() so serve_loop exits promptly.
-                ::shutdown(listen_fd_.load(), SHUT_RDWR);
-                return;
-            default:
-                rep.ok = 0;
-                break;
+        c.got += static_cast<std::size_t>(n);
+        if (c.got < sizeof(c.req)) {
+            continue;
         }
-        write_all(fd, &rep, sizeof(rep));
+        c.got = 0;
+        const bool valid =
+            c.req.magic == kCtrlMagic && c.req.version == kCtrlVersion;
+        const auto op = static_cast<CtrlOp>(c.req.op);
+        const CtrlReply rep = valid ? answer(op) : CtrlReply{};
+        // A reply is far smaller than the socket's send buffer, so a short
+        // send means a client that has left many replies unread.
+        if (::send(c.fd, &rep, sizeof(rep), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(sizeof(rep))) {
+            return false;
+        }
+        if (!valid) {
+            return false;
+        }
+        if (op == CtrlOp::Shutdown) {
+            stopping_.store(true);
+            // Refuse new connections now; stop() closes the listener.
+            ::shutdown(listen_fd_.load(), SHUT_RDWR);
+            return false;
+        }
     }
+}
+
+CtrlReply LockServiceDaemon::answer(CtrlOp op) const {
+    CtrlReply rep;
+    switch (op) {
+        case CtrlOp::Hello: {
+            const TableConfig& cfg = lay_.config();
+            rep.ok = 1;
+            rep.shards = cfg.shards;
+            rep.locks_per_shard = cfg.locks_per_shard;
+            rep.sessions = cfg.sessions;
+            rep.homed = cfg.homed ? 1 : 0;
+            rep.total_words = lay_.total_words();
+            std::strncpy(rep.shm_name, shm_.name().c_str(), kShmNameMax - 1);
+            break;
+        }
+        case CtrlOp::Stats:
+            rep = stats();
+            rep.ok = 1;
+            break;
+        case CtrlOp::Shutdown:
+            rep.ok = 1;
+            break;
+        default:
+            rep.ok = 0;
+            break;
+    }
+    return rep;
 }
 
 CtrlReply LockServiceDaemon::stats() const {

@@ -96,9 +96,11 @@ struct CtrlReply {
 
 /// The lock service daemon: creates the segment, zero-initialises the
 /// table, and serves control connections on 127.0.0.1:<port> (port 0 =
-/// ephemeral; the bound port is readable after start()). One connection is
-/// served at a time -- the control path is setup-only, so a queue of
-/// pending HELLOs is fine.
+/// ephemeral; the bound port is readable after start()). One thread serves
+/// the listener and every connection. Its sockets are non-blocking and it
+/// waits only in poll(), so a client that keeps its connection open
+/// (DistClient does, for STATS and SHUTDOWN) holds up neither another
+/// client's HELLO nor stop(); stop() closes the connections still open.
 class LockServiceDaemon {
    public:
     explicit LockServiceDaemon(const TableConfig& cfg,
@@ -120,14 +122,26 @@ class LockServiceDaemon {
     [[nodiscard]] CtrlReply stats() const;
 
    private:
+    /// A control connection: its socket and the part of a request read
+    /// from it so far.
+    struct Connection {
+        int fd = -1;
+        CtrlRequest req;
+        std::size_t got = 0;
+    };
+
     void serve_loop();
-    void handle_connection(int fd);
+    /// Reads what `c` has sent and answers each whole request. Returns
+    /// false once the connection is finished: the peer closed or broke it,
+    /// sent a malformed request or SHUTDOWN, or left its replies unread.
+    bool serve_ready(Connection& c);
+    [[nodiscard]] CtrlReply answer(CtrlOp op) const;
 
     TableLayout lay_;
     ShmSegment shm_;
     std::uint16_t port_;
-    // Atomic: stop() and the Shutdown handler shut the listener down from
-    // other threads while serve_loop() is blocked in accept() on it.
+    // Atomic: stop() shuts the listener down from another thread while
+    // serve_loop() waits in poll() on it.
     std::atomic<int> listen_fd_{-1};
     std::thread server_;
     std::atomic<bool> running_{false};

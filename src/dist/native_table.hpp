@@ -6,6 +6,14 @@
 // which is the point of the RDMA analogy. No operation allocates a
 // coroutine frame.
 //
+// An operation resolves each word it touches once, before its first verb
+// (table_protocol.inc's resolve hooks), to a Ref: the word's atomic plus
+// whether a verb on it is a network RMR. A lock's header words come from a
+// per-lock pointer table built in the constructor, so the data path does
+// no division by the shard count and no flat-index arithmetic between
+// verbs -- every seq_cst atomic is a compiler barrier, after which such
+// arithmetic would be redone from reloaded members.
+//
 // Network-RMR accounting is the verb layer's segment rule applied in
 // software: a verb on any segment other than the session's own client
 // segment increments the session's network_rmrs counter. Homed waiting
@@ -17,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "dist/layout.hpp"
 #include "dist/verbs.hpp"
@@ -86,13 +95,22 @@ class NativeTable {
     /// per session, alive for the table's lifetime.
     NativeTable(std::atomic<Word>* words, const TableConfig& cfg,
                 native::ParkingSpot* spots)
-        : lay_(cfg), words_(words), spots_(spots) {}
+        : lay_(cfg), words_(words), spots_(spots) {
+        locks_.reserve(cfg.num_locks());
+        for (std::uint32_t l = 0; l < cfg.num_locks(); ++l) {
+            const GlobalAddr a = lay_.lock_word(l, LockField::WTicket);
+            locks_.push_back(&words_[lay_.flat_index(a)]);
+        }
+    }
 
     [[nodiscard]] const TableLayout& layout() const { return lay_; }
 
     /// Per-session handle; `id` indexes the spot registry and the session's
-    /// own client segment. Stats accumulate here.
-    struct Session {
+    /// own client segment. Stats accumulate here, written by the session's
+    /// one thread on every verb; the alignment keeps data that other
+    /// threads write (a neighbouring session, or the tail of whatever
+    /// object sits before this one) off those cache lines.
+    struct alignas(64) Session {
         std::uint32_t id = 0;
         SessionStats stats;
     };
@@ -111,46 +129,65 @@ class NativeTable {
     }
 
    private:
-    // The protocol's executor (table_protocol.inc): each verb is one
-    // seq_cst atomic with the segment accounting rule applied inline.
+    // The protocol's executor (table_protocol.inc): the resolve hooks,
+    // then each verb one seq_cst atomic on a Ref plus the segment
+    // accounting rule.
     template <class T>
     using Task = T;
     using Backoff = native::Backoff;
 
-    [[nodiscard]] std::atomic<Word>& at(GlobalAddr a) const {
-        return words_[lay_.flat_index(a)];
+    /// A resolved word: the atomic, and whether a verb on it leaves the
+    /// session's own segment (a network RMR).
+    struct Ref {
+        std::atomic<Word>* w;
+        bool remote;
+    };
+    /// Header word `f` of `lock`, from the per-lock table. Always remote:
+    /// a shard segment is never a session's own.
+    [[nodiscard]] Ref lock_ref(std::uint32_t lock, LockField f) const {
+        return {locks_[lock] + static_cast<std::uint32_t>(f), true};
     }
-    /// The word a verb by `s` targets; counts a network RMR unless the
-    /// word is in the session's own segment.
-    std::atomic<Word>& verb(Session& s, GlobalAddr a) {
-        if (a.seg != lay_.config().shards + s.id) {
+    /// Any word by address (gates, writer slots, reader bitmaps), as
+    /// session `s` sees it: remote unless it is in s's own segment.
+    [[nodiscard]] Ref word(const Session& s, GlobalAddr a) const {
+        return {&words_[lay_.flat_index(a)],
+                a.seg != lay_.config().shards + s.id};
+    }
+    static void count(Session& s, Ref r) {
+        if (r.remote) {
             ++s.stats.network_rmrs;
         }
-        return at(a);
     }
-    Word read(Session& s, GlobalAddr a) { return verb(s, a).load(); }
-    void write(Session& s, GlobalAddr a, Word v) { verb(s, a).store(v); }
+    Word read(Session& s, Ref r) {
+        count(s, r);
+        return r.w->load();
+    }
+    void write(Session& s, Ref r, Word v) {
+        count(s, r);
+        r.w->store(v);
+    }
     /// Returns the word's previous value (CAS succeeded iff == expected).
-    Word cas(Session& s, GlobalAddr a, Word expected, Word desired) {
-        verb(s, a).compare_exchange_strong(expected, desired);
+    Word cas(Session& s, Ref r, Word expected, Word desired) {
+        count(s, r);
+        r.w->compare_exchange_strong(expected, desired);
         return expected;
     }
-    Word faa(Session& s, GlobalAddr a, Word delta) {
-        return verb(s, a).fetch_add(delta);
+    Word faa(Session& s, Ref r, Word delta) {
+        count(s, r);
+        return r.w->fetch_add(delta);
     }
     /// Bump `session`'s gate, then wake it.
     void bump(Session& s, std::uint32_t session) {
-        faa(s, lay_.gate_word(session), 1);
+        faa(s, word(s, lay_.gate_word(session)), 1);
         spots_[session].wake_all(nullptr);
     }
-    /// Homed terminal wait: park on the session's spot until its gate word
+    /// Homed terminal wait: park on the session's spot until its `gate`
     /// moves past `epoch` (gate reads are local: no RMR counting).
-    void wait_gate(const Session& s, Word epoch) {
-        std::atomic<Word>& gw = at(lay_.gate_word(s.id));
+    void wait_gate(const Session& s, Ref gate, Word epoch) {
         native::Deadline dl = native::Deadline::infinite();
         native::Backoff bo;
         native::wait_until(spots_[s.id], dl, nullptr, bo,
-                           [&] { return gw.load() != epoch; });
+                           [&] { return gate.w->load() != epoch; });
     }
     void violation(Session& s) {
         ++s.stats.violations;
@@ -159,6 +196,9 @@ class NativeTable {
 
     TableLayout lay_;
     std::atomic<Word>* words_;
+    /// Each lock's first header word (8 bytes of client memory per lock):
+    /// resolving a header word is one load, with no division by shards.
+    std::vector<std::atomic<Word>*> locks_;
     native::ParkingSpot* spots_;
     std::atomic<std::uint64_t> violations_{0};
 };

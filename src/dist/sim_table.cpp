@@ -27,10 +27,10 @@ DistTableSim::DistTableSim(Memory& mem, const TableConfig& cfg,
     }
 }
 
-SimTask<void> DistTableSim::wait_gate(Session& s, Word epoch) {
+SimTask<void> DistTableSim::wait_gate(Session& s, VarId gate, Word epoch) {
     Word g = epoch;
     while (g == epoch) {
-        g = co_await read(s, lay_.gate_word(s.id));
+        g = co_await read(s, gate);
     }
 }
 

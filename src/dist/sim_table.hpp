@@ -49,34 +49,36 @@ class DistTableSim {
     }
 
    private:
-    // The protocol's executor (table_protocol.inc): each verb is one
-    // Process step on the word's variable.
+    // The protocol's executor (table_protocol.inc): an op resolves each
+    // word it touches to its variable before its first verb; each verb is
+    // then one Process step on that variable.
     template <class T>
     using Task = sim::SimTask<T>;
     struct Backoff {
         void pause() {}
     };
 
-    [[nodiscard]] VarId var(GlobalAddr a) const {
+    [[nodiscard]] VarId lock_ref(std::uint32_t lock, LockField f) const {
+        return vars_[lay_.flat_index(lay_.lock_word(lock, f))];
+    }
+    [[nodiscard]] VarId word(const Session&, GlobalAddr a) const {
         return vars_[lay_.flat_index(a)];
     }
-    auto read(Session& s, GlobalAddr a) { return s.p.read(var(a)); }
-    auto write(Session& s, GlobalAddr a, Word v) {
-        return s.p.write(var(a), v);
+    auto read(Session& s, VarId v) { return s.p.read(v); }
+    auto write(Session& s, VarId v, Word w) { return s.p.write(v, w); }
+    auto cas(Session& s, VarId v, Word expected, Word desired) {
+        return s.p.cas(v, expected, desired);
     }
-    auto cas(Session& s, GlobalAddr a, Word expected, Word desired) {
-        return s.p.cas(var(a), expected, desired);
-    }
-    auto faa(Session& s, GlobalAddr a, Word delta) {
-        return s.p.fetch_add(var(a), delta);
+    auto faa(Session& s, VarId v, Word delta) {
+        return s.p.fetch_add(v, delta);
     }
     /// Bump `session`'s gate (its wake-up).
     auto bump(Session& s, std::uint32_t session) {
-        return faa(s, lay_.gate_word(session), 1);
+        return faa(s, word(s, lay_.gate_word(session)), 1);
     }
-    /// Spin on the session's own gate until it moves past `epoch` (every
+    /// Spin on the session's own `gate` until it moves past `epoch` (every
     /// read is a local step under the homing rule: 0 network RMRs).
-    sim::SimTask<void> wait_gate(Session& s, Word epoch);
+    sim::SimTask<void> wait_gate(Session& s, VarId gate, Word epoch);
     void violation(Session&) { ++violations_; }
 
     TableLayout lay_;

@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -78,6 +80,60 @@ TEST(DistLoopback, ShutdownStopsTheDaemon) {
     client.close();
     daemon.stop();  // Joins; must not hang after remote shutdown.
     EXPECT_FALSE(daemon.running());
+}
+
+/// How long a test waits for a daemon call that must not block. Far above
+/// what the call takes (milliseconds), so only a blocked call runs out.
+constexpr auto kBoundedWait = std::chrono::seconds(10);
+
+TEST(DistLoopback, TwoConnectedClientsAreBothServed) {
+    // A DistClient keeps its control connection open. A daemon that served
+    // one connection at a time would leave the second HELLO unanswered
+    // until the first client closed.
+    LockServiceDaemon daemon(tiny_cfg(true));
+    daemon.start();
+    DistClient a;
+    a.connect("127.0.0.1", daemon.port());
+    DistClient b;
+    auto second = std::async(std::launch::async, [&] {
+        b.connect("127.0.0.1", daemon.port());
+        return b.stats();
+    });
+    const bool served =
+        second.wait_for(kBoundedWait) == std::future_status::ready;
+    EXPECT_TRUE(served) << "no HELLO for a second client while one is "
+                           "connected";
+    if (!served) {
+        a.close();  // Lets a one-connection-at-a-time daemon answer b.
+    }
+    EXPECT_EQ(second.get().ok, 1u);
+    EXPECT_EQ(b.config().sessions, 16u);
+    if (served) {
+        EXPECT_EQ(a.stats().ok, 1u);
+    }
+    b.close();
+    a.close();
+    daemon.stop();
+}
+
+TEST(DistLoopback, StopReturnsWhileAClientIsConnected) {
+    // A daemon destroyed before its client must not wait for the client
+    // to hang up: stop() closes the open connection, and the client's next
+    // request fails instead of blocking.
+    LockServiceDaemon daemon(tiny_cfg(true));
+    daemon.start();
+    DistClient client;
+    client.connect("127.0.0.1", daemon.port());
+    auto stopped = std::async(std::launch::async, [&] { daemon.stop(); });
+    const bool returned =
+        stopped.wait_for(kBoundedWait) == std::future_status::ready;
+    EXPECT_TRUE(returned) << "stop() blocked on a connected client";
+    if (!returned) {
+        client.close();  // Lets a daemon that waits for its client stop.
+    }
+    stopped.get();
+    EXPECT_FALSE(daemon.running());
+    EXPECT_THROW((void)client.stats(), std::runtime_error);
 }
 
 TEST(DistLoopback, SecondDaemonGetsItsOwnPortAndSegment) {
