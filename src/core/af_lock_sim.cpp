@@ -1,5 +1,7 @@
 #include "core/af_lock_sim.hpp"
 
+#include <stdexcept>
+
 namespace rwr::core {
 
 namespace {
@@ -17,12 +19,12 @@ std::unique_ptr<mutex::SimMutex> make_wl(Memory& mem, const AfParams& params) {
 
 }  // namespace
 
-AfSimLock::AfSimLock(Memory& mem, AfParams params)
-    : params_(params),
-      k_(params.group_size()),
-      groups_(params.num_groups()),
-      wl_(make_wl(mem, params)) {
-    params_.validate();
+AfSimLock::AfSimLock(Memory& mem, AfParams params, AfAblation ablation)
+    : params_(params.validated()),
+      ablation_(ablation),
+      k_(params_.group_size()),
+      groups_(params_.num_groups()),
+      wl_(make_wl(mem, params_)) {
     // DSM variant: the writer-side words live in writer 0's segment (the
     // writer is the only process that spins on WSIG; see af_params.hpp).
     const ProcId wowner =
@@ -35,10 +37,8 @@ AfSimLock::AfSimLock(Memory& mem, AfParams params)
         // with role index r is the process with pid r -- the harness adds
         // readers first -- so group i's slot s leaf is homed at pid i*K+s.
         const std::optional<ProcId> owner_base{i * k_};
-        c_.push_back(std::make_unique<counter::FArraySimCounter>(
-            mem, "af.C" + std::to_string(i), k_, owner_base));
-        w_.push_back(std::make_unique<counter::FArraySimCounter>(
-            mem, "af.W" + std::to_string(i), k_, owner_base));
+        c_.emplace_back(mem, "af.C" + std::to_string(i), k_, owner_base);
+        w_.emplace_back(mem, "af.W" + std::to_string(i), k_, owner_base);
         // WSIG[i] init <0, ⊥> (line 4).
         wsig_.push_back(mem.allocate("af.WSIG" + std::to_string(i),
                                      pack_sig(0, WsOp::Bot), wowner));
@@ -54,138 +54,125 @@ AfSimLock::AfSimLock(Memory& mem, AfParams params)
     }
 }
 
-// --- Readers (paper lines 29-49) --------------------------------------------
-
-sim::SimTask<void> AfSimLock::help_wcs(sim::Process& p, std::uint32_t group,
-                                       Word seq) {
-    // Lines 50-54. Reads of C[i] and W[i] are O(1) (counter roots).
-    const std::int64_t c = co_await c_[group]->read(p);
-    const std::int64_t w = co_await w_[group]->read(p);
-    if (c == w) {
-        // Line 52: exactly one reader's CAS succeeds (expected value embeds
-        // the passage's seq and the armed WAIT opcode).
-        co_await p.cas(wsig_[group], pack_sig(seq, WsOp::Wait),
-                       pack_sig(seq, WsOp::Cs));
-    }
+std::string AfSimLock::name() const {
+    static const char* const kSuffix[] = {"", "[-preentry]", "[-exithelp]"};
+    return "A_f(f=" + std::to_string(params_.f) + ")" +
+           (params_.dsm_local_spin ? "+dsm" : "") +
+           kSuffix[static_cast<int>(ablation_)];
 }
 
+// --- Entry points ------------------------------------------------------------
+
 sim::SimTask<void> AfSimLock::reader_entry(sim::Process& p) {
-    const std::uint32_t group = group_of(p.role_index());  // Line 30.
-    const std::uint32_t slot = slot_of(p.role_index());
-
-    co_await c_[group]->add(p, slot, +1);  // Line 31.
-
-    const Word sig = co_await p.read(rsig_);  // Line 32.
-    const Word seq = sig_seq(sig);
-    if (sig_rs_op(sig) == RsOp::Wait) {       // Line 33.
-        co_await w_[group]->add(p, slot, +1);  // Line 34.
-        co_await help_wcs(p, group, seq);      // Line 35.
-        if (params_.dsm_local_spin) {
-            // Line 36, DSM variant: spin on OUR gate, homed here. RSIG ==
-            // <seq, WAIT> implies the passage-seq writer has not exited,
-            // so the gate still holds <= seq; the exit publishes seq + 1
-            // to every gate (before releasing WL), and gate values are
-            // monotone in seq -- the gate exceeding `seq` is exactly
-            // "the passage-seq writer has left". No lost or false wakes.
-            for (;;) {
-                const Word g = co_await p.read(rgate_[p.role_index()]);
-                if (g > seq) {
-                    break;
-                }
-            }
-        } else {
-            for (;;) {  // Line 36: await RSIG change.
-                const Word cur = co_await p.read(rsig_);
-                if (cur != pack_sig(seq, RsOp::Wait)) {
-                    break;
-                }
-            }
-        }
-        co_await w_[group]->add(p, slot, -1);  // Line 37.
-    }
-    // Else (NOP or PREENTRY): enter the CS directly -- Concurrent Entering.
+    Attempt a{mutex::AbortControl::never()};
+    co_await reader_entry_section(p, a);
 }
 
 sim::SimTask<void> AfSimLock::reader_exit(sim::Process& p) {
-    const std::uint32_t group = group_of(p.role_index());
-    const std::uint32_t slot = slot_of(p.role_index());
-
-    co_await c_[group]->add(p, slot, -1);  // Line 40.
-
-    const Word sig = co_await p.read(rsig_);  // Line 41.
-    const Word seq = sig_seq(sig);
-    if (sig_rs_op(sig) == RsOp::PreEntry) {  // Line 42.
-        const std::int64_t c = co_await c_[group]->read(p);  // Line 43.
-        if (c == 0) {
-            // Line 45: tell the writer no group-i readers remain.
-            co_await p.cas(wsig_[group], pack_sig(seq, WsOp::Bot),
-                           pack_sig(seq, WsOp::Proceed));
-        }
-    } else if (sig_rs_op(sig) == RsOp::Wait) {  // Line 47.
-        co_await help_wcs(p, group, seq);       // Line 48.
-    }
+    return reader_exit_section(p, group_of(p.role_index()),
+                               slot_of(p.role_index()));
 }
 
-// --- Writers (paper lines 5-28) ----------------------------------------------
-
 sim::SimTask<void> AfSimLock::writer_entry(sim::Process& p) {
-    co_await wl_->enter(p, p.role_index());  // Line 6.
-
-    // Only the WL holder writes WSEQ, so this read is stable for the whole
-    // passage (the paper reads val(WSEQ) throughout).
-    const Word seq = co_await p.read(wseq_);
-
-    for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
-        co_await p.write(wsig_[i], pack_sig(seq, WsOp::Bot));
-    }
-    co_await p.write(rsig_, pack_sig(seq, RsOp::PreEntry));  // Line 11.
-
-    // Lines 12-17: drain readers waiting on *previous* passages. For each
-    // group: if C[i] > 0, some readers are still in passages; one of them
-    // will observe C[i] == 0 on its way out and CAS WSIG[i] to PROCEED.
-    for (std::uint32_t i = 0; i < groups_; ++i) {
-        const std::int64_t c = co_await c_[i]->read(p);  // Line 13.
-        if (c > 0) {
-            for (;;) {  // Line 14: local spin, <= 1 RMR (single CAS arrives).
-                const Word sig = co_await p.read(wsig_[i]);
-                if (sig == pack_sig(seq, WsOp::Proceed)) {
-                    break;
-                }
-            }
-        }
-        co_await p.write(wsig_[i], pack_sig(seq, WsOp::Wait));  // Line 16.
-    }
-
-    co_await p.write(rsig_, pack_sig(seq, RsOp::Wait));  // Line 18.
-
-    // Lines 19-23: wait until every group's readers have either exited or
-    // parked on line 36. The group signals via HelpWCS when C[i] == W[i].
-    for (std::uint32_t i = 0; i < groups_; ++i) {
-        const std::int64_t c = co_await c_[i]->read(p);  // Line 20.
-        if (c != 0) {
-            for (;;) {  // Line 21: local spin, <= 1 RMR.
-                const Word sig = co_await p.read(wsig_[i]);
-                if (sig == pack_sig(seq, WsOp::Cs)) {
-                    break;
-                }
-            }
-        }
-    }
+    Attempt a{mutex::AbortControl::never()};
+    co_await writer_entry_section(p, a);
 }
 
 sim::SimTask<void> AfSimLock::writer_exit(sim::Process& p) {
-    const Word seq = co_await p.read(wseq_);            // Stable: we hold WL.
-    co_await p.write(wseq_, seq + 1);                    // Line 25.
-    co_await p.write(rsig_, pack_sig(seq + 1, RsOp::Nop));  // Line 26.
-    if (params_.dsm_local_spin) {
-        // DSM variant: publish the passage boundary to every reader's
-        // gate. Theta(n) writes, all before the WL handover -- the
-        // writer-side price of DSM-local reader spins (af_params.hpp).
-        for (std::uint32_t r = 0; r < params_.n; ++r) {
-            co_await p.write(rgate_[r], seq + 1);
+    return writer_exit_section(p);
+}
+
+sim::SimTask<mutex::EnterResult> AfSimLock::entry_abortable(
+    sim::Process& p, mutex::AbortControl ctl) {
+    if (!p.is_reader() && params_.dsm_local_spin) {
+        throw std::invalid_argument(
+            "AfSimLock: the DSM variant's WL (Yang-Anderson) cannot abort");
+    }
+    return attempt(p, ctl);
+}
+
+sim::SimTask<mutex::EnterResult> AfSimLock::attempt(sim::Process& p,
+                                                    mutex::AbortControl ctl) {
+    Attempt a{ctl};
+    bool entered = false;
+    if (p.is_reader()) {
+        entered = co_await reader_entry_section(p, a);
+    } else {
+        entered = co_await writer_entry_section(p, a);
+    }
+    co_return entered ? mutex::EnterResult::Acquired
+                      : mutex::EnterResult::Aborted;
+}
+
+// --- Executor hooks that take more than one step -----------------------------
+
+sim::SimTask<bool> AfSimLock::counts_equal(sim::Process& p, std::uint32_t g) {
+    // Line 51 as two root reads, C[g] then W[g]. This is the known torn
+    // read: a reader that arrives between them makes the counts look equal
+    // while another reader is still in the CS (ROADMAP "The next benchmark
+    // PR"). The native executor reads the pair at one instant (equals_now).
+    const std::int64_t c = co_await c_[g].read(p);
+    const std::int64_t w = co_await w_[g].read(p);
+    co_return c == w;
+}
+
+template <class Done>
+sim::SimTask<bool> AfSimLock::spin(sim::Process& p, Attempt& a, VarId v,
+                                   Done done) {
+    for (;;) {
+        if (a.steps >= a.ctl.patience) {
+            co_return false;
+        }
+        const Word w = co_await p.read(v);
+        ++a.steps;
+        if (done(w)) {
+            co_return true;
         }
     }
-    co_await wl_->exit(p, p.role_index());               // Line 27.
+}
+
+sim::SimTask<bool> AfSimLock::wait_wsig(sim::Process& p, Attempt& a,
+                                        std::uint32_t g, Word want) {
+    // Lines 14 and 21: local spin, <= 1 RMR (a single CAS arrives).
+    return spin(p, a, wsig_[g], [want](Word sig) { return sig == want; });
+}
+
+sim::SimTask<bool> AfSimLock::wait_rsig(sim::Process& p, Attempt& a,
+                                        Word sig) {
+    // Line 36: await RSIG != sig = <seq, WAIT>. DSM variant: spin on OUR
+    // gate, homed here, instead. RSIG == <seq, WAIT> implies the passage-
+    // seq writer has not exited, so the gate still holds <= seq; the exit
+    // publishes seq + 1 to every gate (before releasing WL), and gate
+    // values are monotone in seq -- the gate exceeding `seq` is exactly
+    // "the passage-seq writer has left". No lost or false wakes.
+    if (params_.dsm_local_spin) {
+        return spin(p, a, rgate_[p.role_index()],
+                    [seq = sig_seq(sig)](Word gate) { return gate > seq; });
+    }
+    return spin(p, a, rsig_, [sig](Word cur) { return cur != sig; });
+}
+
+sim::SimTask<bool> AfSimLock::wl_enter(sim::Process& p, Attempt& a) {
+    if (params_.dsm_local_spin) {
+        co_await wl_->enter(p, p.role_index());  // Never asked to abort.
+        co_return true;
+    }
+    // Without dsm_local_spin, make_wl built the Peterson tree.
+    auto& peterson = static_cast<mutex::TournamentSimMutex&>(*wl_);
+    const mutex::EnterResult r =
+        co_await peterson.enter_abortable(p, p.role_index(), a.ctl);
+    co_return r == mutex::EnterResult::Acquired;
+}
+
+sim::SimTask<void> AfSimLock::publish_gates(sim::Process& p, Word seq) {
+    // DSM variant: publish the passage boundary to every reader's gate.
+    // Theta(n) writes, all before the WL handover -- the writer-side price
+    // of DSM-local reader spins (af_params.hpp).
+    if (params_.dsm_local_spin) {
+        for (std::uint32_t r = 0; r < params_.n; ++r) {
+            co_await p.write(rgate_[r], seq);
+        }
+    }
 }
 
 }  // namespace rwr::core

@@ -31,22 +31,28 @@ struct AfParams {
     /// homing is exact.
     bool dsm_local_spin = false;
 
-    /// K = ceil(n / f): readers per group (paper line 1).
-    [[nodiscard]] std::uint32_t group_size() const { return (n + f - 1) / f; }
+    /// K = ceil(n / f): readers per group (paper line 1). Rounded up
+    /// without forming n + f - 1, which wraps near 2^32.
+    [[nodiscard]] std::uint32_t group_size() const {
+        return n / f + (n % f != 0);
+    }
     /// Actual number of groups needed to cover n readers with groups of K.
     /// (Equals f except when rounding makes trailing groups empty.)
     [[nodiscard]] std::uint32_t num_groups() const {
         const std::uint32_t k = group_size();
-        return (n + k - 1) / k;
+        return n / k + (n % k != 0);
     }
 
-    void validate() const {
+    /// Returns *this; throws std::invalid_argument unless n, m >= 1 and
+    /// 1 <= f <= n.
+    [[nodiscard]] const AfParams& validated() const {
         if (n == 0 || m == 0) {
             throw std::invalid_argument("AfParams: need n >= 1 and m >= 1");
         }
         if (f == 0 || f > n) {
             throw std::invalid_argument("AfParams: need 1 <= f <= n");
         }
+        return *this;
     }
 };
 

@@ -1,7 +1,9 @@
 // Native (std::atomic) implementation of the paper's Algorithm 1 -- the
-// A_f reader-writer lock family. Mirrors core/af_lock_sim.cpp line for
-// line; see that file and the paper's Section 4 for the protocol
-// walkthrough.
+// A_f reader-writer lock family: core/af_protocol.inc compiled into inline
+// functions, so every protocol line, abort rollback included, is the one
+// the simulator explores (core/af_lock_sim.hpp); see af_protocol.inc and
+// the paper's Section 4 for the protocol walkthrough. This file is the
+// native executor: the atomics, parking, telemetry and misuse checks.
 //
 // Identity model: reader ids in [0, n), writer ids in [0, m), passed to
 // every call; one id must never be used by two threads concurrently. For an
@@ -54,9 +56,8 @@
 // each followed by a wake_all whose waiter-count read must not pass the
 // store (park.hpp); the f-arrays (counter.hpp), WL (mutex.hpp, apart from
 // the relaxed flag store its header argues for), the writer_busy_
-// exchanges, the readers' CASes and parking.
-// The simulator's model is sequentially consistent, so AfSimLock is
-// unaffected and this class still mirrors it line for line.
+// exchanges, the readers' CASes and parking. The text names each store's
+// order; the simulator's model is sequentially consistent and ignores it.
 #pragma once
 
 #include <atomic>
@@ -66,6 +67,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/af_params.hpp"
+#include "core/signals.hpp"
 #include "native/counter.hpp"
 #include "native/mutex.hpp"
 #include "native/park.hpp"
@@ -82,22 +85,24 @@ class AfLock {
    public:
     /// `f` = number of reader groups = writer RMR budget; 1 <= f <= n.
     /// Reader `id` uses slot id % k of group id / k, where k = ceil(n/f).
+    /// Throws std::invalid_argument, before allocating anything, on an
+    /// invalid core::AfParams or a k above FArrayCounter::kMaxCapacity.
     explicit AfLock(std::uint32_t n, std::uint32_t m, std::uint32_t f)
-        : n_(n), m_(m), f_(validated_f(n, m, f)), k_((n + f_ - 1) / f_),
+        : params_(checked({.n = n, .m = m, .f = f})),
+          k_(params_.group_size()),
+          groups_(params_.num_groups()),
           wl_(m) {
-        const std::uint32_t groups = (n + k_ - 1) / k_;
-        c_.reserve(groups);
-        w_.reserve(groups);
-        for (std::uint32_t i = 0; i < groups; ++i) {
+        c_.reserve(groups_);
+        w_.reserve(groups_);
+        for (std::uint32_t i = 0; i < groups_; ++i) {
             c_.emplace_back(k_);
             w_.emplace_back(k_);
         }
-        wsig_ = std::make_unique<Signal[]>(groups);
-        groups_ = groups;
-        RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n_);
-                  writer_retry_ = std::make_unique<TelemetryFlag[]>(m_);)
+        wsig_ = std::make_unique<Signal[]>(groups_);
+        RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n);
+                  writer_retry_ = std::make_unique<TelemetryFlag[]>(m);)
 #if RWR_AF_MISUSE_CHECKS
-        writer_busy_ = std::make_unique<PaddedFlag[]>(m_);
+        writer_busy_ = std::make_unique<PaddedFlag[]>(m);
 #endif
     }
 
@@ -130,60 +135,23 @@ class AfLock {
     bool lock_shared_until(std::uint32_t reader_id, Deadline deadline) {
         check_reader(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderEntry);)
-        const std::uint32_t g = reader_id / k_;
-        const std::uint32_t slot = reader_id % k_;
-
-        move_leaf(c_[g], slot, 0, 1, kReaderBusy);  // Line 31.
-        RWR_TELEM(if (telemetry_ && reader_retry_[reader_id].v.exchange(
-                                        0, std::memory_order_relaxed) != 0) {
-                      telemetry_->count(TelemetryCounter::kReaderAbortRetry);
-                  })
-        const std::uint64_t sig = rsig_.load();     // Line 32.
-        if (rs_op(sig) != kRsWait) {                // Line 33.
-            RWR_TELEM(if (telemetry_) {
-                telemetry_->count(TelemetryCounter::kReaderAcquire);
-                sw.stop();
-            })
-            return true;
-        }
-        const std::uint64_t seq = sig_seq(sig);
-        if (!deadline.is_immediate()) {
-            move_leaf(w_[g], slot, 0, 1, kReaderBusy);  // Line 34.
-            help_wcs(g, seq);                       // Line 35.
-            Backoff backoff;
-            const bool acquired =                   // Line 36 (parked).
-                wait_until(rsig_spot_, deadline, RWR_TELEM_PTR(telemetry_),
-                           backoff, [&] { return rsig_.load() != sig; });
-            move_leaf(w_[g], slot, 1, 0, kReaderBusy);  // Line 37.
-            RWR_TELEM(if (telemetry_) {
-                telemetry_->count(TelemetryCounter::kReaderContended);
-                telemetry_->note_backoff(backoff);
-            })
-            if (acquired) {
-                RWR_TELEM(if (telemetry_) {
-                    telemetry_->count(TelemetryCounter::kReaderAcquire);
-                    sw.stop();
-                })
-                return true;
-            }
-        }
-        // Abort: after the W[i] rollback above, undoing the C[i] increment
-        // is exactly the exit section (lines 40-48) -- including the
-        // handshake duties, so a writer waiting on this group still gets
-        // its PROCEED/CS signal from us or from a remaining reader.
-        shared_exit_section(g, slot);
-        RWR_TELEM(if (telemetry_) {
+        Attempt a{deadline};
+        const bool entered = reader_entry_section(reader_id, a);
+        RWR_TELEM(if (telemetry_ && entered) {
+            telemetry_->count(TelemetryCounter::kReaderAcquire);
+            sw.stop();
+        } else if (telemetry_) {
             telemetry_->count(TelemetryCounter::kReaderAbort);
             reader_retry_[reader_id].v.store(1, std::memory_order_relaxed);
             sw.stop_into(TelemetryHisto::kAbortLatency);
         })
-        return false;
+        return entered;
     }
 
     void unlock_shared(std::uint32_t reader_id) {
         check_reader(reader_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
-        shared_exit_section(reader_id / k_, reader_id % k_);
+        reader_exit_section(reader_id, reader_id / k_, reader_id % k_);
         RWR_TELEM(sw.stop();)
     }
 
@@ -209,107 +177,46 @@ class AfLock {
         check_writer(writer_id);
         writer_acquire_guard(writer_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterEntry);
-                  bool contended = false;
                   if (telemetry_ && writer_retry_[writer_id].v.exchange(
                                         0, std::memory_order_relaxed) != 0) {
                       telemetry_->count(TelemetryCounter::kWriterAbortRetry);
                   })
-        if (!wl_.lock_until(writer_id, deadline)) {  // Line 6.
+        Attempt a{deadline};
+        const bool entered = writer_entry_section(writer_id, a);
+        if (!entered) {
             writer_release_guard(writer_id);
-            RWR_TELEM(if (telemetry_) {
-                telemetry_->count(TelemetryCounter::kWriterAbort);
-                writer_retry_[writer_id].v.store(1, std::memory_order_relaxed);
-                sw.stop_into(TelemetryHisto::kAbortLatency);
-            })
-            return false;
         }
-        const std::uint64_t seq = wseq_.load();  // Stable: we hold WL.
-        note_wl_held(writer_id);
-
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 7-9.
-            wsig_[i].word.store(pack(seq, kWsBot), std::memory_order_release);
-        }
-        rsig_.store(pack(seq, kRsPreEntry));  // Line 11.
-        rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
-
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 12-17.
-            if (c_[i].read() > 0) {                    // Line 13.
-                Backoff backoff;
-                RWR_TELEM(contended = true;)
-                const bool ok = wait_until(       // Line 14 (parked).
-                    wsig_[i].spot, deadline, RWR_TELEM_PTR(telemetry_),
-                    backoff, [&] {
-                        return wsig_[i].word.load() == pack(seq, kWsProceed);
-                    });
-                RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
-                if (!ok) {
-                    RWR_TELEM(if (telemetry_) {
-                        telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_retry_[writer_id].v.store(
-                            1, std::memory_order_relaxed);
-                        sw.stop_into(TelemetryHisto::kAbortLatency);
-                    })
-                    abort_writer_entry(writer_id, seq);
-                    return false;
-                }
-            }
-            wsig_[i].word.store(pack(seq, kWsWait),  // Line 16.
-                                std::memory_order_release);
-        }
-
-        rsig_.store(pack(seq, kRsWait));  // Line 18.
-        rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
-
-        for (std::uint32_t i = 0; i < groups_; ++i) {  // Lines 19-23.
-            if (c_[i].read() != 0) {                   // Line 20.
-                Backoff backoff;
-                RWR_TELEM(contended = true;)
-                const bool ok = wait_until(       // Line 21 (parked).
-                    wsig_[i].spot, deadline, RWR_TELEM_PTR(telemetry_),
-                    backoff, [&] {
-                        return wsig_[i].word.load() == pack(seq, kWsCs);
-                    });
-                RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
-                if (!ok) {
-                    RWR_TELEM(if (telemetry_) {
-                        telemetry_->count(TelemetryCounter::kWriterAbort);
-                        writer_retry_[writer_id].v.store(
-                            1, std::memory_order_relaxed);
-                        sw.stop_into(TelemetryHisto::kAbortLatency);
-                    })
-                    abort_writer_entry(writer_id, seq);
-                    return false;
-                }
-            }
-        }
-        RWR_TELEM(if (telemetry_) {
+        RWR_TELEM(if (telemetry_ && entered) {
             telemetry_->count(TelemetryCounter::kWriterAcquire);
-            if (contended) {
+            if (a.waited) {
                 telemetry_->count(TelemetryCounter::kWriterContended);
             }
             sw.stop();
+        } else if (telemetry_) {
+            telemetry_->count(TelemetryCounter::kWriterAbort);
+            writer_retry_[writer_id].v.store(1, std::memory_order_relaxed);
+            sw.stop_into(TelemetryHisto::kAbortLatency);
         })
-        return true;
+        return entered;
     }
 
     void unlock(std::uint32_t writer_id) {
         check_writer(writer_id);
         check_wl_held(writer_id);
         RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterExit);)
-        const std::uint64_t seq = wseq_.load();
-        writer_exit_section(writer_id, seq);
+        writer_exit_section(writer_id);
         writer_release_guard(writer_id);
         RWR_TELEM(sw.stop();)
     }
 
-    [[nodiscard]] std::uint32_t num_readers() const { return n_; }
-    [[nodiscard]] std::uint32_t num_writers() const { return m_; }
-    [[nodiscard]] std::uint32_t f() const { return f_; }
+    [[nodiscard]] std::uint32_t num_readers() const { return params_.n; }
+    [[nodiscard]] std::uint32_t num_writers() const { return params_.m; }
+    [[nodiscard]] std::uint32_t f() const { return params_.f; }
     [[nodiscard]] std::uint32_t group_size() const { return k_; }
 
    private:
     struct alignas(64) Signal {
-        std::atomic<std::uint64_t> word{0};  // pack(0, kWsBot).
+        std::atomic<std::uint64_t> word{0};  // pack_sig(0, WsOp::Bot).
         /// The writer parks here when the group's handshake is pending;
         /// sharing the signal's line is intentional -- spot and word are
         /// touched by the same handshake parties, and a per-Signal futex
@@ -329,53 +236,61 @@ class AfLock {
     static_assert(sizeof(PaddedFlag) == 64 && alignof(PaddedFlag) == 64,
                   "misuse-check guards must not share cache lines");
 
-    // Opcode encodings (see core/signals.hpp for the simulated twin).
-    static constexpr std::uint64_t kRsNop = 0, kRsPreEntry = 1, kRsWait = 2;
-    static constexpr std::uint64_t kWsBot = 0, kWsProceed = 1, kWsWait = 2,
-                                   kWsCs = 3;
-
-    static constexpr std::uint64_t pack(std::uint64_t seq, std::uint64_t op) {
-        return (seq << 8) | op;
+    static core::AfParams checked(const core::AfParams& params) {
+        if (params.validated().group_size() > FArrayCounter::kMaxCapacity) {
+            throw std::invalid_argument(
+                "AfLock: group size ceil(n/f) above "
+                "FArrayCounter::kMaxCapacity");
+        }
+        return params;
     }
-    static constexpr std::uint64_t sig_seq(std::uint64_t w) { return w >> 8; }
-    static constexpr std::uint64_t rs_op(std::uint64_t w) { return w & 0xff; }
 
-    /// Exit section, lines 40-48: shared by unlock_shared and the reader
-    /// abort path (which must discharge the same signalling obligations).
-    void shared_exit_section(std::uint32_t g, std::uint32_t slot) {
-        move_leaf(c_[g], slot, 1, 0, kReaderIdle);  // Line 40.
-        const std::uint64_t sig = rsig_.load();  // Line 41.
-        const std::uint64_t seq = sig_seq(sig);
-        if (rs_op(sig) == kRsPreEntry) {         // Line 42.
-            if (c_[g].read() == 0) {             // Line 43.
-                std::uint64_t expected = pack(seq, kWsBot);
-                if (wsig_[g].word.compare_exchange_strong(
-                        expected, pack(seq, kWsProceed))) {  // Line 45.
-                    wsig_[g].spot.wake_all(RWR_TELEM_PTR(telemetry_));
-                }
-            }
-        } else if (rs_op(sig) == kRsWait) {  // Line 47.
-            help_wcs(g, seq);                // Line 48.
+    void check_reader(std::uint32_t id) const {
+        if (id >= params_.n) {
+            throw std::invalid_argument("AfLock: reader id out of range");
+        }
+    }
+    void check_writer(std::uint32_t id) const {
+        if (id >= params_.m) {
+            throw std::invalid_argument("AfLock: writer id out of range");
         }
     }
 
-    /// Exit section, lines 25-27: shared by unlock and the writer abort
-    /// path. Advancing WSEQ invalidates every seq-stamped WSIG handshake of
-    /// the aborted passage, and the RSIG store releases any reader parked
-    /// on line 36.
-    void writer_exit_section(std::uint32_t writer_id, std::uint64_t seq) {
-        wseq_.store(seq + 1, std::memory_order_release);  // Line 25.
-        rsig_.store(pack(seq + 1, kRsNop));        // Line 26.
-        rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_));
-        note_wl_released();
-        wl_.unlock(writer_id);                     // Line 27.
-    }
+    // ---- The executor of core/af_protocol.inc ----------------------------
+    template <class T>
+    using Task = T;
+    using Caller = std::uint32_t;  ///< The reader or writer id.
+    struct Attempt {
+        Deadline& deadline;   ///< The caller's, polled by every wait.
+        bool waited = false;  ///< A line-14/21 wait ran (telemetry).
+    };
 
-    void abort_writer_entry(std::uint32_t writer_id, std::uint64_t seq) {
-        writer_exit_section(writer_id, seq);
-        writer_release_guard(writer_id);
+    static std::uint32_t index(Caller id) { return id; }
+    std::atomic<Word>& wsig(std::uint32_t g) { return wsig_[g].word; }
+    static Word load(Caller, const std::atomic<Word>& x) { return x.load(); }
+    static void store(Caller, std::atomic<Word>& x, Word v,
+                      std::memory_order order) {
+        x.store(v, order);
     }
-
+    static Word cas(Caller, std::atomic<Word>& x, Word expected,
+                    Word desired) {
+        x.compare_exchange_strong(expected, desired);
+        return expected;
+    }
+    /// A reader's own leaf is 1 from line 31 to line 40 (C[i]) and from
+    /// line 34 to line 37 (W[i]), and 0 otherwise, so the f-array move that
+    /// the protocol line makes anyway is also the misuse check: it fails,
+    /// writing nothing, exactly when the id is misused.
+    static void move_leaf(Caller, FArrayCounter& counter, std::uint32_t slot,
+                          std::int32_t from, std::int32_t to,
+                          const char* misuse) {
+        if (!counter.move(slot, from, to)) {
+            throw std::logic_error(misuse);
+        }
+    }
+    static std::int64_t read_root(Caller, const FArrayCounter& counter) {
+        return counter.read();
+    }
     /// Line 51 compares C[i] and W[i], which must be read at one instant:
     /// two plain reads can fake equality while a reader is still in the CS,
     /// when a reader arrives (C, then W) or aborts (W, then C) between
@@ -383,54 +298,55 @@ class AfLock {
     /// read of W[i]. That costs no liveness: while RSIG is WAIT, every
     /// change of C[i] or W[i] is followed by its reader's own call here,
     /// and the call after the last change sees both counts settled.
-    void help_wcs(std::uint32_t g, std::uint64_t seq) {  // Lines 50-54.
-        if (c_[g].equals_now(w_[g])) {
-            std::uint64_t expected = pack(seq, kWsWait);
-            if (wsig_[g].word.compare_exchange_strong(expected,
-                                                      pack(seq, kWsCs))) {
-                wsig_[g].spot.wake_all(RWR_TELEM_PTR(telemetry_));
-            }
-        }
+    bool counts_equal(Caller, std::uint32_t g) const {
+        return c_[g].equals_now(w_[g]);
+    }
+    /// The waits of lines 14, 21 and 36: spin, then park on `spot`, until
+    /// `done()` or the attempt's deadline.
+    template <class Done>
+    bool wait(ParkingSpot& spot, Attempt& a, Done&& done) {
+        Backoff backoff;
+        const bool ok = wait_until(spot, a.deadline,
+                                   RWR_TELEM_PTR(telemetry_), backoff, done);
+        RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
+        return ok;
+    }
+    bool wait_wsig(Caller, Attempt& a, std::uint32_t g, Word want) {
+        RWR_TELEM(a.waited = true;)
+        Signal& s = wsig_[g];
+        return wait(s.spot, a, [&] { return s.word.load() == want; });
+    }
+    /// Line 36, parked on rsig_spot_ (every RSIG store wakes it).
+    bool wait_rsig(Caller, Attempt& a, Word sig) {
+        RWR_TELEM(if (telemetry_) telemetry_->count(
+                      TelemetryCounter::kReaderContended);)
+        return wait(rsig_spot_, a, [&] { return rsig_.load() != sig; });
+    }
+    static bool may_wait(const Attempt& a) {
+        return !a.deadline.is_immediate();
+    }
+    bool wl_enter(Caller id, Attempt& a) {
+        return wl_.lock_until(id, a.deadline);
+    }
+    void wl_exit(Caller id) { wl_.unlock(id); }
+    void wake_rsig() { rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_)); }
+    void wake_wsig(std::uint32_t g) {
+        wsig_[g].spot.wake_all(RWR_TELEM_PTR(telemetry_));
+    }
+    static void publish_gates(Caller, Word) {}
+    static constexpr bool no_preentry() { return false; }
+    static constexpr bool no_exit_help() { return false; }
+    void note_reader_retry(Caller id) {
+        RWR_TELEM(if (telemetry_ && reader_retry_[id].v.exchange(
+                                        0, std::memory_order_relaxed) != 0) {
+                      telemetry_->count(TelemetryCounter::kReaderAbortRetry);
+                  })
+        (void)id;
     }
 
-    static std::uint32_t validated_f(std::uint32_t n, std::uint32_t m,
-                                     std::uint32_t f) {
-        if (n == 0 || m == 0 || f == 0 || f > n) {
-            throw std::invalid_argument("AfLock: need n,m >= 1, 1 <= f <= n");
-        }
-        return f;
-    }
-
-    void check_reader(std::uint32_t id) const {
-        if (id >= n_) {
-            throw std::invalid_argument("AfLock: reader id out of range");
-        }
-    }
-    void check_writer(std::uint32_t id) const {
-        if (id >= m_) {
-            throw std::invalid_argument("AfLock: writer id out of range");
-        }
-    }
-
-    // ---- Misuse detection ----
-    static constexpr const char* kReaderBusy =
-        "AfLock: reader id already in an acquisition or passage "
-        "(concurrent id reuse or recursive lock_shared)";
-    static constexpr const char* kReaderIdle =
-        "AfLock: unlock_shared without matching lock_shared "
-        "(double release would drive C[i] negative)";
-
-    /// A reader's own leaf is 1 from line 31 to line 40 (C[i]) and from
-    /// line 34 to line 37 (W[i]), and 0 otherwise, so the f-array move that
-    /// the protocol line makes anyway is also the misuse check: it fails,
-    /// writing nothing, exactly when the id is misused.
-    static void move_leaf(FArrayCounter& counter, std::uint32_t slot,
-                          std::int32_t from, std::int32_t to,
-                          const char* misuse) {
-        if (!counter.move(slot, from, to)) {
-            throw std::logic_error(misuse);
-        }
-    }
+#define RWR_STEP
+#define RWR_RETURN return
+#include "core/af_protocol.inc"
 
     // Writer checks: compiled out with RWR_AF_MISUSE_CHECKS=0.
 #if RWR_AF_MISUSE_CHECKS
@@ -467,7 +383,8 @@ class AfLock {
     void check_wl_held(std::uint32_t) const {}
 #endif
 
-    std::uint32_t n_, m_, f_, k_, groups_ = 0;
+    core::AfParams params_;
+    std::uint32_t k_, groups_;
     // The counters are read-only handles after construction; their nodes
     // are heap-allocated with one alignas(64) node per line (counter.hpp).
     std::vector<FArrayCounter> c_;
@@ -475,7 +392,7 @@ class AfLock {
     TournamentMutex wl_;
     std::unique_ptr<Signal[]> wsig_;
     alignas(64) std::atomic<std::uint64_t> wseq_{0};
-    alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack(0, kRsNop).
+    alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack_sig(0, Nop).
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.
     alignas(64) ParkingSpot rsig_spot_;
 #if RWR_TELEMETRY

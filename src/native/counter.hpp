@@ -31,8 +31,9 @@
 //
 // The simulated FArraySimCounter stays binary on purpose: its exact step
 // and RMR counts (E5's 2 + 4*log2 K, E1's rows, perfbench's goldens) are
-// the reproduction's measured results and stay bit-identical. AfLock still
-// mirrors AfSimLock line for line; only this counter's shape differs.
+// the reproduction's measured results and stay bit-identical. AfLock and
+// AfSimLock compile one protocol text (core/af_protocol.inc), whose
+// executors hand it this counter and the binary one respectively.
 //
 // Memory ordering: all operations use sequential consistency. These
 // algorithms (and the paper's model) assume an SC memory system; on x86

@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/af_params.hpp"
 #include "native/af_lock.hpp"
 
 namespace rwr::native {
@@ -166,11 +167,12 @@ std::chrono::duration<long double, typename Clock::period> time_left(
 
 class AfSharedMutex {
    public:
-    /// `f` defaults to sqrt-balanced: ceil(sqrt(max_readers)).
+    /// `f` defaults to sqrt-balanced: ceil(sqrt(max_readers)), the
+    /// benches' core::f_of(FChoice::Sqrt, max_readers).
     AfSharedMutex(std::uint32_t max_readers, std::uint32_t max_writers,
                   std::uint32_t f = 0)
         : lock_(max_readers, max_writers,
-                f != 0 ? f : default_f(max_readers)),
+                f != 0 ? f : core::f_of(core::FChoice::Sqrt, max_readers)),
           reader_slots_(std::make_shared<detail::SlotPool>(max_readers)),
           writer_slots_(std::make_shared<detail::SlotPool>(max_writers)) {}
 
@@ -223,14 +225,6 @@ class AfSharedMutex {
     [[nodiscard]] const AfLock& underlying() const { return lock_; }
 
    private:
-    static std::uint32_t default_f(std::uint32_t n) {
-        std::uint32_t f = 1;
-        while (f * f < n) {
-            ++f;
-        }
-        return f;
-    }
-
     AfLock lock_;
     std::shared_ptr<detail::SlotPool> reader_slots_;
     std::shared_ptr<detail::SlotPool> writer_slots_;

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/af_ablations.hpp"
 #include "core/af_lock_sim.hpp"
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"
@@ -25,8 +24,8 @@ sim::ScenarioFactory ablated_factory(AfAblation ablation, std::uint32_t n,
         sim::Scenario sc;
         sc.sys = std::make_unique<sim::System>(Protocol::WriteBack);
         AfParams params{.n = n, .m = m, .f = f};
-        auto lock = std::make_unique<AblatedAfSimLock>(sc.sys->memory(),
-                                                       params, ablation);
+        auto lock =
+            std::make_unique<AfSimLock>(sc.sys->memory(), params, ablation);
         for (std::uint32_t r = 0; r < n; ++r) {
             Process& p = sc.sys->add_process(Role::Reader);
             sim::DriveConfig dc;
@@ -72,8 +71,8 @@ TEST(AfAblations, NoPreentryBreaksMutualExclusion_Directed) {
     //   5. The writer enters the CS; R then finishes entry and joins it.
     sim::System sys(Protocol::WriteBack);
     AfParams params{.n = 2, .m = 1, .f = 1};
-    auto lock = std::make_unique<AblatedAfSimLock>(sys.memory(), params,
-                                                   AfAblation::NoPreentry);
+    auto lock = std::make_unique<AfSimLock>(sys.memory(), params,
+                                            AfAblation::NoPreentry);
     sim::MutualExclusionChecker checker(/*throw_on_violation=*/false);
     sys.add_observer(&checker);
 

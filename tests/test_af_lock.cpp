@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/af_lock_sim.hpp"
 #include "harness/experiment.hpp"
+#include "harness/locks.hpp"
 #include "sim/explorer.hpp"
 
 namespace rwr::core {
@@ -32,6 +35,30 @@ TEST(AfLock, ParamsValidation) {
     bad.m = 1;
     bad.f = 5;  // f > n.
     EXPECT_THROW(AfSimLock(sys.memory(), bad), std::invalid_argument);
+    bad.f = 0;  // Rejected before K = ceil(n/f) divides by it.
+    EXPECT_THROW(AfSimLock(sys.memory(), bad), std::invalid_argument);
+}
+
+TEST(AfParams, GeometryAtTheTopOfTheRange) {
+    // K = ceil(n/f) and the group count, computed without n + f - 1 (which
+    // wrapped K to 0 at f = 2 and, through K, the group count too).
+    constexpr std::uint32_t n = 0xFFFFFFFFu;
+    struct Case {
+        std::uint32_t f, k, groups;
+    };
+    for (const Case c : {Case{1, n, 1}, Case{2, 0x80000000u, 2},
+                         Case{3, n / 3, 3}, Case{n, 1, n}}) {
+        const AfParams params{.n = n, .m = 1, .f = c.f};
+        EXPECT_EQ(params.group_size(), c.k) << "f=" << c.f;
+        EXPECT_EQ(params.num_groups(), c.groups) << "f=" << c.f;
+    }
+}
+
+TEST(AfParams, SqrtChoiceAtTheTopOfTheRange) {
+    EXPECT_EQ(f_of(FChoice::Sqrt, 64), 8u);
+    EXPECT_EQ(f_of(FChoice::Sqrt, 65535u * 65535u), 65535u);
+    EXPECT_EQ(f_of(FChoice::Sqrt, 65535u * 65535u + 1), 65536u);
+    EXPECT_EQ(f_of(FChoice::Sqrt, 0xFFFFFFFFu), 65536u);
 }
 
 TEST(AfLock, GroupAssignment) {
@@ -382,6 +409,200 @@ TEST(AfLock, WriterRmrGrowsWithF_ReaderRmrShrinksWithF) {
     }
     EXPECT_GT(writer_high_f, 4.0 * writer_low_f);
     EXPECT_GT(reader_low_f, 1.5 * reader_high_f);
+}
+
+// ---- Every simulated step, pinned -------------------------------------------
+//
+// A refactor of AfSimLock must issue the same steps: the same ops, in the
+// same order, with the same values, on the same variables. perfbench's
+// ComponentLedger classifies RMRs by the variables' "af." names and DPOR
+// keys on VarIds, so the digest also covers the names in allocation order.
+
+/// FNV-1a over every executed step (pid, op code, VarId index, operands,
+/// result, RMR flag), after the lock's variable names if asked.
+class StepDigest final : public sim::StepObserver {
+   public:
+    void on_step(const System&, const Process& p, const Op& op,
+                 const OpResult& res) override {
+        mix(p.id());
+        mix(static_cast<Word>(op.code));
+        mix(op.var.index);
+        mix(op.arg0);
+        mix(op.arg1);
+        mix(res.value);
+        mix(res.rmr ? 1 : 0);
+    }
+    void mix(Word w) {
+        for (int i = 0; i < 8; ++i) {
+            h_ = (h_ ^ ((w >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+        }
+    }
+    void mix(const std::string& s) {
+        for (const char ch : s) {
+            h_ = (h_ ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+        }
+        mix(Word{s.size()});
+    }
+    [[nodiscard]] std::uint64_t value() const { return h_; }
+
+   private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+struct DigestCase {
+    Protocol proto;
+    std::uint32_t n, m, f;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t steps;
+};
+
+struct DigestRun {
+    std::uint64_t digest = 0;
+    std::uint64_t steps = 0;
+    bool finished = false;
+};
+
+/// n readers then m writers, 3 passages each with a 2-step CS, under
+/// RandomScheduler(seed) until every process finishes or max_steps.
+DigestRun digest_run(Protocol proto,
+                     const std::function<std::unique_ptr<sim::SimRWLock>(
+                         Memory&)>& build,
+                     std::uint32_t n, std::uint32_t m, std::uint64_t seed,
+                     bool hash_names, std::uint64_t max_steps) {
+    System sys(proto);
+    const auto lock = build(sys.memory());
+    StepDigest digest;
+    if (hash_names) {
+        for (std::uint32_t v = 0; v < sys.memory().num_variables(); ++v) {
+            digest.mix(sys.memory().name(VarId{v}));
+        }
+    }
+    sys.add_observer(&digest);
+    sim::DriveConfig dc;
+    dc.passages = 3;
+    dc.cs_steps = 2;
+    for (std::uint32_t r = 0; r < n; ++r) {
+        sim::install(*lock, sys.add_process(Role::Reader), dc);
+    }
+    for (std::uint32_t w = 0; w < m; ++w) {
+        sim::install(*lock, sys.add_process(Role::Writer), dc);
+    }
+    sim::RandomScheduler sched(seed);
+    const sim::RunResult res = sim::run(sys, sched, max_steps);
+    sys.check_failures();
+    return {digest.value(), res.steps, res.all_finished};
+}
+
+TEST(AfStepDigest, EverySimulatedStepIsPinned) {
+    // The steps of the hand-written sections that core/af_protocol.inc
+    // replaced: a change to any row is a change to a simulated step. The
+    // WriteThrough and WriteBack rows take the same schedules, so only
+    // their RMR flags differ; the Dsm rows run LockKind::AfDsm.
+    const DigestCase cases[] = {
+        {Protocol::WriteThrough, 1, 1, 1, 0, 0x8d3a673af59e7a28ull, 96},
+        {Protocol::WriteThrough, 1, 1, 1, 1, 0xb2b4407389143119ull, 89},
+        {Protocol::WriteThrough, 1, 1, 1, 2, 0xd8861c00309dcb6full, 101},
+        {Protocol::WriteThrough, 1, 1, 1, 3, 0x20a4ad7034f2d54aull, 85},
+        {Protocol::WriteThrough, 3, 1, 1, 0, 0xc4177d457d3eae2eull, 542},
+        {Protocol::WriteThrough, 3, 1, 1, 1, 0x7c8ea64d90ecb284ull, 428},
+        {Protocol::WriteThrough, 3, 1, 1, 2, 0x5a0bb565a95521d8ull, 489},
+        {Protocol::WriteThrough, 3, 1, 1, 3, 0xc6280b067d170f3full, 508},
+        {Protocol::WriteThrough, 4, 2, 2, 0, 0x9c536256cd53df72ull, 627},
+        {Protocol::WriteThrough, 4, 2, 2, 1, 0x254834f224d8acddull, 669},
+        {Protocol::WriteThrough, 4, 2, 2, 2, 0x020e29ade0ac151eull, 647},
+        {Protocol::WriteThrough, 4, 2, 2, 3, 0xe2a572a81394df99ull, 551},
+        {Protocol::WriteThrough, 5, 3, 5, 0, 0xd9de0d92d436ec89ull, 913},
+        {Protocol::WriteThrough, 5, 3, 5, 1, 0x44f73fff4782d624ull, 895},
+        {Protocol::WriteThrough, 5, 3, 5, 2, 0xf8744a77fb3e888full, 859},
+        {Protocol::WriteThrough, 5, 3, 5, 3, 0x0bcde92bdd06454full, 863},
+        {Protocol::WriteBack, 1, 1, 1, 0, 0x13e140904fa1f138ull, 96},
+        {Protocol::WriteBack, 1, 1, 1, 1, 0xd7d877389d3a3400ull, 89},
+        {Protocol::WriteBack, 1, 1, 1, 2, 0x5bbe8c8d45d48e0aull, 101},
+        {Protocol::WriteBack, 1, 1, 1, 3, 0x7588734d4a5b7d5full, 85},
+        {Protocol::WriteBack, 3, 1, 1, 0, 0x831abda3a4369142ull, 542},
+        {Protocol::WriteBack, 3, 1, 1, 1, 0x880f4330a354caa8ull, 428},
+        {Protocol::WriteBack, 3, 1, 1, 2, 0x74ad1af547e5dce0ull, 489},
+        {Protocol::WriteBack, 3, 1, 1, 3, 0xebd231f25b1737cfull, 508},
+        {Protocol::WriteBack, 4, 2, 2, 0, 0x227db77a07d67b0full, 627},
+        {Protocol::WriteBack, 4, 2, 2, 1, 0xfaa61d37d6f29be1ull, 669},
+        {Protocol::WriteBack, 4, 2, 2, 2, 0x5dd0c25e77d3becaull, 647},
+        {Protocol::WriteBack, 4, 2, 2, 3, 0x7b8a65013911aba9ull, 551},
+        {Protocol::WriteBack, 5, 3, 5, 0, 0xd401c3e97a1f352dull, 913},
+        {Protocol::WriteBack, 5, 3, 5, 1, 0x79c43195ac20976dull, 895},
+        {Protocol::WriteBack, 5, 3, 5, 2, 0xa5872fd7adab3d4eull, 859},
+        {Protocol::WriteBack, 5, 3, 5, 3, 0xd478f5f56de99d26ull, 863},
+        {Protocol::Dsm, 1, 1, 1, 0, 0xbdf8935b0627faa7ull, 98},
+        {Protocol::Dsm, 1, 1, 1, 1, 0xc99cdd70c1f2208full, 110},
+        {Protocol::Dsm, 1, 1, 1, 2, 0x0042deac18f4e135ull, 104},
+        {Protocol::Dsm, 1, 1, 1, 3, 0xe797643e14971a8eull, 87},
+        {Protocol::Dsm, 3, 1, 1, 0, 0xec4f7f9ec2e8efc5ull, 584},
+        {Protocol::Dsm, 3, 1, 1, 1, 0x8939ea8d78681004ull, 434},
+        {Protocol::Dsm, 3, 1, 1, 2, 0x68a4b9dd2cb60bbaull, 494},
+        {Protocol::Dsm, 3, 1, 1, 3, 0x4ad72755fb26d735ull, 534},
+        {Protocol::Dsm, 4, 2, 2, 0, 0xf859d5604b64d836ull, 721},
+        {Protocol::Dsm, 4, 2, 2, 1, 0x7fa54cb0738dfa30ull, 770},
+        {Protocol::Dsm, 4, 2, 2, 2, 0xcecd8d08d19b4889ull, 715},
+        {Protocol::Dsm, 4, 2, 2, 3, 0x36cbe3ae3db1a1e4ull, 636},
+        {Protocol::Dsm, 5, 3, 5, 0, 0x905108f5caf8211bull, 1146},
+        {Protocol::Dsm, 5, 3, 5, 1, 0x63f232c2e2c5d8bfull, 1052},
+        {Protocol::Dsm, 5, 3, 5, 2, 0x4c62472ba67599afull, 1021},
+        {Protocol::Dsm, 5, 3, 5, 3, 0x88937c8196398c16ull, 1035},
+    };
+    for (const DigestCase& c : cases) {
+        const auto kind =
+            c.proto == Protocol::Dsm ? LockKind::AfDsm : LockKind::Af;
+        const DigestRun r = digest_run(
+            c.proto,
+            [&](Memory& mem) {
+                return harness::make_sim_lock(kind, mem, c.n, c.m, c.f);
+            },
+            c.n, c.m, c.seed, /*hash_names=*/true, 2'000'000);
+        const std::string label = to_string(c.proto) + " n=" +
+                                  std::to_string(c.n) + " m=" +
+                                  std::to_string(c.m) + " f=" +
+                                  std::to_string(c.f) + " seed " +
+                                  std::to_string(c.seed);
+        EXPECT_TRUE(r.finished) << label;
+        EXPECT_EQ(r.steps, c.steps) << label;
+        EXPECT_EQ(r.digest, c.digest) << label;
+    }
+}
+
+TEST(AfStepDigest, AblationsArePinned) {
+    // (3, 1, 1) under WriteBack, hashing VarIds but not names (the
+    // ablated copy that af_protocol.inc replaced named its variables
+    // "abf."). Without exit helping every seed strands the writer, so
+    // those rows stop at the step budget.
+    struct AblationCase {
+        AfAblation ablation;
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t steps;
+    };
+    const AblationCase cases[] = {
+        {AfAblation::NoPreentry, 0, 0x542d15219213c939ull, 543},
+        {AfAblation::NoPreentry, 1, 0x38af260a6515f464ull, 675},
+        {AfAblation::NoPreentry, 2, 0xb67dd3e214801232ull, 513},
+        {AfAblation::NoPreentry, 3, 0x6ebb8644e611b7b3ull, 550},
+        {AfAblation::NoExitHelp, 0, 0x26d5adae732f146eull, 20'000},
+        {AfAblation::NoExitHelp, 1, 0x1f2b9e2ad1459a1aull, 20'000},
+        {AfAblation::NoExitHelp, 2, 0x652c10d713d7a963ull, 20'000},
+        {AfAblation::NoExitHelp, 3, 0x72183115a0bb5a94ull, 20'000},
+    };
+    for (const AblationCase& c : cases) {
+        const DigestRun r = digest_run(
+            Protocol::WriteBack,
+            [&](Memory& mem) {
+                return std::make_unique<AfSimLock>(
+                    mem, AfParams{.n = 3, .m = 1, .f = 1}, c.ablation);
+            },
+            3, 1, c.seed, /*hash_names=*/false, 20'000);
+        EXPECT_EQ(r.finished, c.ablation == AfAblation::NoPreentry)
+            << "seed " << c.seed;
+        EXPECT_EQ(r.steps, c.steps) << "seed " << c.seed;
+        EXPECT_EQ(r.digest, c.digest) << "seed " << c.seed;
+    }
 }
 
 }  // namespace

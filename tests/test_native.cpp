@@ -423,6 +423,19 @@ TEST(NativeAfLock, ArgumentValidation) {
     EXPECT_THROW(ok.lock(1), std::invalid_argument);
 }
 
+TEST(NativeAfLock, RejectsAGroupAboveTheCounterCapacity) {
+    // n = 2^32 - 1, f = 2: K = 2^31 > FArrayCounter::kMaxCapacity, and
+    // (n + f - 1) / f would wrap K to 0. The throw comes before anything
+    // n-sized is allocated.
+    EXPECT_THROW(AfLock(0xFFFFFFFFu, 1, 2), std::invalid_argument);
+}
+
+TEST(AfSharedMutex, DefaultFIsTheSqrtChoice) {
+    // core::f_of(FChoice::Sqrt, n) = ceil(sqrt n).
+    EXPECT_EQ(AfSharedMutex(64, 8).underlying().f(), 8u);
+    EXPECT_EQ(AfSharedMutex(65, 1).underlying().f(), 9u);
+}
+
 TEST(NativeAfLock, WriterSeesEveryReaderWhenFDoesNotDivideN) {
     // Reader id i uses slot i % k of group i / k, k = ceil(n / f). With
     // (n, f) = (10, 4) the last group is partial; with (9, 4) only three
