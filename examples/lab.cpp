@@ -268,13 +268,12 @@ int cmd_metrics(const Flags& f) try {
     const auto res = perf::run_perf(cfg);
     std::printf(
         "lock=%s n=%u m=%u f=%u ms=%u  reader_ops=%llu writer_ops=%llu "
-        "throughput=%.0f ops/s  telemetry=%s\n",
+        "throughput=%.0f ops/s\n",
         perf::to_string(cfg.lock), cfg.readers, cfg.writers,
         cfg.resolved_f(), cfg.duration_ms,
         static_cast<unsigned long long>(res.reader_ops),
         static_cast<unsigned long long>(res.writer_ops),
-        res.throughput_ops(),
-        rwr::native::telemetry_enabled() ? "on" : "off (RWR_TELEMETRY=0)");
+        res.throughput_ops());
 
     Table c({"counter", "value"});
     for (std::uint32_t i = 0; i < rwr::native::kTelemetryCounters; ++i) {

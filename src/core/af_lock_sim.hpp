@@ -135,7 +135,7 @@ class AfSimLock final : public sim::SimRWLock {
     [[nodiscard]] bool no_exit_help() const {
         return ablation_ == AfAblation::NoExitHelp;
     }
-    static void note_reader_retry(const sim::Process&) {}
+    static void note_reader_retry(const sim::Process&, const Attempt&) {}
     static void note_wl_held(const sim::Process&) {}
     static void note_wl_released() {}
 

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "dist/verbs.hpp"
 #include "native/park.hpp"
 #include "native/spin.hpp"
+#include "native/telemetry.hpp"
 
 namespace rwr::dist {
 
@@ -46,11 +48,7 @@ struct SessionStats {
     std::array<std::uint64_t, kLatBuckets> acquire_ns_log2{};
 
     void record_acquire_ns(std::uint64_t ns) {
-        unsigned b = 0;
-        while ((std::uint64_t{1} << (b + 1)) <= ns && b + 1 < kLatBuckets) {
-            ++b;
-        }
-        ++acquire_ns_log2[b];
+        ++acquire_ns_log2[native::log2_bucket(ns, kLatBuckets)];
     }
     void merge(const SessionStats& o) {
         read_ops += o.read_ops;
@@ -80,8 +78,8 @@ struct SessionStats {
         for (unsigned b = 0; b < kLatBuckets; ++b) {
             seen += acquire_ns_log2[b];
             if (seen > want) {
-                return static_cast<double>(std::uint64_t{1} << (b + 1)) /
-                       1000.0;
+                // 2^(b+1) ns; the last bucket's bound, 2^64, is no uint64.
+                return std::ldexp(1.0, static_cast<int>(b) + 1) / 1000.0;
             }
         }
         return 0.0;

@@ -29,8 +29,7 @@
 // concurrent reuse of one reader id each fail that CAS; lines 34/37 do the
 // same on W[i]. The writer checks (no concurrent reuse of one writer id,
 // no unlock without lock, no unlock of a WL the caller does not hold) cost
-// an uncontended exchange per call and compile out with
-// RWR_AF_MISUSE_CHECKS=0; the reader checks hold in every build.
+// an uncontended exchange per call.
 //
 // Memory ordering: every access outside telemetry is seq_cst except three
 // kinds of store.
@@ -75,9 +74,9 @@
 #include "native/spin.hpp"
 #include "native/telemetry.hpp"
 
-#ifndef RWR_AF_MISUSE_CHECKS
+// The writer misuse checks are always compiled. The macro remains for code
+// that prints a build's configuration.
 #define RWR_AF_MISUSE_CHECKS 1
-#endif
 
 namespace rwr::native {
 
@@ -99,20 +98,18 @@ class AfLock {
             w_.emplace_back(k_);
         }
         wsig_ = std::make_unique<Signal[]>(groups_);
-        RWR_TELEM(reader_retry_ = std::make_unique<TelemetryFlag[]>(n);
-                  writer_retry_ = std::make_unique<TelemetryFlag[]>(m);)
-#if RWR_AF_MISUSE_CHECKS
+        reader_retry_ = std::make_unique<TelemetryFlag[]>(n);
+        writer_retry_ = std::make_unique<TelemetryFlag[]>(m);
         writer_busy_ = std::make_unique<PaddedFlag[]>(m);
-#endif
     }
 
     /// Attach a telemetry sink (nullptr detaches). Not thread-safe against
     /// concurrent passages; attach before starting the workload. Propagates
     /// to the embedded WL so writer-lock contention shows up under the
-    /// mutex_* counters. Compiled to a no-op when RWR_TELEMETRY=0.
+    /// mutex_* counters.
     void attach_telemetry(LockTelemetry* t) {
-        RWR_TELEM(telemetry_ = t; wl_.attach_telemetry(t);)
-        (void)t;
+        telemetry_ = t;
+        wl_.attach_telemetry(t);
     }
 
     void lock_shared(std::uint32_t reader_id) {
@@ -134,25 +131,18 @@ class AfLock {
 
     bool lock_shared_until(std::uint32_t reader_id, Deadline deadline) {
         check_reader(reader_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderEntry);)
-        Attempt a{deadline};
+        Attempt a{deadline,
+                  TelemetryProbe::entry(telemetry_, TelemetryRole::kReader)};
         const bool entered = reader_entry_section(reader_id, a);
-        RWR_TELEM(if (telemetry_ && entered) {
-            telemetry_->count(TelemetryCounter::kReaderAcquire);
-            sw.stop();
-        } else if (telemetry_) {
-            telemetry_->count(TelemetryCounter::kReaderAbort);
-            reader_retry_[reader_id].v.store(1, std::memory_order_relaxed);
-            sw.stop_into(TelemetryHisto::kAbortLatency);
-        })
+        finish(a.probe, entered, reader_retry_[reader_id]);
         return entered;
     }
 
     void unlock_shared(std::uint32_t reader_id) {
         check_reader(reader_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kReaderExit);)
+        auto probe = TelemetryProbe::exit(telemetry_, TelemetryRole::kReader);
         reader_exit_section(reader_id, reader_id / k_, reader_id % k_);
-        RWR_TELEM(sw.stop();)
+        probe.released();
     }
 
     void lock(std::uint32_t writer_id) {
@@ -176,37 +166,24 @@ class AfLock {
     bool lock_until(std::uint32_t writer_id, Deadline deadline) {
         check_writer(writer_id);
         writer_acquire_guard(writer_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterEntry);
-                  if (telemetry_ && writer_retry_[writer_id].v.exchange(
-                                        0, std::memory_order_relaxed) != 0) {
-                      telemetry_->count(TelemetryCounter::kWriterAbortRetry);
-                  })
-        Attempt a{deadline};
+        Attempt a{deadline,
+                  TelemetryProbe::entry(telemetry_, TelemetryRole::kWriter)};
+        a.probe.note_retry(writer_retry_[writer_id]);
         const bool entered = writer_entry_section(writer_id, a);
         if (!entered) {
             writer_release_guard(writer_id);
         }
-        RWR_TELEM(if (telemetry_ && entered) {
-            telemetry_->count(TelemetryCounter::kWriterAcquire);
-            if (a.waited) {
-                telemetry_->count(TelemetryCounter::kWriterContended);
-            }
-            sw.stop();
-        } else if (telemetry_) {
-            telemetry_->count(TelemetryCounter::kWriterAbort);
-            writer_retry_[writer_id].v.store(1, std::memory_order_relaxed);
-            sw.stop_into(TelemetryHisto::kAbortLatency);
-        })
+        finish(a.probe, entered, writer_retry_[writer_id]);
         return entered;
     }
 
     void unlock(std::uint32_t writer_id) {
         check_writer(writer_id);
         check_wl_held(writer_id);
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_, TelemetryHisto::kWriterExit);)
+        auto probe = TelemetryProbe::exit(telemetry_, TelemetryRole::kWriter);
         writer_exit_section(writer_id);
         writer_release_guard(writer_id);
-        RWR_TELEM(sw.stop();)
+        probe.released();
     }
 
     [[nodiscard]] std::uint32_t num_readers() const { return params_.n; }
@@ -261,9 +238,17 @@ class AfLock {
     using Task = T;
     using Caller = std::uint32_t;  ///< The reader or writer id.
     struct Attempt {
-        Deadline& deadline;   ///< The caller's, polled by every wait.
-        bool waited = false;  ///< A line-14/21 wait ran (telemetry).
+        Deadline& deadline;    ///< The caller's, polled by every wait.
+        TelemetryProbe probe;  ///< Contended: a line-14, 21 or 36 wait ran.
     };
+    static void finish(TelemetryProbe& probe, bool entered,
+                       TelemetryFlag& retry) {
+        if (entered) {
+            probe.acquired();
+        } else {
+            probe.aborted(retry);
+        }
+    }
 
     static std::uint32_t index(Caller id) { return id; }
     std::atomic<Word>& wsig(std::uint32_t g) { return wsig_[g].word; }
@@ -305,21 +290,19 @@ class AfLock {
     /// `done()` or the attempt's deadline.
     template <class Done>
     bool wait(ParkingSpot& spot, Attempt& a, Done&& done) {
+        a.probe.contended();
         Backoff backoff;
-        const bool ok = wait_until(spot, a.deadline,
-                                   RWR_TELEM_PTR(telemetry_), backoff, done);
-        RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
+        const bool ok =
+            wait_until(spot, a.deadline, telemetry_, backoff, done);
+        a.probe.note_backoff(backoff);
         return ok;
     }
     bool wait_wsig(Caller, Attempt& a, std::uint32_t g, Word want) {
-        RWR_TELEM(a.waited = true;)
         Signal& s = wsig_[g];
         return wait(s.spot, a, [&] { return s.word.load() == want; });
     }
     /// Line 36, parked on rsig_spot_ (every RSIG store wakes it).
     bool wait_rsig(Caller, Attempt& a, Word sig) {
-        RWR_TELEM(if (telemetry_) telemetry_->count(
-                      TelemetryCounter::kReaderContended);)
         return wait(rsig_spot_, a, [&] { return rsig_.load() != sig; });
     }
     static bool may_wait(const Attempt& a) {
@@ -329,27 +312,20 @@ class AfLock {
         return wl_.lock_until(id, a.deadline);
     }
     void wl_exit(Caller id) { wl_.unlock(id); }
-    void wake_rsig() { rsig_spot_.wake_all(RWR_TELEM_PTR(telemetry_)); }
-    void wake_wsig(std::uint32_t g) {
-        wsig_[g].spot.wake_all(RWR_TELEM_PTR(telemetry_));
-    }
+    void wake_rsig() { rsig_spot_.wake_all(telemetry_); }
+    void wake_wsig(std::uint32_t g) { wsig_[g].spot.wake_all(telemetry_); }
     static void publish_gates(Caller, Word) {}
     static constexpr bool no_preentry() { return false; }
     static constexpr bool no_exit_help() { return false; }
-    void note_reader_retry(Caller id) {
-        RWR_TELEM(if (telemetry_ && reader_retry_[id].v.exchange(
-                                        0, std::memory_order_relaxed) != 0) {
-                      telemetry_->count(TelemetryCounter::kReaderAbortRetry);
-                  })
-        (void)id;
+    void note_reader_retry(Caller id, Attempt& a) {
+        a.probe.note_retry(reader_retry_[id]);
     }
 
 #define RWR_STEP
 #define RWR_RETURN return
 #include "core/af_protocol.inc"
 
-    // Writer checks: compiled out with RWR_AF_MISUSE_CHECKS=0.
-#if RWR_AF_MISUSE_CHECKS
+    // Writer checks.
     void writer_acquire_guard(std::uint32_t id) {
         if (writer_busy_[id].v.exchange(1) != 0) {
             throw std::logic_error(
@@ -375,13 +351,6 @@ class AfLock {
                 "AfLock: unlock by a writer that does not hold WL");
         }
     }
-#else
-    void writer_acquire_guard(std::uint32_t) {}
-    void writer_release_guard(std::uint32_t) {}
-    void note_wl_held(std::uint32_t) {}
-    void note_wl_released() {}
-    void check_wl_held(std::uint32_t) const {}
-#endif
 
     core::AfParams params_;
     std::uint32_t k_, groups_;
@@ -395,20 +364,14 @@ class AfLock {
     alignas(64) std::atomic<std::uint64_t> rsig_{0};  // pack_sig(0, Nop).
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.
     alignas(64) ParkingSpot rsig_spot_;
-#if RWR_TELEMETRY
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-id "last attempt aborted" flags behind the *_abort_retries
-    /// counters: an attempt that finds its id's flag set is a retry (the
-    /// flag is cleared on every attempt and re-set on every abort, so the
-    /// counts are exact, not sampled).
+    /// Per-id "last attempt aborted" flags behind the reader and writer
+    /// abort-retry counters (TelemetryProbe::note_retry).
     std::unique_ptr<TelemetryFlag[]> reader_retry_;
     std::unique_ptr<TelemetryFlag[]> writer_retry_;
-#endif
-#if RWR_AF_MISUSE_CHECKS
     static constexpr std::uint32_t kNoHolder = 0xffffffffu;
     std::unique_ptr<PaddedFlag[]> writer_busy_;
     alignas(64) mutable std::atomic<std::uint32_t> wl_holder_{kNoHolder};
-#endif
 };
 
 }  // namespace rwr::native

@@ -44,16 +44,12 @@ class TournamentMutex {
         if (m == 0) {
             throw std::invalid_argument("TournamentMutex: m must be >= 1");
         }
-        RWR_TELEM(retry_ = std::make_unique<TelemetryFlag[]>(m_);)
+        retry_ = std::make_unique<TelemetryFlag[]>(m_);
     }
 
     /// Attach a telemetry sink (nullptr detaches); reports under the
-    /// mutex_* counters. Attach before starting the workload. Compiled to
-    /// a no-op when RWR_TELEMETRY=0.
-    void attach_telemetry(LockTelemetry* t) {
-        RWR_TELEM(telemetry_ = t;)
-        (void)t;
-    }
+    /// mutex_* counters. Attach before starting the workload.
+    void attach_telemetry(LockTelemetry* t) { telemetry_ = t; }
 
     void lock(std::uint32_t slot) { lock_until(slot, Deadline::infinite()); }
 
@@ -77,47 +73,29 @@ class TournamentMutex {
     /// below in the same top-down order unlock() uses.
     bool lock_until(std::uint32_t slot, Deadline deadline) {
         check_slot(slot);
-        // The abort stopwatch arms on kAbortLatency's own sampling
-        // sequence; it only ever records on the abort path below, so a
-        // successful climb costs at most the sampling-decision branch.
-        RWR_TELEM(TelemetryStopwatch sw(telemetry_,
-                                        TelemetryHisto::kAbortLatency);
-                  if (telemetry_ && retry_[slot].v.exchange(
-                                        0, std::memory_order_relaxed) != 0) {
-                      telemetry_->count(TelemetryCounter::kMutexAbortRetry);
-                  })
+        auto probe = TelemetryProbe::entry(telemetry_, TelemetryRole::kMutex);
+        probe.note_retry(retry_[slot]);
         std::uint32_t won[32];  // Node indices won so far, bottom-up.
         std::uint32_t depth = 0;
         std::uint32_t pos = (num_leaves_ - 1) + slot;
-        bool waited = false;
         while (pos != 0) {
             const std::uint32_t parent = (pos - 1) / 2;
             const int side = pos == 2 * parent + 1 ? 0 : 1;
-            if (!node_lock(parent, side, deadline, waited)) {
+            if (!node_lock(parent, side, deadline, probe)) {
                 for (std::uint32_t i = depth; i-- > 0;) {
                     const std::uint32_t child = won[i];
                     const std::uint32_t p = (child - 1) / 2;
                     const int s = child == 2 * p + 1 ? 0 : 1;
                     nodes_[p].flag[s].store(0);
-                    nodes_[p].spot.wake_all(RWR_TELEM_PTR(telemetry_));
+                    nodes_[p].spot.wake_all(telemetry_);
                 }
-                RWR_TELEM(if (telemetry_) {
-                    telemetry_->count(TelemetryCounter::kMutexAbort);
-                    retry_[slot].v.store(1, std::memory_order_relaxed);
-                    sw.stop();
-                })
+                probe.aborted(retry_[slot]);
                 return false;
             }
             won[depth++] = pos;
             pos = parent;
         }
-        RWR_TELEM(if (telemetry_) {
-            telemetry_->count(TelemetryCounter::kMutexAcquire);
-            if (waited) {
-                telemetry_->count(TelemetryCounter::kMutexContended);
-            }
-        })
-        (void)waited;
+        probe.acquired();
         return true;
     }
 
@@ -136,7 +114,7 @@ class TournamentMutex {
             const std::uint32_t parent = (child - 1) / 2;
             const int side = child == 2 * parent + 1 ? 0 : 1;
             nodes_[parent].flag[side].store(0);
-            nodes_[parent].spot.wake_all(RWR_TELEM_PTR(telemetry_));
+            nodes_[parent].spot.wake_all(telemetry_);
         }
     }
 
@@ -155,13 +133,13 @@ class TournamentMutex {
                   "one arbitration node per cache line");
 
     bool node_lock(std::uint32_t n, int side, Deadline& deadline,
-                   bool& waited) {
+                   TelemetryProbe& probe) {
         Node& node = nodes_[n];
         // Relaxed: the victim exchange orders it (header comment).
         node.flag[side].store(1, std::memory_order_relaxed);
         node.victim.exchange(static_cast<std::uint32_t>(side));
         // Our victim store may be exactly what the parked rival waits for.
-        node.spot.wake_all(RWR_TELEM_PTR(telemetry_));
+        node.spot.wake_all(telemetry_);
         // Peterson: wait while the rival competes and we are the victim.
         const auto may_enter = [&] {
             return node.flag[1 - side].load() == 0 ||
@@ -170,16 +148,15 @@ class TournamentMutex {
         if (may_enter()) {
             return true;
         }
-        waited = true;
+        probe.contended();
         Backoff backoff;
-        const bool ok = wait_until(node.spot, deadline,
-                                   RWR_TELEM_PTR(telemetry_), backoff,
-                                   may_enter);
-        RWR_TELEM(if (telemetry_) telemetry_->note_backoff(backoff);)
+        const bool ok =
+            wait_until(node.spot, deadline, telemetry_, backoff, may_enter);
+        probe.note_backoff(backoff);
         if (!ok) {
             node.flag[side].store(0);
             // The rival may be parked on our flag clearing.
-            node.spot.wake_all(RWR_TELEM_PTR(telemetry_));
+            node.spot.wake_all(telemetry_);
             return false;
         }
         return true;
@@ -194,12 +171,9 @@ class TournamentMutex {
     std::uint32_t m_;
     std::uint32_t num_leaves_;
     std::unique_ptr<Node[]> nodes_;
-#if RWR_TELEMETRY
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-slot "last attempt aborted" flags behind mutex_abort_retries
-    /// (see af_lock.hpp for the exact-count contract).
+    /// Per-slot "last attempt aborted" flags behind mutex_abort_retries.
     std::unique_ptr<TelemetryFlag[]> retry_;
-#endif
 };
 
 }  // namespace rwr::native

@@ -99,15 +99,17 @@ class ParkingSpot {
             waiters_.fetch_sub(1);
             return ParkResult::kSatisfied;
         }
-        RWR_TELEM(if (t) t->count(TelemetryCounter::kFutexWait);)
+        if (t != nullptr) {
+            t->count(TelemetryCounter::kFutexWait);
+        }
         const bool timed_out = wait_for_epoch_change(e, deadline);
         waiters_.fetch_sub(1);
         if (timed_out) {
-            RWR_TELEM(if (t) t->count(TelemetryCounter::kParkAbort);)
-            (void)t;
+            if (t != nullptr) {
+                t->count(TelemetryCounter::kParkAbort);
+            }
             return ParkResult::kTimedOut;
         }
-        (void)t;
         return ParkResult::kUnparked;
     }
 
@@ -115,12 +117,12 @@ class ParkingSpot {
     /// are waiting for; costs one load when nobody is parked.
     void wake_all(LockTelemetry* t) {
         if (waiters_.load() == 0) {
-            (void)t;
             return;
         }
         epoch_.fetch_add(1);
-        RWR_TELEM(if (t) t->count(TelemetryCounter::kFutexWake);)
-        (void)t;
+        if (t != nullptr) {
+            t->count(TelemetryCounter::kFutexWake);
+        }
 #if RWR_HAS_FUTEX
         syscall(SYS_futex, word(), FUTEX_WAKE | FUTEX_PRIVATE_FLAG, INT_MAX,
                 nullptr, nullptr, 0);

@@ -10,8 +10,7 @@
 // fixed wall duration, counts completed passages per role, and pairs the
 // result with the lock's LockTelemetry aggregate (latency quantiles come
 // from the sampled histograms, contention/backoff/abort counters from the
-// padded per-thread slabs). Telemetry-off builds still measure throughput;
-// the telemetry fields just stay zero.
+// padded per-thread slabs).
 //
 // The run is phased: hold (threads spawned, waiting) -> warmup (full
 // workload, nothing counted) -> measure -> stop. Warmup lets the parking
@@ -38,6 +37,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "core/af_params.hpp"
 #include "native/af_lock.hpp"
 #include "native/baselines.hpp"
 #include "native/telemetry.hpp"
@@ -90,14 +90,7 @@ struct PerfConfig {
     std::string workload = "-";
 
     [[nodiscard]] std::uint32_t resolved_f() const {
-        if (f != 0) {
-            return f;
-        }
-        std::uint32_t r = 1;
-        while (r * r < readers) {
-            ++r;
-        }
-        return r;
+        return f != 0 ? f : core::f_of(core::FChoice::Sqrt, readers);
     }
 };
 
@@ -281,7 +274,10 @@ double solo_ns_per_call(Op&& op, std::chrono::nanoseconds window) {
                            .count() /
                        static_cast<double>(calls);
             }
-            if (now - batch_start < budget / 16) {
+            // A batch of 2^32 calls outlasts any window unless the compiler
+            // folded the op away; past that, doubling would wrap `calls`.
+            if (now - batch_start < budget / 16 &&
+                batch < (std::uint64_t{1} << 32)) {
                 batch *= 2;
             }
         }

@@ -180,7 +180,7 @@ class AfSharedMutex {
     AfSharedMutex& operator=(const AfSharedMutex&) = delete;
 
     /// Forwarded to the underlying AfLock (and its WL); attach before
-    /// starting the workload. No-op when RWR_TELEMETRY=0.
+    /// starting the workload.
     void attach_telemetry(LockTelemetry* t) { lock_.attach_telemetry(t); }
 
     void lock_shared() {

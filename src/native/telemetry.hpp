@@ -8,12 +8,11 @@
 // fixed-bucket log2 latency histograms for reader/writer entry and exit.
 //
 // Design constraints, in priority order:
-//   1. Zero cost when compiled out. With RWR_TELEMETRY=0 every hook in
-//      the lock implementations expands to nothing: no members, no
-//      branches, no atomics -- the hot paths are bit-identical to a build
-//      that never heard of telemetry.
-//   2. Low overhead when on. All writes go to the calling thread's own
-//      cache-line-padded slot with relaxed atomics (racing only if more
+//   1. A null check when detached. A lock with no sink attached pays one
+//      null check per hook: no atomics, no clock reads, and no read of the
+//      thread-local sampling sequence.
+//   2. Low overhead when attached. All writes go to the calling thread's
+//      own cache-line-padded slot with relaxed atomics (racing only if more
 //      threads than slots exist, which stays correct -- fetch_add -- just
 //      contended). Latency is *sampled*: 1 in kSampleEvery acquisitions
 //      reads the clock, so the steady_clock cost is amortized to noise.
@@ -21,36 +20,21 @@
 //      relaxed loads while the workload keeps running; counters are
 //      monotone, so a snapshot is a consistent lower bound at all times.
 //
-// Wiring: locks own a `LockTelemetry*` (null = disabled, one predictable
-// branch); call sites use the RWR_TELEM(...) macro so the OFF build
-// compiles them out entirely. See native/af_lock.hpp for the pattern.
+// Wiring: locks own a `LockTelemetry*` (null = detached) and report every
+// acquisition and release through one TelemetryProbe, whose role picks the
+// counters. native/baselines.hpp shows the plain pattern; AfLock
+// (native/af_lock.hpp) carries its probe through the protocol's waits.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "native/spin.hpp"
-
-#ifndef RWR_TELEMETRY
-#define RWR_TELEMETRY 1
-#endif
-
-#if RWR_TELEMETRY
-#define RWR_TELEM(...) __VA_ARGS__
-/// Evaluates to the lock's telemetry pointer member in telemetry builds and
-/// to nullptr otherwise -- for passing the sink into layers (the parking
-/// spots) whose *behaviour* exists in both builds but whose counting does
-/// not. The argument is not evaluated (not even named) when off.
-#define RWR_TELEM_PTR(expr) (expr)
-#else
-#define RWR_TELEM(...)
-#define RWR_TELEM_PTR(expr) (static_cast<::rwr::native::LockTelemetry*>(nullptr))
-#endif
 
 namespace rwr::native {
 
@@ -101,6 +85,15 @@ inline constexpr std::uint32_t kTelemetryHistos =
 /// log2 ns buckets: bucket b counts samples with latency in [2^b, 2^(b+1))
 /// ns (bucket 0 also absorbs sub-ns); 40 buckets reach ~18 minutes.
 inline constexpr std::uint32_t kTelemetryBuckets = 40;
+
+/// The log2 bucket of a latency: floor(log2 ns), 0 for ns = 0, capped at
+/// the last of `buckets` buckets. LockTelemetry's histograms and
+/// dist::SessionStats both bucket with it.
+constexpr std::uint32_t log2_bucket(std::uint64_t ns, std::uint32_t buckets) {
+    return ns == 0 ? 0
+                   : std::min(buckets - 1, static_cast<std::uint32_t>(
+                                               std::bit_width(ns) - 1));
+}
 
 inline const char* to_string(TelemetryCounter c) {
     switch (c) {
@@ -195,14 +188,14 @@ struct TelemetrySnapshot {
     }
 };
 
-constexpr bool telemetry_enabled() { return RWR_TELEMETRY != 0; }
-
-#if RWR_TELEMETRY
+/// Telemetry is always compiled in. Kept for code that prints a build's
+/// configuration.
+constexpr bool telemetry_enabled() { return true; }
 
 /// Cache-line-padded per-id flag for the abort-retry tracking arrays: each
 /// flag is written on every attempt by the id's owning thread, so packing
 /// 64 per line would bounce that line across cores (same rationale as the
-/// misuse-check guards in af_lock.hpp). Telemetry builds only.
+/// misuse-check guards in af_lock.hpp).
 struct alignas(64) TelemetryFlag {
     std::atomic<std::uint8_t> v{0};
 };
@@ -223,12 +216,10 @@ inline std::uint32_t telemetry_thread_index() {
 
 class LockTelemetry {
    public:
-    /// `slots`: per-thread slab count (rounded up to a power of two). More
-    /// concurrent threads than slots stays correct -- the colliding threads
-    /// share a slab with relaxed fetch_adds.
-    explicit LockTelemetry(std::uint32_t slots = 64)
-        : mask_(std::bit_ceil(slots == 0 ? 1u : slots) - 1),
-          slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
+    /// kSlots per-thread slabs in one allocation. More concurrent threads
+    /// than slots stays correct -- the colliding threads share a slab with
+    /// relaxed fetch_adds.
+    LockTelemetry() : slots_(std::make_unique<Slot[]>(kSlots)) {}
 
     LockTelemetry(const LockTelemetry&) = delete;
     LockTelemetry& operator=(const LockTelemetry&) = delete;
@@ -253,13 +244,9 @@ class LockTelemetry {
     }
 
     void record_ns(TelemetryHisto h, std::uint64_t ns) {
-        const std::uint32_t b =
-            ns == 0 ? 0
-                    : std::min(kTelemetryBuckets - 1,
-                               static_cast<std::uint32_t>(
-                                   std::bit_width(ns) - 1));
-        slot().histos[static_cast<std::uint32_t>(h)][b].fetch_add(
-            1, std::memory_order_relaxed);
+        slot().histos[static_cast<std::uint32_t>(h)]
+                     [log2_bucket(ns, kTelemetryBuckets)]
+                         .fetch_add(1, std::memory_order_relaxed);
     }
 
     /// Record which escalation stage a finished wait reached. Call once per
@@ -282,7 +269,7 @@ class LockTelemetry {
     /// the result is a consistent point-in-time lower bound.
     [[nodiscard]] TelemetrySnapshot aggregate() const {
         TelemetrySnapshot snap;
-        for (std::uint32_t s = 0; s <= mask_; ++s) {
+        for (std::uint32_t s = 0; s < kSlots; ++s) {
             const Slot& slot = slots_[s];
             for (std::uint32_t c = 0; c < kTelemetryCounters; ++c) {
                 snap.counters[c] +=
@@ -299,6 +286,7 @@ class LockTelemetry {
     }
 
     static constexpr std::uint32_t kSampleEvery = 16;  // Power of two.
+    static constexpr std::uint32_t kSlots = 64;        // Power of two.
 
    private:
     struct alignas(64) Slot {
@@ -310,32 +298,123 @@ class LockTelemetry {
                   "telemetry slabs must not share cache lines");
 
     Slot& slot() {
-        return slots_[detail::telemetry_thread_index() & mask_];
+        return slots_[detail::telemetry_thread_index() & (kSlots - 1)];
     }
 
-    std::uint32_t mask_;
     std::unique_ptr<Slot[]> slots_;
 };
 
-/// RAII-ish sampled stopwatch for a lock hot path: reads the clock in the
-/// constructor iff this event is sampled (decided by the histogram's own
-/// sequence), records on stop(). The whole object lives in
-/// registers/stack; no atomics unless sampled.
-class TelemetryStopwatch {
+/// Which of TelemetryCounter's reader, writer and mutex groups a probe
+/// feeds.
+enum class TelemetryRole : std::uint32_t { kReader = 0, kWriter, kMutex };
+
+/// The telemetry of one lock operation, an acquisition or a release: a
+/// sampled stopwatch, the contended flag, the role's acquire, contended,
+/// abort and abort-retry counts, and the backoff stages its waits reached.
+/// It lives on the caller's stack; with no sink attached each hook is one
+/// null check, and the sampling sequence is never read.
+///
+///   auto probe = TelemetryProbe::entry(telemetry_, TelemetryRole::kReader);
+///   ... probe.contended(); wait; probe.note_backoff(backoff); ...
+///   probe.acquired();  // or probe.aborted(retry_flag)
+class TelemetryProbe {
    public:
-    TelemetryStopwatch(LockTelemetry* t, TelemetryHisto h)
-        : t_(t), h_(h), armed_(t != nullptr && t->should_sample(h)) {
+    /// An acquisition, timed on the role's entry histogram. A mutex times
+    /// only its aborts, so its stopwatch arms on kAbortLatency's sampling
+    /// sequence and a successful climb costs at most that decision.
+    static TelemetryProbe entry(LockTelemetry* t, TelemetryRole role) {
+        return {t, role, kRoles[index(role)].entry};
+    }
+
+    /// A release, timed on the role's exit histogram; kMutex has none.
+    static TelemetryProbe exit(LockTelemetry* t, TelemetryRole role) {
+        return {t, role, kRoles[index(role)].exit};
+    }
+
+    TelemetryProbe(const TelemetryProbe&) = delete;
+    TelemetryProbe& operator=(const TelemetryProbe&) = delete;
+
+    /// The acquisition waited; counted once, if it succeeds.
+    void contended() { contended_ = true; }
+
+    /// Counts this attempt as a retry if the id's previous attempt aborted
+    /// (`flag` is the id's), and clears the flag. The counts are exact, not
+    /// sampled: every abort sets the flag and every attempt clears it.
+    void note_retry(TelemetryFlag& flag) {
+        if (t_ != nullptr &&
+            flag.v.exchange(0, std::memory_order_relaxed) != 0) {
+            t_->count(kRoles[index(role_)].retry);
+        }
+    }
+
+    /// Call once per wait, after it ends.
+    void note_backoff(const Backoff& b) {
+        if (t_ != nullptr) {
+            t_->note_backoff(b);
+        }
+    }
+
+    /// The acquisition succeeded: counts it, as contended if it waited,
+    /// and records its entry latency (a mutex records none).
+    void acquired() {
+        if (t_ == nullptr) {
+            return;
+        }
+        const Role& r = kRoles[index(role_)];
+        t_->count(r.acquire);
+        if (contended_) {
+            t_->count(r.contended);
+        }
+        if (h_ != TelemetryHisto::kAbortLatency) {
+            stop_into(h_);
+        }
+    }
+
+    /// The acquisition gave up: counts the abort, sets the id's retry
+    /// `flag`, and times the attempt under kAbortLatency instead of the
+    /// entry histogram, so abandoned attempts do not skew its quantiles.
+    void aborted(TelemetryFlag& flag) {
+        if (t_ == nullptr) {
+            return;
+        }
+        t_->count(kRoles[index(role_)].abort);
+        flag.v.store(1, std::memory_order_relaxed);
+        stop_into(TelemetryHisto::kAbortLatency);
+    }
+
+    void released() { stop_into(h_); }
+
+   private:
+    struct Role {
+        TelemetryCounter acquire, contended, abort, retry;
+        TelemetryHisto entry, exit;
+    };
+    using C = TelemetryCounter;
+    using H = TelemetryHisto;
+    static constexpr Role kRoles[] = {
+        {C::kReaderAcquire, C::kReaderContended, C::kReaderAbort,
+         C::kReaderAbortRetry, H::kReaderEntry, H::kReaderExit},
+        {C::kWriterAcquire, C::kWriterContended, C::kWriterAbort,
+         C::kWriterAbortRetry, H::kWriterEntry, H::kWriterExit},
+        {C::kMutexAcquire, C::kMutexContended, C::kMutexAbort,
+         C::kMutexAbortRetry, H::kAbortLatency, H::kNumHistos},
+    };
+
+    static constexpr std::uint32_t index(TelemetryRole r) {
+        return static_cast<std::uint32_t>(r);
+    }
+
+    TelemetryProbe(LockTelemetry* t, TelemetryRole role, TelemetryHisto h)
+        : t_(t),
+          role_(role),
+          h_(h),
+          armed_(t != nullptr && h != TelemetryHisto::kNumHistos &&
+                 t->should_sample(h)) {
         if (armed_) {
             start_ = std::chrono::steady_clock::now();
         }
     }
 
-    void stop() { stop_into(h_); }
-
-    /// Record into a different histogram than the one whose sampling
-    /// sequence armed the stopwatch -- for outcome-dependent destinations
-    /// (an acquisition that ends in an abort reports under kAbortLatency
-    /// instead of its entry histogram).
     void stop_into(TelemetryHisto h) {
         if (armed_) {
             const auto ns =
@@ -347,38 +426,12 @@ class TelemetryStopwatch {
         }
     }
 
-   private:
     LockTelemetry* t_;
-    TelemetryHisto h_;
+    TelemetryRole role_;
+    TelemetryHisto h_;  ///< Whose sampling sequence armed the stopwatch.
     bool armed_;
+    bool contended_ = false;
     std::chrono::steady_clock::time_point start_{};
 };
-
-#else  // !RWR_TELEMETRY
-
-/// Compiled-out shell: keeps user code (attach_telemetry calls, snapshot
-/// plumbing) compiling in RWR_TELEMETRY=0 builds while the locks contain
-/// no trace of it.
-class LockTelemetry {
-   public:
-    explicit LockTelemetry(std::uint32_t = 64) {}
-    LockTelemetry(const LockTelemetry&) = delete;
-    LockTelemetry& operator=(const LockTelemetry&) = delete;
-    void count(TelemetryCounter, std::uint64_t = 1) {}
-    [[nodiscard]] bool should_sample(TelemetryHisto) { return false; }
-    void record_ns(TelemetryHisto, std::uint64_t) {}
-    void note_backoff(const Backoff&) {}
-    [[nodiscard]] TelemetrySnapshot aggregate() const { return {}; }
-    static constexpr std::uint32_t kSampleEvery = 16;
-};
-
-class TelemetryStopwatch {
-   public:
-    TelemetryStopwatch(LockTelemetry*, TelemetryHisto) {}
-    void stop() {}
-    void stop_into(TelemetryHisto) {}
-};
-
-#endif  // RWR_TELEMETRY
 
 }  // namespace rwr::native

@@ -257,7 +257,6 @@ TEST(TournamentMutexAbort, TimedClimbDoesNotOvershootWhileParked) {
 
 // ---- Misuse detection ------------------------------------------------------
 
-#if RWR_AF_MISUSE_CHECKS
 TEST(AfLockMisuse, DoubleSharedReleaseThrowsBeforeCorruptingC) {
     AfLock lock(2, 1, 1);
     lock.lock_shared(0);
@@ -301,10 +300,8 @@ TEST(AfLockMisuse, FailedTryLeavesIdReusable) {
     EXPECT_TRUE(lock.try_lock(0));
     lock.unlock(0);
 }
-#endif  // RWR_AF_MISUSE_CHECKS
 
-// Reader misuse is caught by the C[i] leaf CAS itself, so these checks hold
-// in every build.
+// Reader misuse is caught by the C[i] leaf CAS itself.
 
 /// Reader id 0 is held by another thread: every acquisition of it here
 /// must throw.

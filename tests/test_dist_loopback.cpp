@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -344,6 +345,20 @@ TEST(DistLoopback, LatencyHistogramQuantilesAreOrdered) {
     const double p99 = st.percentile_us(0.99);
     EXPECT_GT(p50, 0.0);
     EXPECT_GE(p99, p50);
+}
+
+TEST(DistLoopback, LatencyHistogramEndsHoldTheEndsOfTheRange) {
+    SessionStats st;
+    st.record_acquire_ns(0);
+    st.record_acquire_ns(1);
+    st.record_acquire_ns(std::uint64_t{1} << 63);
+    st.record_acquire_ns(~std::uint64_t{0});
+    EXPECT_EQ(st.acquire_ns_log2[0], 2u);
+    EXPECT_EQ(st.acquire_ns_log2[kLatBuckets - 1], 2u);
+    EXPECT_EQ(st.acquire_ns_log2[kLatBuckets - 2], 0u);
+    // Quantiles report bucket upper bounds: 2 ns and 2^64 ns.
+    EXPECT_DOUBLE_EQ(st.percentile_us(0.0), 0.002);
+    EXPECT_DOUBLE_EQ(st.percentile_us(1.0), std::ldexp(1.0, 64) / 1000.0);
 }
 
 }  // namespace

@@ -39,6 +39,9 @@ TEST(PerfSolo, WarmsUpThenTimesAtLeastTheWindow) {
     // The figure divides at least the window by the timed calls only, and
     // the warm-up calls come on top: ns * all calls must exceed the window.
     EXPECT_GT(ns * static_cast<double>(calls), 8e6);
+    // Optimized builds fold this op into `calls += batch`, so batches grow
+    // to their cap; the call count must not wrap.
+    EXPECT_LT(calls, std::uint64_t{1} << 63);
 }
 
 TEST(PerfSolo, RunsTheOpOnTheCallingThread) {
@@ -65,6 +68,24 @@ TEST(PerfConfig, DefaultFIsTheCeilingOfSqrtN) {
     EXPECT_EQ(f_for(16, 0), 4u);
     EXPECT_EQ(f_for(17, 0), 5u);
     EXPECT_EQ(f_for(16, 7), 7u);  // An explicit f is taken as given.
+    // The smallest r with r * r >= readers, in 64-bit arithmetic, over
+    // 1..2^16 and at the top of the uint32 range.
+    const auto ceil_sqrt = [](std::uint64_t n) {
+        std::uint64_t r = 1;
+        while (r * r < n) {
+            ++r;
+        }
+        return r;
+    };
+    for (std::uint32_t n = 1; n <= (1u << 16); ++n) {
+        ASSERT_EQ(f_for(n, 0), ceil_sqrt(n)) << n;
+    }
+    for (const std::uint32_t n : {65535u * 65535u - 1, 65535u * 65535u,
+                                  65535u * 65535u + 1, 0xfffffffeu,
+                                  0xffffffffu}) {
+        const std::uint64_t want = n <= 65535u * 65535u ? 65535 : 65536;
+        EXPECT_EQ(f_for(n, 0), want) << n;
+    }
 }
 
 TEST(PerfLockName, RoundTripsAndRejectsUnknownNames) {

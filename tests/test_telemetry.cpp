@@ -1,14 +1,23 @@
-// LockTelemetry behaviour with RWR_TELEMETRY on (the build default):
-// exact counter accounting single-threaded, exact totals under an 8-thread
-// workload (this test runs under TSan in CI -- any counter race is a bug),
-// histogram bucketing/quantiles, and detachment semantics.
+// LockTelemetry behaviour: one conformance suite run on every native RW
+// lock (exact solo counts, detachment, contended passages, sampled
+// latencies, refused writer ids), exact abort and retry accounting, exact
+// totals under an 8-thread workload (this test runs under TSan in CI -- any
+// counter race is a bug), histogram bucketing/quantiles, and the parking
+// counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <exception>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "native/af_lock.hpp"
@@ -21,39 +30,333 @@
 namespace {
 
 using namespace rwr::native;
+using namespace std::chrono_literals;
 
 TEST(TelemetryTest, EnabledInDefaultBuild) {
     EXPECT_TRUE(telemetry_enabled());
 }
 
-TEST(TelemetryTest, SingleThreadedExactCounts) {
-    LockTelemetry telemetry;
-    AfLock lock(4, 2, 2);
-    lock.attach_telemetry(&telemetry);
+// ---- One set of checks on every native RW lock ------------------------------
 
-    constexpr int kReaderPassages = 10;
-    constexpr int kWriterPassages = 7;
-    for (int i = 0; i < kReaderPassages; ++i) {
-        lock.lock_shared(1);
-        lock.unlock_shared(1);
-    }
-    for (int i = 0; i < kWriterPassages; ++i) {
-        lock.lock(0);
-        lock.unlock(0);
-    }
+/// The suite's calls on a lock that takes reader and writer ids.
+/// Writer ids are 0..kWriters-1; kWriters = 0 means the lock has no writer
+/// ids (CentralizedRWLock ignores them). kWlPerWriterPassage is 1 for the
+/// locks whose writers climb an embedded WL, which reports under mutex_*.
+template <class L, std::uint32_t Writers, std::uint64_t WlPerWriterPassage>
+struct IdLockOps {
+    static constexpr std::uint32_t kWriters = Writers;
+    static constexpr std::uint64_t kWlPerWriterPassage = WlPerWriterPassage;
+    static constexpr bool kAbortable = false;
+    using BadId = std::invalid_argument;
+    static void lock_shared(L& l, std::uint32_t r) { l.lock_shared(r); }
+    static void unlock_shared(L& l, std::uint32_t r) { l.unlock_shared(r); }
+    static void lock(L& l, std::uint32_t w) { l.lock(w); }
+    static void unlock(L& l, std::uint32_t w) { l.unlock(w); }
+    static void bad_lock(L& l) { l.lock(kWriters); }
+    static void bad_unlock(L& l) { l.unlock(kWriters); }
+};
 
-    const auto snap = telemetry.aggregate();
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire), kReaderPassages);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), kWriterPassages);
-    // Uncontended throughout: nobody waited, nobody aborted.
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderContended), 0u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterContended), 0u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbort), 0u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbort), 0u);
-    // The embedded WL reports under mutex_*, one acquisition per writer
-    // passage -- writer passages are not double counted.
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAcquire), kWriterPassages);
+struct AfLockOps : IdLockOps<AfLock, 2, 1> {
+    static constexpr const char* kName = "AfLock";
+    static constexpr bool kAbortable = true;
+    static std::unique_ptr<AfLock> make(std::uint32_t m = kWriters) {
+        return std::make_unique<AfLock>(4, m, 2);
+    }
+    static bool try_lock_shared(AfLock& l, std::uint32_t r) {
+        return l.try_lock_shared(r);
+    }
+    static bool try_lock(AfLock& l, std::uint32_t w) { return l.try_lock(w); }
+};
+
+/// Runs `f` on a thread of its own and rethrows what it threw.
+template <class F>
+void on_new_thread(F&& f) {
+    std::exception_ptr error;
+    std::thread t([&] {
+        try {
+            f();
+        } catch (...) {
+            error = std::current_exception();
+        }
+    });
+    t.join();
+    if (error) {
+        std::rethrow_exception(error);
+    }
 }
+
+/// The facade leases ids per thread and ignores the suite's. Its one writer
+/// slot goes to the first thread that writes, so a bad writer is a second
+/// thread, refused with std::runtime_error before it touches the lock.
+struct SharedMutexOps {
+    static constexpr const char* kName = "AfSharedMutex";
+    static constexpr std::uint32_t kWriters = 1;
+    static constexpr std::uint64_t kWlPerWriterPassage = 1;
+    static constexpr bool kAbortable = true;
+    using BadId = std::runtime_error;
+    using L = AfSharedMutex;
+    static std::unique_ptr<L> make(std::uint32_t m = kWriters) {
+        return std::make_unique<L>(4, m);
+    }
+    static void lock_shared(L& l, std::uint32_t) { l.lock_shared(); }
+    static void unlock_shared(L& l, std::uint32_t) { l.unlock_shared(); }
+    static void lock(L& l, std::uint32_t) { l.lock(); }
+    static void unlock(L& l, std::uint32_t) { l.unlock(); }
+    static bool try_lock_shared(L& l, std::uint32_t) {
+        return l.try_lock_shared();
+    }
+    static bool try_lock(L& l, std::uint32_t) { return l.try_lock(); }
+    static void bad_lock(L& l) {
+        on_new_thread([&] { l.lock(); });
+    }
+    static void bad_unlock(L& l) {
+        on_new_thread([&] { l.unlock(); });
+    }
+};
+
+struct CentralizedOps : IdLockOps<CentralizedRWLock, 0, 0> {
+    static constexpr const char* kName = "CentralizedRWLock";
+    static std::unique_ptr<CentralizedRWLock> make(std::uint32_t = 0) {
+        return std::make_unique<CentralizedRWLock>();
+    }
+};
+
+struct FaaOps : IdLockOps<FaaRWLock, 2, 1> {
+    static constexpr const char* kName = "FaaRWLock";
+    static std::unique_ptr<FaaRWLock> make(std::uint32_t m = kWriters) {
+        return std::make_unique<FaaRWLock>(m);
+    }
+};
+
+struct PhaseFairOps : IdLockOps<PhaseFairRWLock, 2, 0> {
+    static constexpr const char* kName = "PhaseFairRWLock";
+    static std::unique_ptr<PhaseFairRWLock> make(std::uint32_t m = kWriters) {
+        return std::make_unique<PhaseFairRWLock>(m);
+    }
+};
+
+struct OpsName {
+    template <class D>
+    static std::string GetName(int) {
+        return D::kName;
+    }
+};
+
+template <class D>
+class RwLockConformance : public ::testing::Test {};
+using AllLockOps = ::testing::Types<AfLockOps, SharedMutexOps,
+                                   CentralizedOps, FaaOps, PhaseFairOps>;
+TYPED_TEST_SUITE(RwLockConformance, AllLockOps, OpsName);
+
+using C = TelemetryCounter;
+
+/// Every counter of `snap` is 0 except those `expected` names.
+void expect_counts(
+    const TelemetrySnapshot& snap,
+    std::initializer_list<std::pair<C, std::uint64_t>> expected) {
+    for (std::uint32_t c = 0; c < kTelemetryCounters; ++c) {
+        const auto id = static_cast<C>(c);
+        std::uint64_t want = 0;
+        for (const auto& [k, v] : expected) {
+            want = k == id ? v : want;
+        }
+        EXPECT_EQ(snap.count(id), want) << to_string(id);
+    }
+}
+
+/// Waits up to 10 s for a thread to park on a lock `telemetry` is
+/// attached to; true once one has.
+bool await_park(const LockTelemetry& telemetry) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (telemetry.aggregate().count(C::kFutexWait) == 0) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(1ms);
+    }
+    return true;
+}
+
+template <class D, class L>
+void passages(L& lock, std::uint32_t readers, std::uint32_t writers) {
+    for (std::uint32_t i = 0; i < readers; ++i) {
+        D::lock_shared(lock, 1);
+        D::unlock_shared(lock, 1);
+    }
+    for (std::uint32_t i = 0; i < writers; ++i) {
+        D::lock(lock, 0);
+        D::unlock(lock, 0);
+    }
+}
+
+TYPED_TEST(RwLockConformance, SoloPassagesAreCountedExactly) {
+    using D = TypeParam;
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    passages<D>(*lock, 10, 7);
+    // Nobody waited, parked, woke anyone or aborted.
+    expect_counts(telemetry.aggregate(),
+                  {{C::kReaderAcquire, 10},
+                   {C::kWriterAcquire, 7},
+                   {C::kMutexAcquire, 7 * D::kWlPerWriterPassage}});
+}
+
+TYPED_TEST(RwLockConformance, DetachingStopsAllCounting) {
+    using D = TypeParam;
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    passages<D>(*lock, 1, 1);
+    const TelemetrySnapshot before = telemetry.aggregate();
+    EXPECT_EQ(before.count(C::kReaderAcquire), 1u);
+    lock->attach_telemetry(nullptr);
+    // Enough passages that an attached lock would sample every histogram,
+    // a reader that waits (and may park) behind a writer, and aborts.
+    passages<D>(*lock, 2 * LockTelemetry::kSampleEvery,
+                2 * LockTelemetry::kSampleEvery);
+    D::lock(*lock, 0);
+    std::thread reader([&] {
+        D::lock_shared(*lock, 0);
+        D::unlock_shared(*lock, 0);
+    });
+    std::this_thread::sleep_for(20ms);
+    if constexpr (D::kAbortable) {
+        EXPECT_FALSE(D::try_lock_shared(*lock, 1));
+    }
+    D::unlock(*lock, 0);
+    reader.join();
+    const TelemetrySnapshot after = telemetry.aggregate();
+    EXPECT_EQ(after.counters, before.counters);
+    EXPECT_EQ(after.histos, before.histos);
+}
+
+TYPED_TEST(RwLockConformance, ReaderParkedBehindAWriterIsCountedOnce) {
+    using D = TypeParam;
+    ASSERT_TRUE(parking_enabled())
+        << "RWR_PARK=0 leaked into the test environment";
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    D::lock(*lock, 0);
+    std::thread reader([&] {
+        D::lock_shared(*lock, 0);
+        D::unlock_shared(*lock, 0);
+    });
+    EXPECT_TRUE(await_park(telemetry));
+    D::unlock(*lock, 0);
+    reader.join();
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(C::kReaderAcquire), 1u);
+    EXPECT_EQ(snap.count(C::kReaderContended), 1u);
+    EXPECT_EQ(snap.count(C::kWriterAcquire), 1u);
+    EXPECT_EQ(snap.count(C::kWriterContended), 0u);
+    EXPECT_EQ(snap.count(C::kReaderAbort), 0u);
+    // A wait parks only after it reached the yield stage, and the
+    // writer's release found the reader parked.
+    EXPECT_GE(snap.count(C::kBackoffYield), 1u);
+    EXPECT_GE(snap.count(C::kFutexWake), 1u);
+}
+
+TYPED_TEST(RwLockConformance, WriterParkedBehindAReaderIsCountedOnce) {
+    using D = TypeParam;
+    ASSERT_TRUE(parking_enabled())
+        << "RWR_PARK=0 leaked into the test environment";
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    D::lock_shared(*lock, 0);
+    std::thread writer([&] {
+        D::lock(*lock, 0);
+        D::unlock(*lock, 0);
+    });
+    EXPECT_TRUE(await_park(telemetry));
+    D::unlock_shared(*lock, 0);
+    writer.join();
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(C::kWriterAcquire), 1u);
+    EXPECT_EQ(snap.count(C::kWriterContended), 1u);
+    EXPECT_EQ(snap.count(C::kReaderAcquire), 1u);
+    EXPECT_EQ(snap.count(C::kReaderContended), 0u);
+    EXPECT_EQ(snap.count(C::kWriterAbort), 0u);
+    // WL was free: the writer waited for the reader, not for WL.
+    EXPECT_EQ(snap.count(C::kMutexAcquire), D::kWlPerWriterPassage);
+    EXPECT_EQ(snap.count(C::kMutexContended), 0u);
+    EXPECT_GE(snap.count(C::kBackoffYield), 1u);
+    EXPECT_GE(snap.count(C::kFutexWake), 1u);
+}
+
+TYPED_TEST(RwLockConformance, EntryExitAndAbortLatenciesAreSampled) {
+    using D = TypeParam;
+    using H = TelemetryHisto;
+    constexpr std::uint32_t kEvery = LockTelemetry::kSampleEvery;
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    // 2 * kEvery consecutive calls sample exactly 2, whatever the phase
+    // of this thread's sampling sequences.
+    passages<D>(*lock, 2 * kEvery, 2 * kEvery);
+    auto snap = telemetry.aggregate();
+    for (const H h : {H::kReaderEntry, H::kReaderExit, H::kWriterEntry,
+                      H::kWriterExit}) {
+        EXPECT_EQ(snap.samples(h), 2u) << to_string(h);
+    }
+    // Successful acquisitions, WL climbs included, time no abort.
+    EXPECT_EQ(snap.samples(H::kAbortLatency), 0u);
+    if constexpr (D::kAbortable) {
+        // An abort redirects its entry stopwatch to kAbortLatency.
+        D::lock(*lock, 0);
+        for (std::uint32_t i = 0; i < 2 * kEvery; ++i) {
+            EXPECT_FALSE(D::try_lock_shared(*lock, 1));
+        }
+        D::unlock(*lock, 0);
+        D::lock_shared(*lock, 1);
+        for (std::uint32_t i = 0; i < 2 * kEvery; ++i) {
+            EXPECT_FALSE(D::try_lock(*lock, 0));
+        }
+        D::unlock_shared(*lock, 1);
+        snap = telemetry.aggregate();
+        EXPECT_EQ(snap.count(C::kReaderAbort), 2u * kEvery);
+        EXPECT_EQ(snap.count(C::kWriterAbort), 2u * kEvery);
+        EXPECT_EQ(snap.samples(H::kAbortLatency), 4u);
+    }
+}
+
+TYPED_TEST(RwLockConformance, BadWriterIdsAreRefusedBeforeTheyTouchTheLock) {
+    using D = TypeParam;
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    lock->attach_telemetry(&telemetry);
+    passages<D>(*lock, 0, 1);
+    if constexpr (D::kWriters != 0) {
+        EXPECT_THROW(D::make(0), std::invalid_argument);
+        EXPECT_THROW(D::bad_lock(*lock), typename D::BadId);
+    }
+    // The refused lock drew no ticket: the next writer gets in.
+    D::lock(*lock, 0);
+    if constexpr (D::kWriters != 0) {
+        EXPECT_THROW(D::bad_unlock(*lock), typename D::BadId);
+    }
+    // The refused unlock did not open the lock to readers.
+    std::atomic<bool> entered{false};
+    std::thread reader([&] {
+        D::lock_shared(*lock, 0);
+        entered.store(true);
+        D::unlock_shared(*lock, 0);
+    });
+    std::this_thread::sleep_for(50ms);
+    EXPECT_FALSE(entered.load());
+    D::unlock(*lock, 0);
+    reader.join();
+    EXPECT_TRUE(entered.load());
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(C::kWriterAcquire), 2u);
+    EXPECT_EQ(snap.count(C::kWriterAbort), 0u);
+    EXPECT_EQ(snap.count(C::kReaderAcquire), 1u);
+    EXPECT_EQ(snap.count(C::kMutexAcquire), 2 * D::kWlPerWriterPassage);
+}
+
+// ---- AfLock and TournamentMutex aborts -------------------------------------
 
 TEST(TelemetryTest, AbortsAreCounted) {
     LockTelemetry telemetry;
@@ -151,74 +454,6 @@ TEST(TelemetryTest, AbortLatencyIsSampled) {
               2u * LockTelemetry::kSampleEvery);
 }
 
-TEST(TelemetryTest, DetachedLockCountsNothing) {
-    LockTelemetry telemetry;
-    AfLock lock(2, 1, 1);
-    lock.attach_telemetry(&telemetry);
-    lock.lock_shared(0);
-    lock.unlock_shared(0);
-    lock.attach_telemetry(nullptr);
-    lock.lock_shared(0);
-    lock.unlock_shared(0);
-    EXPECT_EQ(telemetry.aggregate().count(TelemetryCounter::kReaderAcquire),
-              1u);
-}
-
-TEST(TelemetryTest, SharedMutexFacadePropagates) {
-    LockTelemetry telemetry;
-    AfSharedMutex mx(4, 2);
-    mx.attach_telemetry(&telemetry);
-    {
-        std::shared_lock<AfSharedMutex> r(mx);
-    }
-    {
-        std::unique_lock<AfSharedMutex> w(mx);
-    }
-    const auto snap = telemetry.aggregate();
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire), 1u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), 1u);
-}
-
-TEST(TelemetryTest, BaselinesReportSameAxes) {
-    {
-        LockTelemetry telemetry;
-        CentralizedRWLock lock;
-        lock.attach_telemetry(&telemetry);
-        lock.lock_shared();
-        lock.unlock_shared();
-        lock.lock();
-        lock.unlock();
-        const auto snap = telemetry.aggregate();
-        EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire), 1u);
-        EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), 1u);
-    }
-    {
-        LockTelemetry telemetry;
-        FaaRWLock lock(1);
-        lock.attach_telemetry(&telemetry);
-        lock.lock_shared();
-        lock.unlock_shared();
-        lock.lock(0);
-        lock.unlock(0);
-        const auto snap = telemetry.aggregate();
-        EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire), 1u);
-        EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), 1u);
-        EXPECT_EQ(snap.count(TelemetryCounter::kMutexAcquire), 1u);
-    }
-    {
-        LockTelemetry telemetry;
-        PhaseFairRWLock lock(1);
-        lock.attach_telemetry(&telemetry);
-        lock.lock_shared();
-        lock.unlock_shared();
-        lock.lock(0);
-        lock.unlock(0);
-        const auto snap = telemetry.aggregate();
-        EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire), 1u);
-        EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), 1u);
-    }
-}
-
 // 8 concurrent threads, exact totals. Runs under TSan in CI: the per-slot
 // relaxed atomics must be a race-free way to share slabs, and aggregate()
 // must be safe to call while the workload is still running (exercised via
@@ -296,6 +531,31 @@ TEST(TelemetryTest, HistogramBucketsAndQuantiles) {
     EXPECT_EQ(snap.quantile_ns(TelemetryHisto::kReaderEntry, 1.0), 2048u);
     EXPECT_EQ(snap.samples(TelemetryHisto::kWriterEntry), 0u);
     EXPECT_EQ(snap.quantile_ns(TelemetryHisto::kWriterEntry, 0.5), 0u);
+}
+
+/// dist::SessionStats's bucket rule before log2_bucket, with its bound
+/// tested first (it used to shift 1 by 64 for ns >= 2^63 before testing).
+std::uint32_t shift_loop_bucket(std::uint64_t ns, std::uint32_t buckets) {
+    std::uint32_t b = 0;
+    while (b + 1 < buckets && (std::uint64_t{1} << (b + 1)) <= ns) {
+        ++b;
+    }
+    return b;
+}
+
+TEST(Log2Bucket, MatchesTheShiftLoopAroundEveryPowerOfTwo) {
+    std::vector<std::uint64_t> inputs{0, 1, ~std::uint64_t{0}};
+    for (std::uint32_t k = 0; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        inputs.insert(inputs.end(), {p - 1, p, p + 1});
+    }
+    // LockTelemetry's bucket count and dist::kLatBuckets.
+    for (const std::uint32_t buckets : {kTelemetryBuckets, 64u}) {
+        for (const std::uint64_t ns : inputs) {
+            EXPECT_EQ(log2_bucket(ns, buckets), shift_loop_bucket(ns, buckets))
+                << ns << " ns, " << buckets << " buckets";
+        }
+    }
 }
 
 TEST(TelemetryTest, SnapshotSubtractionGivesIntervalDeltas) {
