@@ -19,7 +19,12 @@
 //   --jobs N       worker threads (default: hardware concurrency). Cell
 //                  results are bit-identical for every N.
 //
-// Exit 1 when a cell does not finish (or the JSON cannot be written).
+// E7 rides on the same rows: at f = sqrt n the write-through/write-back
+// reader ratio must lie in [1.0, 1.2] at every n, and each protocol's
+// reader RMRs per log2 K may spread at most 1.5x over n.
+//
+// Exit 1 when a cell does not finish, an E7 check fails, or the JSON
+// cannot be written.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -78,6 +83,55 @@ void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
     row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms));
     row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, cfg.n));
     results->push_back(std::move(row));
+}
+
+/// E7 over the f = ceil(sqrt n) rows (paper Section 2: "Our results apply
+/// to both the write-through and write-back CC coherence protocols"): at
+/// every n the two protocols' reader costs differ by a bounded constant,
+/// and under each the reader cost per log2 K stays flat in n.
+void check_protocols(bench::Kit& kit, const std::vector<Cell>& cells,
+                     const std::vector<ExperimentResult>& res) {
+    std::cout << "\n=== E7: write-through vs write-back, f = sqrt n ===\n";
+    Table t({"n", "f", "rd WT", "rd WB", "WT/WB", "rdWT/logK", "rdWB/logK"});
+    std::vector<double> per_log[2];  // Reader mean / log2 K, WT then WB.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Cell& c = cells[i];
+        if (c.proto != Protocol::WriteThrough ||
+            c.choice != core::FChoice::Sqrt) {
+            continue;
+        }
+        const auto wb =
+            std::find_if(cells.begin(), cells.end(), [&](const Cell& o) {
+                return o.proto == Protocol::WriteBack && o.n == c.n &&
+                       o.choice == c.choice;
+            });
+        const ExperimentResult& rt = res[i];
+        const ExperimentResult& rb = res[wb - cells.begin()];
+        if (!rt.finished || !rb.finished) {
+            continue;  // Already a failed E1 check.
+        }
+        const double log_k = log2_of((c.n + c.f - 1) / c.f);
+        const double rd_wt = rt.readers.mean_passage_rmrs;
+        const double rd_wb = rb.readers.mean_passage_rmrs;
+        per_log[0].push_back(rd_wt / log_k);
+        per_log[1].push_back(rd_wb / log_k);
+        t.row({fmt(c.n), fmt(c.f), fmt(rd_wt), fmt(rd_wb),
+               fmt(rd_wt / rd_wb, 3), fmt(rd_wt / log_k, 2),
+               fmt(rd_wb / log_k, 2)});
+        kit.check(rd_wt >= rd_wb && rd_wt <= 1.2 * rd_wb,
+                  "E7 n=" + std::to_string(c.n) +
+                      ": write-through/write-back reader ratio " +
+                      fmt(rd_wt / rd_wb, 3) + " outside [1.0, 1.2]");
+    }
+    t.print();
+    for (int p = 0; p < 2; ++p) {
+        const auto [lo, hi] =
+            std::minmax_element(per_log[p].begin(), per_log[p].end());
+        const std::string proto = p == 0 ? "write-through" : "write-back";
+        kit.check(lo != per_log[p].end() && *hi <= 1.5 * *lo,
+                  "E7 " + proto + ": reader RMRs per log2 K spread above "
+                                  "1.5x over n");
+    }
 }
 
 void run_sweep(bench::Kit& kit) {
@@ -145,6 +199,7 @@ void run_sweep(bench::Kit& kit) {
         }
         t.print();
     }
+    check_protocols(kit, cells, res);
 }
 
 void run_rounding_ablation(bench::Kit& kit) {

@@ -11,127 +11,67 @@ CentralizedSimRWLock::CentralizedSimRWLock(Memory& mem, std::uint32_t n,
     (void)m;
 }
 
-sim::SimTask<void> CentralizedSimRWLock::reader_entry(sim::Process& p) {
+template <class Free, class Next>
+sim::SimTask<void> CentralizedSimRWLock::update_when(sim::Process& p,
+                                                     Free free, Next next) {
     for (;;) {
         const Word cur = co_await p.read(state_);
-        if ((cur & kWriterBit) != 0) {
-            continue;  // Writer present: spin.
+        if (!free(cur)) {
+            continue;  // Spin.
         }
-        const Word prior = co_await p.cas(state_, cur, cur + 1);
+        const Word prior = co_await p.cas(state_, cur, next(cur));
         if (prior == cur) {
             co_return;
         }
     }
+}
+
+sim::SimTask<void> CentralizedSimRWLock::reader_entry(sim::Process& p) {
+    return update_when(
+        p, [](Word w) { return (w & kWriterBit) == 0; },  // No writer.
+        [](Word w) { return w + 1; });
 }
 
 sim::SimTask<void> CentralizedSimRWLock::reader_exit(sim::Process& p) {
     // CAS-retry decrement: under the adversary this is the Θ(n)-RMR exit
     // the tradeoff predicts for a 1-RMR-writer-probe lock.
-    for (;;) {
-        const Word cur = co_await p.read(state_);
-        const Word prior = co_await p.cas(state_, cur, cur - 1);
-        if (prior == cur) {
-            co_return;
-        }
-    }
+    return update_when(
+        p, [](Word) { return true; }, [](Word w) { return w - 1; });
 }
 
 sim::SimTask<void> CentralizedSimRWLock::writer_entry(sim::Process& p) {
-    for (;;) {
-        const Word cur = co_await p.read(state_);
-        if (cur != 0) {
-            continue;  // Readers present or writer holds it: spin.
-        }
-        const Word prior = co_await p.cas(state_, 0, kWriterBit);
-        if (prior == 0) {
-            co_return;
-        }
-    }
+    return update_when(
+        p, [](Word w) { return w == 0; },  // No reader, no writer.
+        [](Word) { return kWriterBit; });
 }
 
 sim::SimTask<void> CentralizedSimRWLock::writer_exit(sim::Process& p) {
     // Only the holding writer clears the bit; readers CAS but their deltas
     // never touch the writer bit while it is set (they spin instead).
-    for (;;) {
-        const Word cur = co_await p.read(state_);
-        const Word prior = co_await p.cas(state_, cur, cur & ~kWriterBit);
-        if (prior == cur) {
-            co_return;
-        }
-    }
+    return update_when(
+        p, [](Word) { return true; }, [](Word w) { return w & ~kWriterBit; });
 }
 
-// --- FaaSimRWLock --------------------------------------------------------------
+// --- FaaSimRWLock and PhaseFairSimRWLock -------------------------------------
 
-FaaSimRWLock::FaaSimRWLock(Memory& mem, std::uint32_t n, std::uint32_t m)
+FaaSimRWLock::FaaSimRWLock(Memory& mem, std::uint32_t n, std::uint32_t m,
+                           FaaMutant mutant)
     : wl_(mem, "faa.WL", m),
       state_(mem.allocate("faa.state", 0)),
       rgate_(mem.allocate("faa.rgate", 1)),
-      wgate_(mem.allocate("faa.wgate", 0)) {
+      wgate_(mem.allocate("faa.wgate", 0)),
+      mutant_(mutant) {
     (void)n;
 }
 
-sim::SimTask<void> FaaSimRWLock::reader_entry(sim::Process& p) {
-    for (;;) {
-        const Word prior = co_await p.fetch_add(state_, 1);
-        if ((prior & kWriterBit) == 0) {
-            co_return;  // Fast path: one FAA.
-        }
-        // A writer is present (or arriving): back out and wait at the gate.
-        // The backout decrement must signal a draining writer exactly like
-        // a CS exit does -- the writer's drain count includes our transient
-        // increment if its FAA landed between our two.
-        const Word backout = co_await p.fetch_add(state_, static_cast<Word>(-1));
-        if ((backout & kWriterBit) != 0 && (backout & 0xffffffffu) == 1) {
-            co_await p.write(wgate_, 1);
-        }
-        for (;;) {
-            const Word gate = co_await p.read(rgate_);
-            if (gate == 1) {
-                break;
-            }
-        }
-    }
-}
-
-sim::SimTask<void> FaaSimRWLock::reader_exit(sim::Process& p) {
-    // O(1) RMRs unconditionally -- the FAA evasion of Theorem 5.
-    const Word prior = co_await p.fetch_add(state_, static_cast<Word>(-1));
-    const bool writer_waiting = (prior & kWriterBit) != 0;
-    const bool last_reader = (prior & 0xffffffffu) == 1;
-    if (writer_waiting && last_reader) {
-        co_await p.write(wgate_, 1);  // Wake the draining writer.
-    }
-}
-
-sim::SimTask<void> FaaSimRWLock::writer_entry(sim::Process& p) {
-    co_await wl_.enter(p, p.role_index());
-    co_await p.write(rgate_, 0);  // Close the gate before raising the bit.
-    co_await p.write(wgate_, 0);
-    const Word prior = co_await p.fetch_add(state_, kWriterBit);
-    if ((prior & 0xffffffffu) != 0) {
-        // In-flight readers: the last one flips wgate_ on its way out. The
-        // gate only says some reader drained a writer's readers: one that
-        // backed out under the previous writer can set it after our reset
-        // while a reader that entered between the two writers is still in
-        // the CS. The count in state_ decides, as in the native FaaRWLock.
-        for (;;) {
-            const Word g = co_await p.read(wgate_);
-            if (g != 1) {
-                continue;
-            }
-            const Word s = co_await p.read(state_);
-            if ((s & 0xffffffffu) == 0) {
-                break;
-            }
-        }
-    }
-}
-
-sim::SimTask<void> FaaSimRWLock::writer_exit(sim::Process& p) {
-    co_await p.fetch_add(state_, static_cast<Word>(0) - kWriterBit);
-    co_await p.write(rgate_, 1);  // Reopen for readers.
-    co_await wl_.exit(p, p.role_index());
+PhaseFairSimRWLock::PhaseFairSimRWLock(Memory& mem, std::uint32_t n,
+                                       std::uint32_t m)
+    : rin_(mem.allocate("pf.rin", 0)),
+      rout_(mem.allocate("pf.rout", 0)),
+      win_(mem.allocate("pf.win", 0)),
+      wout_(mem.allocate("pf.wout", 0)),
+      wbits_(m, 0) {
+    (void)n;
 }
 
 // --- ReaderPrefSimRWLock --------------------------------------------------------

@@ -9,10 +9,13 @@
 // bounded-abort model of mutex/sim_mutex.hpp: patience counts the
 // attempt's own reads in its waits (lines 14, 21, 36), in a C++ local, and
 // WL's climb counts its own steps against the same patience, so abort
-// placement never reads the global clock and DPOR stays sound. Patience 0
-// is try_lock: a reader that finds RSIG = WAIT leaves without waiting.
-// The rollbacks are the native ones. The DSM variant's WL (Yang-Anderson)
-// cannot abort, so neither can its writers.
+// placement never reads the global clock and DPOR stays sound. For a
+// reader patience 0 is try_lock: one that finds RSIG = WAIT leaves without
+// waiting. Not for a writer: WL's climb counts its announcement writes
+// too, so patience 0 gives up at WL's first node even when no one else is
+// there (mutex/tournament_protocol.inc says at which patience a solo climb
+// gets through). The rollbacks are the native ones. The DSM variant's WL
+// (Yang-Anderson) cannot abort, so neither can its writers.
 //
 // Ablations (AfAblation, test-only) each remove one mechanism whose
 // purpose the paper explains, to show it is load-bearing:
@@ -35,6 +38,7 @@
 #include "mutex/sim_mutex.hpp"
 #include "rmr/memory.hpp"
 #include "sim/rwlock.hpp"
+#include "sim/steps.hpp"
 
 namespace rwr::core {
 
@@ -44,7 +48,7 @@ enum class AfAblation : std::uint8_t {
     NoExitHelp,
 };
 
-class AfSimLock final : public sim::SimRWLock {
+class AfSimLock final : public sim::SimRWLock, private sim::SimSteps {
    public:
     AfSimLock(Memory& mem, AfParams params,
               AfAblation ablation = AfAblation::None);
@@ -90,9 +94,6 @@ class AfSimLock final : public sim::SimRWLock {
 
    private:
     // ---- The executor of core/af_protocol.inc ----------------------------
-    template <class T>
-    using Task = sim::SimTask<T>;
-    using Caller = sim::Process&;
     struct Attempt {
         mutex::AbortControl ctl;
         std::uint64_t steps = 0;  ///< Wait reads so far.
@@ -102,13 +103,6 @@ class AfSimLock final : public sim::SimRWLock {
         return p.role_index();
     }
     [[nodiscard]] VarId wsig(std::uint32_t g) const { return wsig_[g]; }
-    static auto load(sim::Process& p, VarId v) { return p.read(v); }
-    static auto store(sim::Process& p, VarId v, Word w, std::memory_order) {
-        return p.write(v, w);
-    }
-    static auto cas(sim::Process& p, VarId v, Word expected, Word desired) {
-        return p.cas(v, expected, desired);
-    }
     static auto move_leaf(sim::Process& p, counter::FArraySimCounter& ctr,
                           std::uint32_t slot, std::int32_t from,
                           std::int32_t to, const char*) {

@@ -1,109 +1,41 @@
 #include "counter/sim_counter.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace rwr::counter {
 
-namespace {
-std::uint32_t next_pow2(std::uint32_t x) {
-    return x <= 1 ? 1 : std::bit_ceil(x);
-}
-}  // namespace
-
 FArraySimCounter::FArraySimCounter(Memory& mem, const std::string& name,
                                    std::uint32_t capacity,
                                    std::optional<ProcId> owner_base)
-    : capacity_(capacity),
-      num_leaves_(next_pow2(capacity)),
-      num_internal_(num_leaves_ - 1) {
-    if (capacity == 0) {
-        throw std::invalid_argument("FArraySimCounter: capacity must be >= 1");
-    }
-    const std::uint32_t total = num_internal_ + num_leaves_;
-    vars_.reserve(total);
-    for (std::uint32_t i = 0; i < total; ++i) {
-        const bool leaf = i >= num_internal_;
+    : shape_(shape_for(capacity)) {
+    vars_.reserve(shape_.nodes);
+    for (std::uint32_t i = 0; i < shape_.nodes; ++i) {
+        const bool leaf = i >= shape_.first_leaf;
         ProcId owner = Memory::kNoOwner;
-        if (leaf && owner_base.has_value()) {
-            const std::uint32_t slot = i - num_internal_;
-            if (slot < capacity_) {
-                owner = *owner_base + slot;
-            }
+        if (leaf && owner_base.has_value() &&
+            i - shape_.first_leaf < capacity) {
+            owner = *owner_base + (i - shape_.first_leaf);
         }
         vars_.push_back(mem.allocate(
             name + (leaf ? ".leaf" : ".node") + std::to_string(i), 0, owner));
     }
 }
 
-sim::SimTask<std::int64_t> FArraySimCounter::read_slot(sim::Process& p,
-                                                       std::uint32_t u) {
-    const Word w = co_await p.read(vars_[u]);
-    // Leaves store the raw payload in the value half (version stays 0), so
-    // both node kinds decode identically.
-    co_return PackedNode::value(w);
-}
-
-sim::SimTask<bool> FArraySimCounter::refresh(sim::Process& p,
-                                             std::uint32_t u) {
-    const Word old = co_await p.read(vars_[u]);
-    const std::int64_t left = co_await read_slot(p, 2 * u + 1);
-    const std::int64_t right = co_await read_slot(p, 2 * u + 2);
-    const Word desired = PackedNode::pack(PackedNode::version(old) + 1,
-                                          static_cast<std::int32_t>(left + right));
-    const Word prior = co_await p.cas(vars_[u], old, desired);
-    co_return prior == old;
-}
-
-sim::SimTask<void> FArraySimCounter::add(sim::Process& p, std::uint32_t slot,
-                                         std::int64_t delta) {
-    if (slot >= capacity_) {
-        throw std::invalid_argument("FArraySimCounter::add: slot out of range");
-    }
-    // 1. Update our single-writer leaf (plain read-modify-write is safe:
-    //    only this slot's owner writes it).
-    const std::uint32_t leaf = num_internal_ + slot;
-    const Word cur = co_await p.read(vars_[leaf]);
-    const std::int32_t next =
-        static_cast<std::int32_t>(PackedNode::value(cur) + delta);
-    co_await p.write(vars_[leaf], PackedNode::pack(0, next));
-
-    if (num_internal_ == 0) {
-        co_return;  // K == 1: the leaf is the root.
-    }
-
-    // 2. Propagate: double-refresh every ancestor, leaf's parent upward.
-    std::uint32_t u = (leaf - 1) / 2;
-    for (;;) {
-        const bool ok = co_await refresh(p, u);
-        if (!ok) {
-            co_await refresh(p, u);  // Second attempt; outcome irrelevant.
-        }
-        if (u == 0) {
-            break;
-        }
-        u = (u - 1) / 2;
-    }
-}
-
-sim::SimTask<std::int64_t> FArraySimCounter::read(sim::Process& p) {
-    if (num_internal_ == 0) {
-        co_return co_await read_slot(p, 0);
-    }
-    const Word w = co_await p.read(vars_[0]);
-    co_return PackedNode::value(w);
+sim::SimTask<bool> FArraySimCounter::set_leaf(sim::Process& p, VarId leaf,
+                                              std::int32_t from,
+                                              std::int32_t to) {
+    const Word cur = co_await p.read(leaf);
+    const std::int64_t next = std::int64_t{value_of(cur)} + to - from;
+    co_await p.write(leaf, pack(0, static_cast<std::int32_t>(next)));
+    co_return true;
 }
 
 std::int64_t FArraySimCounter::peek_exact(const Memory& mem) const {
     std::int64_t sum = 0;
-    for (std::uint32_t i = 0; i < capacity_; ++i) {
-        sum += PackedNode::value(mem.peek(vars_[num_internal_ + i]));
+    for (std::uint32_t i = 0; i < shape_.capacity; ++i) {
+        sum += value_of(mem.peek(vars_[shape_.first_leaf + i]));
     }
     return sum;
-}
-
-std::int64_t FArraySimCounter::peek_root(const Memory& mem) const {
-    return PackedNode::value(mem.peek(vars_[0]));
 }
 
 NaiveSimCounter::NaiveSimCounter(Memory& mem, const std::string& name)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "baselines/phase_fair.hpp"
 #include "baselines/sim_baselines.hpp"
 #include "core/af_lock_sim.hpp"
 

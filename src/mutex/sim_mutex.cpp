@@ -7,15 +7,9 @@ namespace rwr::mutex {
 
 TournamentSimMutex::TournamentSimMutex(Memory& mem, const std::string& name,
                                        std::uint32_t m)
-    : m_(m),
-      num_leaves_(m <= 1 ? 1 : std::bit_ceil(m)),
-      levels_(static_cast<std::uint32_t>(std::bit_width(num_leaves_) - 1)) {
-    if (m == 0) {
-        throw std::invalid_argument("TournamentSimMutex: m must be >= 1");
-    }
-    const std::uint32_t num_nodes = num_leaves_ - 1;  // 0 when m == 1.
-    nodes_.reserve(num_nodes);
-    for (std::uint32_t i = 0; i < num_nodes; ++i) {
+    : shape_(shape_for(m)) {
+    nodes_.reserve(shape_.leaves - 1);  // None when m == 1.
+    for (std::uint32_t i = 0; i + 1 < shape_.leaves; ++i) {
         Node n;
         n.flag[0] = mem.allocate(name + ".n" + std::to_string(i) + ".flag0", 0);
         n.flag[1] = mem.allocate(name + ".n" + std::to_string(i) + ".flag1", 0);
@@ -24,85 +18,27 @@ TournamentSimMutex::TournamentSimMutex(Memory& mem, const std::string& name,
     }
 }
 
-sim::SimTask<EnterResult> TournamentSimMutex::node_enter(
-    sim::Process& p, std::uint32_t n, Word side, AbortControl ctl,
-    std::uint64_t& steps) {
-    const Node& node = nodes_[n];
-    co_await p.write(node.flag[side], 1);
-    co_await p.write(node.victim, side);
-    steps += 2;
-    // Peterson spin: wait while the rival competes and we are the victim.
-    for (;;) {
-        if (steps >= ctl.patience) {
-            // The abort move: retract the competing flag. The rival's spin
-            // reads it as 0 and proceeds; we never held this node, so no
-            // other state needs repair here (the caller rolls back the
-            // nodes already won below).
-            co_await p.write(node.flag[side], 0);
-            co_return EnterResult::Aborted;
-        }
-        const Word rival = co_await p.read(node.flag[1 - side]);
-        ++steps;
-        if (rival == 0) {
-            co_return EnterResult::Acquired;
-        }
-        const Word victim = co_await p.read(node.victim);
-        ++steps;
-        if (victim != side) {
-            co_return EnterResult::Acquired;
-        }
-    }
-}
-
-sim::SimTask<void> TournamentSimMutex::release_below(sim::Process& p,
-                                                     std::uint32_t slot,
-                                                     std::uint32_t pos) {
-    // The children on slot's leaf-to-root path strictly below `pos`; their
-    // parents are the nodes we hold. Released top-down (reverse of
-    // acquisition order).
-    std::uint32_t path[32];
-    std::uint32_t depth = 0;
-    std::uint32_t child = (num_leaves_ - 1) + slot;
-    while (child != pos) {
-        path[depth++] = child;
-        child = (child - 1) / 2;
-    }
-    for (std::uint32_t i = depth; i-- > 0;) {
-        const std::uint32_t parent = (path[i] - 1) / 2;
-        const Word side = (path[i] == 2 * parent + 1) ? 0 : 1;
-        co_await p.write(nodes_[parent].flag[side], 0);
-    }
-}
-
 sim::SimTask<EnterResult> TournamentSimMutex::enter_abortable(
     sim::Process& p, std::uint32_t slot, AbortControl ctl) {
-    if (slot >= m_) {
-        throw std::invalid_argument("TournamentSimMutex::enter: bad slot");
-    }
-    // Ascend leaf -> root. Leaf index in the conceptual full tree is
-    // (num_leaves_ - 1) + slot; at each step the node's side is the low bit
-    // of the child position.
-    std::uint64_t steps = 0;
-    std::uint32_t pos = (num_leaves_ - 1) + slot;
-    while (pos != 0) {
-        const std::uint32_t parent = (pos - 1) / 2;
-        const Word side = (pos == 2 * parent + 1) ? 0 : 1;
-        const EnterResult r = co_await node_enter(p, parent, side, ctl, steps);
-        if (r == EnterResult::Aborted) {
-            co_await release_below(p, slot, pos);
-            co_return EnterResult::Aborted;
-        }
-        pos = parent;
-    }
-    co_return EnterResult::Acquired;
+    Attempt a{ctl, p.stats().total_steps()};
+    const bool won = co_await climb(p, a, slot);
+    co_return won ? EnterResult::Acquired : EnterResult::Aborted;
 }
 
-sim::SimTask<void> TournamentSimMutex::exit(sim::Process& p,
-                                            std::uint32_t slot) {
-    if (slot >= m_) {
-        throw std::invalid_argument("TournamentSimMutex::exit: bad slot");
+sim::SimTask<bool> TournamentSimMutex::wait_turn(sim::Process& p, Attempt& a,
+                                                 std::uint32_t n,
+                                                 std::uint32_t side) {
+    // The tree text's header says when this gives up: once the climb's own
+    // steps reach the patience, checked before each Peterson test.
+    for (;;) {
+        if (p.stats().total_steps() - a.start >= a.ctl.patience) {
+            co_return false;
+        }
+        const bool go = co_await may_enter(p, n, side);
+        if (go) {
+            co_return true;
+        }
     }
-    co_await release_below(p, slot, 0);
 }
 
 YaTournamentSimMutex::YaTournamentSimMutex(Memory& mem,

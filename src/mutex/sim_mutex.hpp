@@ -1,17 +1,9 @@
 // m-process mutual exclusion locks for the simulator.
 //
-// TournamentSimMutex is the writers' lock WL of Algorithm 1 (paper line 2):
-// "an m-process starvation-free read/write mutual exclusion lock algorithm
-// satisfying Bounded Exit. There are such algorithms with logarithmic
-// per-passage RMR complexity (e.g. [21])."
-//
-// We implement the classic arbitration-tree construction: a perfect binary
-// tree with one two-process Peterson lock per internal node; process p
-// ascends from its leaf to the root, competing at each node as the
-// left/right child, and releases top-down on exit. Uses reads and writes
-// only. Per-passage RMR complexity in the CC model is O(log m): at each
-// node a process spins on two variables that its single rival writes O(1)
-// times per passage (bounded bypass 1 makes the spin RMR-bounded).
+// TournamentSimMutex is the writers' lock WL of Algorithm 1: the Peterson
+// arbitration tree, abortable in place, as mutex/tournament_protocol.inc
+// (which walks through the algorithm) compiled into simulator coroutines.
+// The native TournamentMutex (native/mutex.hpp) compiles the same text.
 //
 // Aborts. The abort signal of the abortable mutual exclusion literature
 // (Jayanti STOC'03 formulation): while busy-waiting in the entry section a
@@ -20,39 +12,33 @@
 // invariant that it is a passive non-participant. AbortControl is the
 // simulator's deterministic stand-in for that signal: an attempt aborts
 // once it has executed `patience` shared-memory steps of its entry
-// section. Patience is process-local state (the entry counts its own steps
-// in a C++ local, never as a simulator step), so abort placement never
-// reads the global clock -- which keeps abort scenarios safe under
-// partial-order reduction (commuting independent steps of other processes
-// cannot move the abort point), exactly like the crash-placement plans of
-// the recover tier. AbortableSimMutex::enter_abortable returns Acquired or
-// Aborted; an aborted attempt may leave O(1) state behind (e.g. an
-// abandoned queue entry) that a later passage of ANY process consumes in
-// O(1) -- that deferred cleanup is what the amortized accounting in
+// section. Patience is process-local state (the entry counts its own
+// steps, never the global clock), so abort placement cannot move when
+// independent steps of other processes commute -- which keeps abort
+// scenarios safe under partial-order reduction, exactly like the
+// crash-placement plans of the recover tier.
+// AbortableSimMutex::enter_abortable returns Acquired or Aborted; an
+// aborted attempt may leave O(1) state behind (e.g. an abandoned queue
+// entry) that a later passage of ANY process consumes in O(1) -- that
+// deferred cleanup is what the amortized accounting in
 // mutex/abort_experiment.hpp attributes back to the abort episode.
-//
-// TournamentSimMutex is abortable in place, as the native TournamentMutex
-// is: a waiter that gives up retracts its competing flag at the node it is
-// stuck at, then releases the nodes it had already won, top-down, through
-// the walk exit() uses. The retraction is safe because a Peterson waiter
-// owns no node state its rival depends on beyond the flag itself: lowering
-// it can only unblock the rival. That makes the tree E18's deterministic
-// Theta(log m) contrast: an aborted attempt pays the climb to its abort
-// level AND the rollback, and the retry pays the climb again.
 //
 // TasSimMutex is the contrast baseline: one test-and-set word; correct and
 // deadlock-free but with unbounded RMR complexity under contention (every
 // failed CAS is an RMR) and no starvation freedom.
 #pragma once
 
-#include <optional>
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "rmr/memory.hpp"
 #include "sim/passage.hpp"
 #include "sim/process.hpp"
+#include "sim/steps.hpp"
 #include "sim/task.hpp"
 
 namespace rwr::mutex {
@@ -112,39 +98,45 @@ class AbortableSimMutex : public SimMutex {
     }
 };
 
-class TournamentSimMutex final : public AbortableSimMutex {
+class TournamentSimMutex final : public AbortableSimMutex,
+                                 private sim::SimSteps {
    public:
+    /// The size rule (shape_for) throws std::invalid_argument before
+    /// anything is allocated.
     TournamentSimMutex(Memory& mem, const std::string& name, std::uint32_t m);
 
     sim::SimTask<EnterResult> enter_abortable(sim::Process& p,
                                               std::uint32_t slot,
                                               AbortControl ctl) override;
-    sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) override;
+    sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) override {
+        return release_below(p, slot, 0);
+    }
     [[nodiscard]] std::string name() const override { return "tournament"; }
 
-    [[nodiscard]] std::uint32_t levels() const { return levels_; }
-
    private:
+    // ---- The executor of mutex/tournament_protocol.inc -------------------
+    struct Attempt {
+        AbortControl ctl;
+        std::uint64_t start;  ///< The process's step count as it began.
+    };
     struct Node {
         VarId flag[2];  ///< "I am competing" per side.
         VarId victim;   ///< Which side yields.
     };
 
-    /// Peterson two-process entry at node `n`, competing as `side`, counting
-    /// own steps against ctl.patience. Returns Aborted with the flag
-    /// already retracted.
-    sim::SimTask<EnterResult> node_enter(sim::Process& p, std::uint32_t n,
-                                         Word side, AbortControl ctl,
-                                         std::uint64_t& steps);
-    /// Releases the nodes on `slot`'s path strictly below tree position
-    /// `pos`, top-down: exit (pos = the root) and the abort rollback.
-    sim::SimTask<void> release_below(sim::Process& p, std::uint32_t slot,
-                                     std::uint32_t pos);
+    auto write_victim(sim::Process& p, std::uint32_t n, std::uint32_t side) {
+        return p.write(nodes_[n].victim, side);
+    }
+    sim::SimTask<bool> wait_turn(sim::Process& p, Attempt& a, std::uint32_t n,
+                                 std::uint32_t side);
+    static void wake(std::uint32_t) {}
 
-    std::uint32_t m_;
-    std::uint32_t num_leaves_;  ///< m rounded up to a power of two.
-    std::uint32_t levels_;      ///< log2(num_leaves_).
-    std::vector<Node> nodes_;   ///< Heap-ordered; nodes_[0] is the root.
+#define RWR_STEP co_await
+#define RWR_RETURN co_return
+#include "mutex/tournament_protocol.inc"
+
+    Shape shape_;
+    std::vector<Node> nodes_;  ///< Heap-ordered; nodes_[0] is the root.
 };
 
 /// Arbitration tree over the Yang-Anderson two-process local-spin lock
@@ -174,8 +166,6 @@ class YaTournamentSimMutex final : public SimMutex {
     sim::SimTask<void> enter(sim::Process& p, std::uint32_t slot) override;
     sim::SimTask<void> exit(sim::Process& p, std::uint32_t slot) override;
     [[nodiscard]] std::string name() const override { return "ya-tournament"; }
-
-    [[nodiscard]] std::uint32_t levels() const { return levels_; }
 
    private:
     struct Node {

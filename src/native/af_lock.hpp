@@ -72,6 +72,7 @@
 #include "native/mutex.hpp"
 #include "native/park.hpp"
 #include "native/spin.hpp"
+#include "native/steps.hpp"
 #include "native/telemetry.hpp"
 
 // The writer misuse checks are always compiled. The macro remains for code
@@ -80,7 +81,7 @@
 
 namespace rwr::native {
 
-class AfLock {
+class AfLock : private AtomicSteps {
    public:
     /// `f` = number of reader groups = writer RMR budget; 1 <= f <= n.
     /// Reader `id` uses slot id % k of group id / k, where k = ceil(n/f).
@@ -234,8 +235,6 @@ class AfLock {
     }
 
     // ---- The executor of core/af_protocol.inc ----------------------------
-    template <class T>
-    using Task = T;
     using Caller = std::uint32_t;  ///< The reader or writer id.
     struct Attempt {
         Deadline& deadline;    ///< The caller's, polled by every wait.
@@ -252,16 +251,6 @@ class AfLock {
 
     static std::uint32_t index(Caller id) { return id; }
     std::atomic<Word>& wsig(std::uint32_t g) { return wsig_[g].word; }
-    static Word load(Caller, const std::atomic<Word>& x) { return x.load(); }
-    static void store(Caller, std::atomic<Word>& x, Word v,
-                      std::memory_order order) {
-        x.store(v, order);
-    }
-    static Word cas(Caller, std::atomic<Word>& x, Word expected,
-                    Word desired) {
-        x.compare_exchange_strong(expected, desired);
-        return expected;
-    }
     /// A reader's own leaf is 1 from line 31 to line 40 (C[i]) and from
     /// line 34 to line 37 (W[i]), and 0 otherwise, so the f-array move that
     /// the protocol line makes anyway is also the misuse check: it fails,
@@ -286,24 +275,17 @@ class AfLock {
     bool counts_equal(Caller, std::uint32_t g) const {
         return c_[g].equals_now(w_[g]);
     }
-    /// The waits of lines 14, 21 and 36: spin, then park on `spot`, until
-    /// `done()` or the attempt's deadline.
-    template <class Done>
-    bool wait(ParkingSpot& spot, Attempt& a, Done&& done) {
-        a.probe.contended();
-        Backoff backoff;
-        const bool ok =
-            wait_until(spot, a.deadline, telemetry_, backoff, done);
-        a.probe.note_backoff(backoff);
-        return ok;
-    }
+    /// The waits of lines 14 and 21: spin, then park on the signal's spot,
+    /// until done or the attempt's deadline.
     bool wait_wsig(Caller, Attempt& a, std::uint32_t g, Word want) {
         Signal& s = wsig_[g];
-        return wait(s.spot, a, [&] { return s.word.load() == want; });
+        return wait_contended(s.spot, a.deadline, a.probe, telemetry_,
+                              [&] { return s.word.load() == want; });
     }
     /// Line 36, parked on rsig_spot_ (every RSIG store wakes it).
     bool wait_rsig(Caller, Attempt& a, Word sig) {
-        return wait(rsig_spot_, a, [&] { return rsig_.load() != sig; });
+        return wait_contended(rsig_spot_, a.deadline, a.probe, telemetry_,
+                              [&] { return rsig_.load() != sig; });
     }
     static bool may_wait(const Attempt& a) {
         return !a.deadline.is_immediate();

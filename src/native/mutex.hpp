@@ -1,6 +1,8 @@
-// Native m-slot mutual exclusion: the Peterson arbitration tree (read/write
-// only, O(log m) RMRs, starvation-free -- the writers' lock WL of
-// Algorithm 1).
+// Native m-slot mutual exclusion: the Peterson arbitration tree, the
+// writers' lock WL of Algorithm 1, abortable in place:
+// mutex/tournament_protocol.inc compiled into inline functions. This file
+// is the native executor: the atomics and their orders, parking,
+// deadlines and telemetry.
 //
 // Slots, not threads, are the identity: callers pass their slot index, and
 // one slot must never be used by two threads concurrently. This mirrors the
@@ -24,28 +26,28 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 
 #include "native/park.hpp"
 #include "native/spin.hpp"
+#include "native/steps.hpp"
 #include "native/telemetry.hpp"
 
 namespace rwr::native {
 
-class TournamentMutex {
+class TournamentMutex : private AtomicSteps {
    public:
+    /// The size rule (shape_for) throws std::invalid_argument before
+    /// anything is allocated.
     explicit TournamentMutex(std::uint32_t m)
-        : m_(m),
-          num_leaves_(m <= 1 ? 1 : std::bit_ceil(m)),
-          nodes_(num_leaves_ > 1 ? std::make_unique<Node[]>(num_leaves_ - 1)
-                                 : nullptr) {
-        if (m == 0) {
-            throw std::invalid_argument("TournamentMutex: m must be >= 1");
-        }
-        retry_ = std::make_unique<TelemetryFlag[]>(m_);
-    }
+        : shape_(shape_for(m)),
+          nodes_(shape_.leaves > 1
+                     ? std::make_unique<Node[]>(shape_.leaves - 1)
+                     : nullptr),
+          retry_(std::make_unique<TelemetryFlag[]>(m)) {}
 
     /// Attach a telemetry sink (nullptr detaches); reports under the
     /// mutex_* counters. Attach before starting the workload.
@@ -66,59 +68,26 @@ class TournamentMutex {
         return lock_until(slot, Deadline::after(timeout));
     }
 
-    /// Climbs the arbitration tree; aborts (and rolls back) if `deadline`
-    /// expires while waiting at some node. Aborting at a node is the
-    /// classic abortable-Peterson retreat: clear our competing flag (which
-    /// unblocks a rival spinning on it), then release the already-won nodes
-    /// below in the same top-down order unlock() uses.
+    /// Climbs the tree; gives up, rolling back, if `deadline` expires
+    /// while waiting at some node. A bad slot throws
+    /// std::invalid_argument.
     bool lock_until(std::uint32_t slot, Deadline deadline) {
-        check_slot(slot);
-        auto probe = TelemetryProbe::entry(telemetry_, TelemetryRole::kMutex);
-        probe.note_retry(retry_[slot]);
-        std::uint32_t won[32];  // Node indices won so far, bottom-up.
-        std::uint32_t depth = 0;
-        std::uint32_t pos = (num_leaves_ - 1) + slot;
-        while (pos != 0) {
-            const std::uint32_t parent = (pos - 1) / 2;
-            const int side = pos == 2 * parent + 1 ? 0 : 1;
-            if (!node_lock(parent, side, deadline, probe)) {
-                for (std::uint32_t i = depth; i-- > 0;) {
-                    const std::uint32_t child = won[i];
-                    const std::uint32_t p = (child - 1) / 2;
-                    const int s = child == 2 * p + 1 ? 0 : 1;
-                    nodes_[p].flag[s].store(0);
-                    nodes_[p].spot.wake_all(telemetry_);
-                }
-                probe.aborted(retry_[slot]);
-                return false;
-            }
-            won[depth++] = pos;
-            pos = parent;
+        leaf_of(slot);  // The slot check, before the probe reads retry_.
+        Attempt a{deadline,
+                  TelemetryProbe::entry(telemetry_, TelemetryRole::kMutex)};
+        a.probe.note_retry(retry_[slot]);
+        const bool won = climb(ThisThread{}, a, slot);
+        if (won) {
+            a.probe.acquired();
+        } else {
+            a.probe.aborted(retry_[slot]);
         }
-        probe.acquired();
-        return true;
+        return won;
     }
 
-    void unlock(std::uint32_t slot) {
-        check_slot(slot);
-        // Release top-down (reverse of acquisition).
-        std::uint32_t path[32];
-        std::uint32_t depth = 0;
-        std::uint32_t pos = (num_leaves_ - 1) + slot;
-        while (pos != 0) {
-            path[depth++] = pos;
-            pos = (pos - 1) / 2;
-        }
-        for (std::uint32_t i = depth; i-- > 0;) {
-            const std::uint32_t child = path[i];
-            const std::uint32_t parent = (child - 1) / 2;
-            const int side = child == 2 * parent + 1 ? 0 : 1;
-            nodes_[parent].flag[side].store(0);
-            nodes_[parent].spot.wake_all(telemetry_);
-        }
-    }
+    void unlock(std::uint32_t slot) { release_below(ThisThread{}, slot, 0); }
 
-    [[nodiscard]] std::uint32_t capacity() const { return m_; }
+    [[nodiscard]] std::uint32_t capacity() const { return shape_.slots; }
 
    private:
     // Both sides of one Peterson node must share state (that is the
@@ -132,44 +101,31 @@ class TournamentMutex {
     static_assert(sizeof(Node) == 64 && alignof(Node) == 64,
                   "one arbitration node per cache line");
 
-    bool node_lock(std::uint32_t n, int side, Deadline& deadline,
-                   TelemetryProbe& probe) {
-        Node& node = nodes_[n];
-        // Relaxed: the victim exchange orders it (header comment).
-        node.flag[side].store(1, std::memory_order_relaxed);
-        node.victim.exchange(static_cast<std::uint32_t>(side));
+    // ---- The executor of mutex/tournament_protocol.inc -------------------
+    struct Attempt {
+        Deadline& deadline;    ///< The caller's, polled by every wait.
+        TelemetryProbe probe;  ///< Contended: a Peterson wait ran.
+    };
+
+    void write_victim(Caller, std::uint32_t n, std::uint32_t side) {
+        nodes_[n].victim.exchange(side);
         // Our victim store may be exactly what the parked rival waits for.
-        node.spot.wake_all(telemetry_);
-        // Peterson: wait while the rival competes and we are the victim.
-        const auto may_enter = [&] {
-            return node.flag[1 - side].load() == 0 ||
-                   node.victim.load() != static_cast<std::uint32_t>(side);
-        };
-        if (may_enter()) {
+        nodes_[n].spot.wake_all(telemetry_);
+    }
+    bool wait_turn(Caller c, Attempt& a, std::uint32_t n, std::uint32_t side) {
+        if (may_enter(c, n, side)) {
             return true;
         }
-        probe.contended();
-        Backoff backoff;
-        const bool ok =
-            wait_until(node.spot, deadline, telemetry_, backoff, may_enter);
-        probe.note_backoff(backoff);
-        if (!ok) {
-            node.flag[side].store(0);
-            // The rival may be parked on our flag clearing.
-            node.spot.wake_all(telemetry_);
-            return false;
-        }
-        return true;
+        return wait_contended(nodes_[n].spot, a.deadline, a.probe, telemetry_,
+                              [&] { return may_enter(c, n, side); });
     }
+    void wake(std::uint32_t n) { nodes_[n].spot.wake_all(telemetry_); }
 
-    void check_slot(std::uint32_t slot) const {
-        if (slot >= m_) {
-            throw std::invalid_argument("TournamentMutex: bad slot");
-        }
-    }
+#define RWR_STEP
+#define RWR_RETURN return
+#include "mutex/tournament_protocol.inc"
 
-    std::uint32_t m_;
-    std::uint32_t num_leaves_;
+    Shape shape_;
     std::unique_ptr<Node[]> nodes_;
     LockTelemetry* telemetry_ = nullptr;
     /// Per-slot "last attempt aborted" flags behind mutex_abort_retries.

@@ -2,7 +2,8 @@
 // exploration machinery still has teeth: test_checker_teeth, and the
 // reduction-era users (test_explore_reduction, bench_explore) that must
 // prove the reduced search preserves every violation verdict. Users link
-// rwr_baselines (which brings rwr_mutex).
+// rwr_mutex. A mutant of a lock written as a protocol text is a value of
+// its executor instead, as baselines::FaaMutant::StaleGate is.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include <string>
 #include <type_traits>
 
-#include "baselines/sim_baselines.hpp"
 #include "mutex/jj_amortized.hpp"
 #include "sim/checker.hpp"
 #include "sim/explorer.hpp"
@@ -101,34 +101,6 @@ class TocTouLock final : public SimRWLock {
     VarId wlock_;
 };
 
-/// The simulated FAA lock with its old writer, which leaves the drain
-/// wait on the first wgate_ == 1 it reads. A reader that backed out under
-/// the previous writer can set the gate after this writer's reset, while
-/// a reader that entered between the two writers is still in the CS.
-class StaleGateFaaLock final : public baselines::FaaSimRWLock {
-   public:
-    StaleGateFaaLock(Memory& mem, std::uint32_t n, std::uint32_t m)
-        : FaaSimRWLock(mem, n, m) {}
-
-    SimTask<void> writer_entry(Process& p) override {
-        co_await wl_.enter(p, p.role_index());
-        co_await p.write(rgate_, 0);
-        co_await p.write(wgate_, 0);
-        const Word prior = co_await p.fetch_add(state_, kWriterBit);
-        if ((prior & 0xffffffffu) != 0) {
-            for (;;) {
-                const Word g = co_await p.read(wgate_);
-                if (g == 1) {
-                    break;
-                }
-            }
-        }
-    }
-    [[nodiscard]] std::string name() const override {
-        return "stale-gate-faa";
-    }
-};
-
 /// Abortable-mutex mutant: the JJ ticket queue with its abort path
 /// "helpfully" advancing the grant cursor past its own ticket instead of
 /// abandoning the entry. The next claimant then self-grants off the
@@ -158,17 +130,19 @@ class BrokenAbortTicketMutex final : public mutex::JJAmortizedMutex {
 
 /// n readers + m writers driving 2 passages of `LockT` with a throwing
 /// mutual-exclusion checker -- the standard mutant scenario. A lock sized
-/// by (n, m) is built with them.
-template <typename LockT>
+/// by (n, m) is built with them and `args` (a mutant value, say), as
+/// broken_factory<baselines::FaaSimRWLock>(2, 1, FaaMutant::StaleGate).
+template <typename LockT, typename... Args>
 [[nodiscard]] inline ScenarioFactory broken_factory(std::uint32_t n,
-                                                    std::uint32_t m) {
-    return [n, m]() {
+                                                    std::uint32_t m,
+                                                    Args... args) {
+    return [n, m, args...]() {
         Scenario sc;
         sc.sys = std::make_unique<System>(Protocol::WriteBack);
         std::unique_ptr<LockT> lock;
         if constexpr (std::is_constructible_v<LockT, Memory&, std::uint32_t,
-                                              std::uint32_t>) {
-            lock = std::make_unique<LockT>(sc.sys->memory(), n, m);
+                                              std::uint32_t, Args...>) {
+            lock = std::make_unique<LockT>(sc.sys->memory(), n, m, args...);
         } else {
             lock = std::make_unique<LockT>(sc.sys->memory());
         }

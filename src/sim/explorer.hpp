@@ -82,9 +82,10 @@ struct ExploreOptions {
     int branch_depth = 8;
     /// Step budget for the round-robin completion of each schedule.
     std::uint64_t finish_budget = 100'000;
-    /// Apply sleep-set + backtrack-set partial-order reduction. Verdicts
-    /// (violations found / none found) match the unreduced enumeration;
-    /// schedule *counts* are smaller by the reduction factor.
+    /// Apply sleep-set + backtrack-set partial-order reduction; schedule
+    /// *counts* are smaller by the reduction factor. Verdicts keyed on
+    /// section state can differ from the unreduced enumeration's: a clean
+    /// reduced run does not prove mutual exclusion (sim/por.hpp's header).
     bool reduce = true;
     /// Worker threads for the frontier work items (1 = serial).
     unsigned jobs = 1;

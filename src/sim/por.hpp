@@ -26,8 +26,9 @@
 // two processes are in the CS at the same moment depends on how that dwell
 // interleaves with the other's entry and exit steps. So a clean reduced
 // verdict does not prove mutual exclusion -- reduced DPOR misses the
-// stale-wgate_ violation of the StaleGateFaaLock mutant
-// (sim/broken_locks.hpp) that unreduced DFS and random schedules find
+// stale-wgate_ violation of the FAA lock's mutant writer
+// (baselines::FaaMutant::StaleGate) that unreduced DFS and random schedules
+// find
 // (ROADMAP.md, "The next benchmark PR": "Reduced DPOR misses overlapping
 // sections"). Anything keyed on the global step counter (Stall fault
 // resume deadlines) is not insensitive either; Scenario::reduction_safe

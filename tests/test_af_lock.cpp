@@ -15,6 +15,7 @@
 #include "harness/experiment.hpp"
 #include "harness/locks.hpp"
 #include "sim/explorer.hpp"
+#include "step_digest.hpp"
 
 namespace rwr::core {
 namespace {
@@ -27,6 +28,8 @@ using sim::Process;
 using sim::Role;
 using sim::SimTask;
 using sim::System;
+using testkit::digest_run;
+using testkit::DigestRun;
 
 TEST(AfLock, ParamsValidation) {
     System sys(Protocol::WriteBack);
@@ -413,41 +416,9 @@ TEST(AfLock, WriterRmrGrowsWithF_ReaderRmrShrinksWithF) {
 
 // ---- Every simulated step, pinned -------------------------------------------
 //
-// A refactor of AfSimLock must issue the same steps: the same ops, in the
-// same order, with the same values, on the same variables. perfbench's
-// ComponentLedger classifies RMRs by the variables' "af." names and DPOR
-// keys on VarIds, so the digest also covers the names in allocation order.
-
-/// FNV-1a over every executed step (pid, op code, VarId index, operands,
-/// result, RMR flag), after the lock's variable names if asked.
-class StepDigest final : public sim::StepObserver {
-   public:
-    void on_step(const System&, const Process& p, const Op& op,
-                 const OpResult& res) override {
-        mix(p.id());
-        mix(static_cast<Word>(op.code));
-        mix(op.var.index);
-        mix(op.arg0);
-        mix(op.arg1);
-        mix(res.value);
-        mix(res.rmr ? 1 : 0);
-    }
-    void mix(Word w) {
-        for (int i = 0; i < 8; ++i) {
-            h_ = (h_ ^ ((w >> (8 * i)) & 0xff)) * 0x100000001b3ull;
-        }
-    }
-    void mix(const std::string& s) {
-        for (const char ch : s) {
-            h_ = (h_ ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
-        }
-        mix(Word{s.size()});
-    }
-    [[nodiscard]] std::uint64_t value() const { return h_; }
-
-   private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+// A refactor of AfSimLock must issue the same steps (tests/step_digest.hpp);
+// perfbench's ComponentLedger classifies RMRs by the variables' "af."
+// names, so the digest also covers them.
 
 struct DigestCase {
     Protocol proto;
@@ -456,43 +427,6 @@ struct DigestCase {
     std::uint64_t digest;
     std::uint64_t steps;
 };
-
-struct DigestRun {
-    std::uint64_t digest = 0;
-    std::uint64_t steps = 0;
-    bool finished = false;
-};
-
-/// n readers then m writers, 3 passages each with a 2-step CS, under
-/// RandomScheduler(seed) until every process finishes or max_steps.
-DigestRun digest_run(Protocol proto,
-                     const std::function<std::unique_ptr<sim::SimRWLock>(
-                         Memory&)>& build,
-                     std::uint32_t n, std::uint32_t m, std::uint64_t seed,
-                     bool hash_names, std::uint64_t max_steps) {
-    System sys(proto);
-    const auto lock = build(sys.memory());
-    StepDigest digest;
-    if (hash_names) {
-        for (std::uint32_t v = 0; v < sys.memory().num_variables(); ++v) {
-            digest.mix(sys.memory().name(VarId{v}));
-        }
-    }
-    sys.add_observer(&digest);
-    sim::DriveConfig dc;
-    dc.passages = 3;
-    dc.cs_steps = 2;
-    for (std::uint32_t r = 0; r < n; ++r) {
-        sim::install(*lock, sys.add_process(Role::Reader), dc);
-    }
-    for (std::uint32_t w = 0; w < m; ++w) {
-        sim::install(*lock, sys.add_process(Role::Writer), dc);
-    }
-    sim::RandomScheduler sched(seed);
-    const sim::RunResult res = sim::run(sys, sched, max_steps);
-    sys.check_failures();
-    return {digest.value(), res.steps, res.all_finished};
-}
 
 TEST(AfStepDigest, EverySimulatedStepIsPinned) {
     // The steps of the hand-written sections that core/af_protocol.inc

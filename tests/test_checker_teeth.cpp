@@ -37,8 +37,10 @@ TEST(CheckerTeeth, RandomSchedulesFindTheBugsToo) {
 TEST(CheckerTeeth, RandomSchedulesFindTheStaleFaaGate) {
     // The FAA writer that trusts a stale wgate_ breaks mutual exclusion on
     // a handful of these schedules; the fixed writer passes the same run.
+    using baselines::FaaMutant;
     const auto mutant = explore_random(
-        broken_factory<StaleGateFaaLock>(2, 1), 20'000, 1, 100'000);
+        broken_factory<baselines::FaaSimRWLock>(2, 1, FaaMutant::StaleGate),
+        20'000, 1, 100'000);
     EXPECT_GT(mutant.violations, 0u);
     const auto fixed = explore_random(
         broken_factory<baselines::FaaSimRWLock>(2, 1), 20'000, 1, 100'000);

@@ -1,15 +1,21 @@
-// Tests for the K-process f-array counter (src/counter): correctness under
-// sequential and concurrent use, step complexity (Θ(log K) add, O(1) read),
-// the double-refresh propagation guarantee, and the DSM placement A_f uses
-// (each slot's leaf homed at its owner).
+// Tests for the K-process f-array counter, counter/farray_protocol.inc:
+// correctness under sequential and concurrent use on both executors (one
+// typed suite), and on the simulated one step complexity (Θ(log K) add,
+// O(1) read), the double-refresh propagation guarantee, the DSM placement
+// A_f uses (each slot's leaf homed at its owner) and every step pinned.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "counter/sim_counter.hpp"
+#include "native/counter.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
+#include "step_digest.hpp"
 
 namespace rwr::counter {
 namespace {
@@ -33,45 +39,215 @@ SimTask<void> read_into(FArraySimCounter& c, Process& p,
     }
 }
 
-TEST(FArrayCounter, SequentialAddsAndReads) {
-    System sys(Protocol::WriteThrough);
-    FArraySimCounter c(sys.memory(), "c", 4);
-    Process& p = sys.add_process(Role::Reader);
-    std::vector<std::int64_t> reads;
+// ---- One suite, both executors of counter/farray_protocol.inc ---------------
+//
+// Each tier drives its counter through the same calls: the simulated one
+// runs each call solo to completion in a process of its own, and K adders
+// under a seeded random schedule; the native one calls it directly, and
+// from K threads.
 
-    auto body = [&](Process& proc) -> SimTask<void> {
-        co_await c.add(proc, 0, 5);
-        reads.push_back(co_await c.read(proc));
-        co_await c.add(proc, 0, -2);
-        reads.push_back(co_await c.read(proc));
-        co_await c.add(proc, 0, 10);
-        reads.push_back(co_await c.read(proc));
-    };
-    p.set_task(body(p));
-    sim::RoundRobinScheduler rr;
-    const auto result = sim::run(sys, rr, 10'000);
-    ASSERT_TRUE(result.all_finished);
-    EXPECT_EQ(reads, (std::vector<std::int64_t>{5, 3, 13}));
+/// The fan-in 2 executor, with padding leaves.
+class SimTier {
+   public:
+    using Counter = FArraySimCounter;
+    static constexpr std::uint32_t kFanIn = 2;
+    static constexpr bool kPadded = true;
+    static constexpr int kContendedAdds = 12;
+
+    explicit SimTier(std::uint32_t k) : c_(sys_.memory(), "c", k) {}
+
+    void add(std::uint32_t slot, std::int64_t delta) {
+        solo([&](Process& p) -> SimTask<void> {
+            co_await c_.add(p, slot, delta);
+        });
+    }
+    std::int64_t read() {
+        std::int64_t v = 0;
+        solo([&](Process& p) -> SimTask<void> { v = co_await c_.read(p); });
+        return v;
+    }
+    /// Slot s of every slot adds +1 `adds` times and undoes every third.
+    void add_concurrently(int adds, std::uint64_t seed) {
+        for (std::uint32_t s = 0; s < c_.capacity(); ++s) {
+            std::vector<std::int64_t> deltas;
+            for (int i = 0; i < adds; ++i) {
+                deltas.push_back(1);
+                if (i % 3 == 0) {
+                    deltas.push_back(-1);
+                }
+            }
+            Process& p = sys_.add_process(Role::Reader);
+            p.set_task(do_adds(c_, p, s, std::move(deltas)));
+        }
+        sim::RandomScheduler sched(seed);
+        ASSERT_TRUE(sim::run(sys_, sched, 10'000'000).all_finished);
+        sys_.check_failures();
+    }
+
+   private:
+    template <class Body>
+    void solo(Body body) {
+        Process& p = sys_.add_process(Role::Reader);
+        p.set_task(body(p));
+        sim::run_solo(sys_, p.id(), 1'000'000);
+        ASSERT_TRUE(p.finished() || p.failed());
+        p.rethrow_if_failed();
+    }
+
+    System sys_{Protocol::WriteBack};
+    FArraySimCounter c_;
+};
+
+/// The fan-in 8 executor, with no padding leaves.
+class NativeTier {
+   public:
+    using Counter = native::FArrayCounter;
+    static constexpr std::uint32_t kFanIn = 8;
+    static constexpr bool kPadded = false;
+    static constexpr int kContendedAdds = 5000;
+
+    explicit NativeTier(std::uint32_t k) : c_(k) {}
+
+    void add(std::uint32_t slot, std::int64_t delta) { c_.add(slot, delta); }
+    std::int64_t read() { return c_.read(); }
+    void add_concurrently(int adds, std::uint64_t /*seed*/) {
+        std::vector<std::thread> threads;
+        for (std::uint32_t s = 0; s < c_.capacity(); ++s) {
+            threads.emplace_back([this, s, adds] {
+                for (int i = 0; i < adds; ++i) {
+                    c_.add(s, 1);
+                    if (i % 3 == 0) {
+                        c_.add(s, -1);
+                    }
+                }
+            });
+        }
+        for (auto& t : threads) {
+            t.join();
+        }
+    }
+
+   private:
+    native::FArrayCounter c_;
+};
+
+template <class Tier>
+class CounterText : public ::testing::Test {};
+using CounterTiers = ::testing::Types<SimTier, NativeTier>;
+TYPED_TEST_SUITE(CounterText, CounterTiers);
+
+TYPED_TEST(CounterText, SequentialAddsAndReads) {
+    TypeParam c(4);
+    EXPECT_EQ(c.read(), 0);
+    c.add(0, 5);
+    EXPECT_EQ(c.read(), 5);
+    c.add(1, -2);
+    EXPECT_EQ(c.read(), 3);
+    c.add(3, 10);
+    c.add(0, 1);
+    EXPECT_EQ(c.read(), 14);
 }
 
-TEST(FArrayCounter, CapacityOneIsJustALeaf) {
-    System sys(Protocol::WriteBack);
-    FArraySimCounter c(sys.memory(), "c", 1);
-    Process& p = sys.add_process(Role::Reader);
-    std::vector<std::int64_t> reads;
-    auto body = [&](Process& proc) -> SimTask<void> {
-        co_await c.add(proc, 0, 7);
-        reads.push_back(co_await c.read(proc));
-    };
-    p.set_task(body(p));
-    sim::RoundRobinScheduler rr;
-    sim::run(sys, rr, 1'000);
-    EXPECT_EQ(reads, (std::vector<std::int64_t>{7}));
+TYPED_TEST(CounterText, CapacityOneIsALeafThatIsTheRoot) {
+    EXPECT_EQ(TypeParam::Counter::shape_for(1).height, 0u);
+    EXPECT_EQ(TypeParam::Counter::shape_for(1).nodes, 1u);
+    TypeParam c(1);
+    c.add(0, 7);
+    EXPECT_EQ(c.read(), 7);
+    c.add(0, -9);
+    EXPECT_EQ(c.read(), -2);
 }
 
-TEST(FArrayCounter, RejectsBadArgs) {
-    System sys(Protocol::WriteBack);
-    EXPECT_THROW(FArraySimCounter(sys.memory(), "c", 0), std::invalid_argument);
+TYPED_TEST(CounterText, ShapeFollowsTheFanIn) {
+    // h = ceil(log_b K) internal levels of 1 + b + ... + b^(h-1) nodes, then
+    // the K leaves, padded to b^h on the padded tier.
+    for (const std::uint32_t k :
+         {1u, 2u, 3u, 7u, 8u, 9u, 63u, 64u, 65u, 513u, 4096u, 4097u,
+          std::uint32_t{1} << 30}) {
+        const auto s = TypeParam::Counter::shape_for(k);
+        std::uint64_t span = 1;
+        std::uint64_t internal = 0;
+        std::uint32_t height = 0;
+        while (span < k) {
+            internal += span;
+            span *= TypeParam::kFanIn;
+            ++height;
+        }
+        EXPECT_EQ(s.capacity, k);
+        EXPECT_EQ(s.height, height) << "K=" << k;
+        EXPECT_EQ(s.first_leaf, internal) << "K=" << k;
+        EXPECT_EQ(s.nodes, internal + (TypeParam::kPadded ? span : k))
+            << "K=" << k;
+    }
+    // The two fan-ins at a glance: K = 4096 is 12 binary and 4 octal levels.
+    EXPECT_EQ(TypeParam::Counter::shape_for(4096).height,
+              TypeParam::kFanIn == 2 ? 12u : 4u);
+}
+
+TYPED_TEST(CounterText, RejectsBadSizesBeforeAllocating) {
+    // 0x80000001 used to pass the simulated constructor, which then built
+    // one variable for 2^31 + 1 slots.
+    for (const std::uint32_t k :
+         {0u, (1u << 30) + 1, 0x80000000u, 0x80000001u, 0xffffffffu}) {
+        EXPECT_THROW(TypeParam::Counter::shape_for(k), std::invalid_argument)
+            << "K=" << k;
+        EXPECT_THROW(TypeParam{k}, std::invalid_argument) << "K=" << k;
+    }
+}
+
+TYPED_TEST(CounterText, RejectsBadSlotsWritingNothing) {
+    // K = 3 has a padding leaf at slot 3 on the padded tier; K = 9 puts one
+    // leaf into a second subtree at fan-in 8.
+    for (const std::uint32_t k : {1u, 3u, 8u, 9u}) {
+        TypeParam c(k);
+        for (const std::uint32_t slot :
+             {k, k + 1, 2 * k + 7, 0xffffffffu}) {
+            EXPECT_THROW(c.add(slot, 5), std::out_of_range)
+                << "K=" << k << " slot=" << slot;
+        }
+        EXPECT_EQ(c.read(), 0) << "K=" << k;
+        for (std::uint32_t slot = 0; slot < k; ++slot) {
+            c.add(slot, 1);
+        }
+        EXPECT_EQ(c.read(), std::int64_t{k}) << "K=" << k;
+    }
+}
+
+TYPED_TEST(CounterText, SumsAtEveryShape) {
+    // Full and partial last subtrees at one, two and three levels. Slot s
+    // adds its own delta, so a sum that lost or doubled a leaf, or read one
+    // from another slot, would show.
+    const auto delta = [](std::uint32_t slot) {
+        return (slot % 2 == 0 ? 1 : -1) * static_cast<std::int64_t>(slot + 1);
+    };
+    for (const std::uint32_t k : {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 513u}) {
+        TypeParam c(k);
+        std::int64_t sum = 0;
+        for (std::uint32_t slot = 0; slot < k; ++slot) {
+            c.add(slot, delta(slot));
+            sum += delta(slot);
+            ASSERT_EQ(c.read(), sum) << "K=" << k << " slot=" << slot;
+        }
+        for (std::uint32_t slot = 0; slot < k; ++slot) {
+            c.add(slot, -delta(slot));
+        }
+        EXPECT_EQ(c.read(), 0) << "K=" << k;
+    }
+}
+
+TYPED_TEST(CounterText, ConcurrentAddsSumExactly) {
+    // At fan-in 8, K = 8 puts every slot under the root and K = 9 the ninth
+    // leaf alone in a second subtree; K = 3 and 5 have padding leaves at
+    // fan-in 2.
+    for (const std::uint32_t k : {3u, 5u, 8u, 9u}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+            TypeParam c(k);
+            const int adds = TypeParam::kContendedAdds;
+            c.add_concurrently(adds, seed);
+            EXPECT_EQ(c.read(), std::int64_t{k} * (adds - (adds + 2) / 3))
+                << "K=" << k << " seed " << seed;
+        }
+    }
 }
 
 class CounterConcurrency
@@ -191,7 +367,7 @@ TEST(FArrayCounter, ReadIsOneStep) {
     }
 }
 
-// --- Double-refresh ablation --------------------------------------------------
+// --- Double-refresh ablation -------------------------------------------------
 //
 // A *single*-refresh propagate is broken: if the refresh CAS fails, the
 // update may never reach the root. This reproduces the lost-update schedule
@@ -206,23 +382,23 @@ class Faulty2Counter {
           leaf1_(mem.allocate("f.leaf1")) {}
 
     SimTask<void> add(Process& p, std::uint32_t slot, std::int64_t delta) {
+        using C = FArraySimCounter;  // For its node word codec.
         const VarId leaf = slot == 0 ? leaf0_ : leaf1_;
         const Word cur = co_await p.read(leaf);
-        co_await p.write(leaf, PackedNode::pack(
-                                   0, static_cast<std::int32_t>(
-                                          PackedNode::value(cur) + delta)));
+        co_await p.write(leaf, C::pack(0, static_cast<std::int32_t>(
+                                              C::value_of(cur) + delta)));
         // Single refresh -- the bug.
         const Word old = co_await p.read(root_);
-        const std::int64_t l = PackedNode::value(co_await p.read(leaf0_));
-        const std::int64_t r = PackedNode::value(co_await p.read(leaf1_));
+        const std::int64_t l = C::value_of(co_await p.read(leaf0_));
+        const std::int64_t r = C::value_of(co_await p.read(leaf1_));
         co_await p.cas(root_, old,
-                       PackedNode::pack(PackedNode::version(old) + 1,
-                                        static_cast<std::int32_t>(l + r)));
+                       C::pack(C::version_of(old) + 1,
+                               static_cast<std::int32_t>(l + r)));
         // No retry on failure.
     }
 
     [[nodiscard]] std::int64_t root_value(const Memory& mem) const {
-        return PackedNode::value(mem.peek(root_));
+        return FArraySimCounter::value_of(mem.peek(root_));
     }
 
    private:
@@ -265,7 +441,7 @@ TEST(FArrayCounter, SingleRefreshLosesUpdates) {
     }
 }
 
-// --- DSM placement: homed leaves ----------------------------------------------
+// --- DSM placement: homed leaves ---------------------------------------------
 //
 // A_f builds every C[i] and W[i] with an owner_base, so under Protocol::Dsm
 // each reader's leaf lives in its own segment and the owner's leaf steps
@@ -290,7 +466,66 @@ TEST(FArrayCounter, SoloAddUnderDsmPaysNoRmrOnItsOwnLeaf) {
     }
 }
 
-// --- Naive baseline ------------------------------------------------------------
+// --- Every simulated step, pinned --------------------------------------------
+//
+// K adders on one counter, each slot alternating adds and reads, under
+// seeded random schedules (tests/step_digest.hpp). K = 3 and 5 have padding
+// leaves, K = 8 none; the Dsm rows home each leaf at its slot's process.
+
+SimTask<void> adds_and_reads(FArraySimCounter& c, Process& p,
+                             std::uint32_t slot) {
+    for (const std::int64_t d : {std::int64_t{1}, std::int64_t{slot} + 1,
+                                 std::int64_t{-1}, std::int64_t{2}}) {
+        co_await c.add(p, slot, d);
+        co_await c.read(p);
+    }
+}
+
+TEST(FArrayCounterStepDigest, ContendedAddsArePinned) {
+    struct Case {
+        Protocol proto;
+        std::uint32_t k;
+        std::uint64_t seed;
+        std::uint64_t digest;
+        std::uint64_t steps;
+    };
+    const Case cases[] = {
+        {Protocol::WriteBack, 3u, 0, 0x0d37dc3698ac7bcbull, 168},
+        {Protocol::WriteBack, 3u, 1, 0xf23f6eb32bfac136ull, 156},
+        {Protocol::WriteBack, 5u, 0, 0xf7d657f5b15457aaull, 364},
+        {Protocol::WriteBack, 5u, 1, 0x3db4154860ad5b26ull, 376},
+        {Protocol::WriteBack, 8u, 0, 0x4555d62027d45a9eull, 620},
+        {Protocol::WriteBack, 8u, 1, 0x855552281e071874ull, 612},
+        {Protocol::Dsm, 3u, 0, 0x3d8ed16c649e0febull, 168},
+        {Protocol::Dsm, 3u, 1, 0xf9d14b56937dcc17ull, 156},
+        {Protocol::Dsm, 5u, 0, 0xb0089cfdd9f7924aull, 364},
+        {Protocol::Dsm, 5u, 1, 0x52d1efea85bd2b47ull, 376},
+        {Protocol::Dsm, 8u, 0, 0x3ea93c29a51d98beull, 620},
+        {Protocol::Dsm, 8u, 1, 0x370e366d7f52b3b4ull, 612},
+    };
+    for (const Case& c : cases) {
+        const testkit::DigestRun r = testkit::digest_run(
+            c.proto,
+            [&](System& sys) {
+                auto ctr = std::make_shared<FArraySimCounter>(
+                    sys.memory(), "c", c.k, ProcId{0});
+                for (std::uint32_t s = 0; s < c.k; ++s) {
+                    Process& p = sys.add_process(Role::Reader);
+                    p.set_task(adds_and_reads(*ctr, p, s));
+                }
+                return std::shared_ptr<void>(ctr);
+            },
+            c.seed, /*hash_names=*/true, 1'000'000);
+        const std::string label = to_string(c.proto) + " K=" +
+                                  std::to_string(c.k) + " seed " +
+                                  std::to_string(c.seed);
+        EXPECT_TRUE(r.finished) << label;
+        EXPECT_EQ(r.steps, c.steps) << label;
+        EXPECT_EQ(r.digest, c.digest) << label;
+    }
+}
+
+// --- Naive baseline ----------------------------------------------------------
 
 SimTask<void> naive_adds(NaiveSimCounter& c, Process& p, std::uint32_t slot) {
     for (int i = 0; i < 10; ++i) {

@@ -1,6 +1,9 @@
 // Multi-threaded stress tests for the native (std::atomic) implementations:
 // f-array counter, tournament mutex, AfLock (all f choices), baselines, and
-// the AfSharedMutex facade with std::shared_lock / std::unique_lock.
+// the AfSharedMutex facade with std::shared_lock / std::unique_lock. The
+// counter, tree, FAA and phase-fair texts' typed suites, which run each
+// case on both executors, are in test_counter, test_mutex and
+// test_baselines.
 //
 // This host may have a single core; thread counts and iteration budgets are
 // sized so the suite stays fast while still forcing real interleavings via
@@ -28,84 +31,6 @@
 
 namespace rwr::native {
 namespace {
-
-TEST(NativeCounter, Sequential) {
-    FArrayCounter c(4);
-    c.add(0, 5);
-    c.add(1, -2);
-    c.add(3, 10);
-    EXPECT_EQ(c.read(), 13);
-}
-
-TEST(NativeCounter, CapacityOne) {
-    FArrayCounter c(1);
-    c.add(0, 7);
-    EXPECT_EQ(c.read(), 7);
-}
-
-TEST(NativeCounter, HeightIsCeilLog8) {
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes = {
-        {1, 0},  {2, 1},    {8, 1},    {9, 2},           {64, 2},
-        {65, 3}, {4096, 4}, {4097, 5}, {1u << 30, 10}};
-    for (const auto& [capacity, height] : shapes) {
-        EXPECT_EQ(FArrayCounter::height_for(capacity), height)
-            << "capacity=" << capacity;
-        if (capacity <= 4097) {  // 2^30 slots would take 78 GB.
-            EXPECT_EQ(FArrayCounter(capacity).height(), height)
-                << "capacity=" << capacity;
-        }
-    }
-}
-
-TEST(NativeCounter, RejectsBadArgs) {
-    for (const std::uint32_t capacity :
-         {0u, (1u << 30) + 1, 0x80000001u, 0xffffffffu}) {
-        EXPECT_THROW(FArrayCounter{capacity}, std::invalid_argument)
-            << "capacity=" << capacity;
-    }
-    // Capacity 3 used to count slot 3 on a padding leaf and put slot 4
-    // past the node array; capacity 9 is one leaf into a second subtree.
-    for (const std::uint32_t capacity : {1u, 3u, 8u, 9u}) {
-        FArrayCounter c(capacity);
-        for (const std::uint32_t slot :
-             {capacity, capacity + 1, 2 * capacity + 7, 0xffffffffu}) {
-            EXPECT_THROW((void)c.move(slot, 0, 1), std::out_of_range)
-                << "capacity=" << capacity << " slot=" << slot;
-            EXPECT_THROW(c.add(slot, 5), std::out_of_range)
-                << "capacity=" << capacity << " slot=" << slot;
-        }
-        EXPECT_EQ(c.read(), 0) << "capacity=" << capacity;
-        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
-            EXPECT_TRUE(c.move(slot, 0, 1)) << "slot=" << slot;
-        }
-        EXPECT_EQ(c.read(), std::int64_t{capacity});
-    }
-}
-
-TEST(NativeCounter, SumsAtEveryShape) {
-    // Full and partial last subtrees at one, two and three 8-ary levels.
-    // Slot s adds its own delta, so a sum that lost or doubled a leaf, or
-    // read one from another slot, would show.
-    const auto delta = [](std::uint32_t slot) {
-        return (slot % 2 == 0 ? 1 : -1) * static_cast<std::int32_t>(slot + 1);
-    };
-    for (const std::uint32_t capacity :
-         {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 513u}) {
-        FArrayCounter c(capacity);
-        std::int64_t sum = 0;
-        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
-            c.add(slot, delta(slot));
-            sum += delta(slot);
-            ASSERT_EQ(c.read(), sum)
-                << "capacity=" << capacity << " slot=" << slot;
-        }
-        for (std::uint32_t slot = 0; slot < capacity; ++slot) {
-            ASSERT_TRUE(c.move(slot, delta(slot), 0))
-                << "capacity=" << capacity << " slot=" << slot;
-        }
-        EXPECT_EQ(c.read(), 0) << "capacity=" << capacity;
-    }
-}
 
 TEST(NativeCounter, ConcurrentAdds) {
     // K threads, once through add() and once through move() from the leaf
@@ -168,7 +93,9 @@ TEST(NativeCounter, MoveFromTheWrongValueWritesNothing) {
             leaf[slot] += delta;
             EXPECT_EQ(c.read(), ref.read()) << "k=" << k << " i=" << i;
         }
-        // A move from the true leaf value still lands, as an add would.
+        // A move from the true leaf value still lands, as an add would; a
+        // move at a slot past the last throws before any access.
+        EXPECT_THROW((void)c.move(k, leaf[0], 7), std::out_of_range);
         ASSERT_TRUE(c.move(0, leaf[0], leaf[0] + 10));
         ref.add(0, 10);
         EXPECT_EQ(c.read(), ref.read()) << "k=" << k;
@@ -235,11 +162,6 @@ TEST_P(NativeTournamentMutexStress, ExclusionStress) {
 
 INSTANTIATE_TEST_SUITE_P(Slots, NativeTournamentMutexStress,
                          ::testing::Values(2u, 4u, 8u));
-
-TEST(NativeTournamentMutex, SlotValidation) {
-    TournamentMutex mx(2);
-    EXPECT_THROW(mx.lock(2), std::invalid_argument);
-}
 
 /// The CS payload: plain (non-atomic) words that a writer rewrites and a
 /// reader verifies. A version, data derived from it, and a checksum: a
