@@ -7,10 +7,13 @@
 // its deterministic wait-free bound (grows only with log K, never with
 // contention); the centralized lock's CAS retries grow with n; the
 // big-mutex baseline (which violates Concurrent Entering) grows without
-// bound because readers queue.
+// bound because readers queue. Exit-code checks (exit 1, named on stderr):
+// A_f stays within its bound at every n, and big-mutex exceeds it at 256.
+#include <bit>
 #include <iostream>
 #include <memory>
 
+#include "harness/bench_kit.hpp"
 #include "harness/locks.hpp"
 #include "harness/table.hpp"
 #include "sim/rwlock.hpp"
@@ -48,7 +51,8 @@ std::uint64_t max_entry_steps(LockKind kind, std::uint32_t n,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    bench::Kit kit("concurrent_entering", argc, argv, {});
     std::cout << "bench_concurrent_entering: max reader entry steps with "
                  "writers quiescent (E10; 3 passages x 4 seeds)\n\n";
     Table t({"lock", "n=4", "n=16", "n=64", "n=256"});
@@ -60,6 +64,18 @@ int main() {
                 worst = std::max(worst, max_entry_steps(kind, n, seed));
             }
             row.push_back(fmt(worst));
+            // A_f's wait-free bound: 3 + 8 ceil(log2 K), K = ceil(n / 2).
+            const auto bound = 3 + 8 * static_cast<std::uint64_t>(
+                                           std::bit_width((n + 1) / 2 - 1));
+            const std::string at = "E10: " + to_string(kind) + " n=" +
+                                   std::to_string(n) + " worst entry " +
+                                   std::to_string(worst) + " vs A_f's bound " +
+                                   std::to_string(bound);
+            if (kind == LockKind::Af) {
+                kit.check(worst <= bound, at);
+            } else if (kind == LockKind::BigMutex && n == 256) {
+                kit.check(worst > bound, at);
+            }
         }
         t.row(row);
     }
@@ -67,5 +83,5 @@ int main() {
     std::cout << "\n(A_f grows only with log(n/f) -- its wait-free counter "
                  "bound; big-mutex readers queue behind each other: "
                  "Concurrent Entering violated.)\n";
-    return 0;
+    return kit.finish();
 }

@@ -51,7 +51,7 @@ struct DiffFlag {
     /// fractional move (the absolute move off a zero baseline).
     double change = 0;
     bool exact = false;  ///< An Exact field that changed.
-    /// A changed string field's two values (before/after stay 0).
+    /// A changed string or Bool field's two values (before/after stay 0).
     std::string before_text = {};
     std::string after_text = {};
 };
@@ -100,10 +100,16 @@ inline void diff_rate(const std::string& key, const std::string& metric,
 inline void diff_exact(const std::string& key, const std::string& metric,
                        const json::Value& before, const json::Value& after,
                        std::vector<DiffFlag>* flags) {
-    if (before.type() == json::Value::Type::String) {
-        if (after.as_string() != before.as_string()) {
-            flags->push_back({key, metric, 0, 0, 0, true, before.as_string(),
-                              after.as_string()});
+    if (!before.is_number()) {  // A string or a Bool: compare the text.
+        const auto text = [](const json::Value& v) -> std::string {
+            if (v.type() == json::Value::Type::Bool) {
+                return v.as_bool() ? "true" : "false";
+            }
+            return v.as_string();
+        };
+        if (text(after) != text(before)) {
+            flags->push_back(
+                {key, metric, 0, 0, 0, true, text(before), text(after)});
         }
         return;
     }

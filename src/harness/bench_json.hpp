@@ -223,15 +223,30 @@ inline constexpr Field kFields[] = {
     {"adversary.recovery_rmrs_mean",       Number, false, false, Exact},
     {"adversary.recovery_rmrs_max",        Number, false, false, Exact},
     {"adversary.total_restarts",           Number, false, false, Exact},
+    // The Theorem 5 adversary (bench_lowerbound): one construction, or one
+    // iteration of E2c's knowledge growth trace, exact.
+    {"lowerbound",                         Group,  false, true,  Info},
+    {"lowerbound.completed",               Bool,   false, false, Exact},
+    {"lowerbound.r",                       Number, false, false, Exact},
+    {"lowerbound.survivor",                Number, false, false, Exact},
+    {"lowerbound.exit_max",                Number, false, false, Exact},
+    {"lowerbound.writer_entry",            Number, false, false, Exact},
+    {"lowerbound.growth",                  Number, false, false, Exact},
+    {"lowerbound.lemma1_violations",       Number, false, false, Exact},
+    {"lowerbound.lemma4",                  Bool,   false, false, Exact},
+    {"lowerbound.batch",                   Number, false, false, Exact},
+    {"lowerbound.readers_left",            Number, false, false, Exact},
+    {"lowerbound.max_knowledge",           Number, false, false, Exact},
 };
 // clang-format on
 }  // namespace table
 using table::kFields;
 
-// diff() compares numbers and strings only, and a rate is a number.
+// diff() compares numbers, strings and Bools only, and a rate is a number.
 static_assert(std::ranges::all_of(kFields, [](const Field& f) {
     return f.gate == Gate::Info || f.type == Type::Number ||
-           (f.type == Type::String && f.gate == Gate::Exact);
+           ((f.type == Type::String || f.type == Type::Bool) &&
+            f.gate == Gate::Exact);
 }));
 
 /// The table line for `path` ("name" or "group.name"), or nullptr.

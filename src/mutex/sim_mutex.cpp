@@ -41,16 +41,28 @@ sim::SimTask<bool> TournamentSimMutex::wait_turn(sim::Process& p, Attempt& a,
     }
 }
 
+namespace {
+
+/// Yang-Anderson's tree takes the Peterson tree's size rule
+/// (mutex/tournament_protocol.inc): throws std::invalid_argument, before
+/// anything is computed or allocated, unless 1 <= m <= 2^31.
+std::uint32_t ya_leaves(std::uint32_t m) {
+    if (m == 0 || m > (std::uint32_t{1} << 31)) {
+        throw std::invalid_argument(
+            "YaTournamentSimMutex: m must be in [1, 2^31]");
+    }
+    return std::bit_ceil(m);
+}
+
+}  // namespace
+
 YaTournamentSimMutex::YaTournamentSimMutex(Memory& mem,
                                            const std::string& name,
                                            std::uint32_t m,
                                            std::optional<ProcId> owner_base)
     : m_(m),
-      num_leaves_(m <= 1 ? 1 : std::bit_ceil(m)),
+      num_leaves_(ya_leaves(m)),
       levels_(static_cast<std::uint32_t>(std::bit_width(num_leaves_) - 1)) {
-    if (m == 0) {
-        throw std::invalid_argument("YaTournamentSimMutex: m must be >= 1");
-    }
     const std::uint32_t num_nodes = num_leaves_ - 1;  // 0 when m == 1.
     nodes_.reserve(num_nodes);
     for (std::uint32_t i = 0; i < num_nodes; ++i) {

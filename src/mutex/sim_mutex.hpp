@@ -160,6 +160,8 @@ class TournamentSimMutex final : public AbortableSimMutex,
 /// passing owner_base never changes WriteThrough/WriteBack numbers.
 class YaTournamentSimMutex final : public SimMutex {
    public:
+    /// Throws std::invalid_argument, before anything is allocated, unless
+    /// 1 <= m <= 2^31 (the Peterson tree's size rule).
     YaTournamentSimMutex(Memory& mem, const std::string& name, std::uint32_t m,
                          std::optional<ProcId> owner_base = std::nullopt);
 

@@ -374,6 +374,109 @@ TEST(BenchDiff, ChangedStringFieldReportsBothValues) {
     EXPECT_EQ(rep.regressions[0].after_text, "exit");
 }
 
+/// One Theorem 5 construction's row, as bench_lowerbound writes it.
+json::Value make_lowerbound_row(std::uint64_t r, double growth) {
+    auto row = bench::key_row({.lock = "A_f", .protocol = "write-back",
+                               .n = 64, .m = 1, .f = 1, .threads = 65,
+                               .workload = "theorem5"});
+    auto lb = json::Value::object();
+    lb.set("completed", true);
+    lb.set("r", r);
+    lb.set("survivor", std::uint64_t{11});
+    lb.set("exit_max", std::uint64_t{26});
+    lb.set("writer_entry", std::uint64_t{4});
+    lb.set("growth", growth);
+    lb.set("lemma1_violations", std::uint64_t{0});
+    lb.set("lemma4", true);
+    row.set("lowerbound", std::move(lb));
+    return row;
+}
+
+constexpr const char* kLowerboundKey =
+    "lowerbound/A_f/write-back/n64/m1/f1/t65/wtheorem5";
+
+TEST(BenchDiff, LowerboundRoundMovingByOneFails) {
+    // r = 12 instead of 11 passes every inequality E2 checks by exit code
+    // (r >= log3(n/f)); only the baseline can see it.
+    auto oldd = bench::make_doc("lowerbound");
+    auto newd = bench::make_doc("lowerbound");
+    results_of(oldd)->push_back(make_lowerbound_row(11, 2.0));
+    results_of(newd)->push_back(make_lowerbound_row(12, 2.0));
+    bench::validate(oldd);
+    bench::validate(newd);
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    EXPECT_TRUE(rep.missing.empty());
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].key, kLowerboundKey);
+    EXPECT_EQ(rep.regressions[0].metric, "lowerbound.r");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].before, 11.0);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].after, 12.0);
+}
+
+TEST(BenchDiff, LowerboundGrowthMoveFails) {
+    // 2.5 is still within Lemma 2's factor 3, and still a changed result.
+    auto oldd = bench::make_doc("lowerbound");
+    auto newd = bench::make_doc("lowerbound");
+    results_of(oldd)->push_back(make_lowerbound_row(11, 2.0));
+    results_of(newd)->push_back(make_lowerbound_row(11, 2.5));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "lowerbound.growth");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_DOUBLE_EQ(rep.regressions[0].change, 0.25);
+}
+
+TEST(BenchDiff, LowerboundRowWithoutExitMaxIsMissingIt) {
+    auto oldd = bench::make_doc("lowerbound");
+    auto newd = bench::make_doc("lowerbound");
+    results_of(oldd)->push_back(make_lowerbound_row(11, 2.0));
+    auto row = make_lowerbound_row(11, 2.0);
+    auto lb = *row.find("lowerbound");
+    auto trimmed = json::Value::object();
+    for (const auto& [name, value] : lb.members()) {
+        if (name != "exit_max") {
+            trimmed.set(name, value);
+        }
+    }
+    row.set("lowerbound", std::move(trimmed));
+    results_of(newd)->push_back(std::move(row));
+    bench::validate(newd);  // Every lowerbound field is optional.
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    EXPECT_FALSE(rep.ok());
+    EXPECT_TRUE(rep.regressions.empty());
+    EXPECT_EQ(rep.missing, (std::vector<std::string>{
+                               std::string(kLowerboundKey) +
+                               " lowerbound.exit_max"}));
+}
+
+TEST(BenchDiff, UnfinishedConstructionRowValidatesAndItsFlagIsExact) {
+    // big-mutex's E1 is infeasible: its row carries only completed = false.
+    auto row = bench::key_row({.lock = "big-mutex", .protocol = "write-back",
+                               .n = 16, .m = 1, .f = 1, .threads = 17,
+                               .workload = "theorem5"});
+    auto lb = json::Value::object();
+    lb.set("completed", false);
+    row.set("lowerbound", lb);
+    auto oldd = bench::make_doc("lowerbound");
+    results_of(oldd)->push_back(row);
+    EXPECT_NO_THROW(bench::validate(oldd));
+    EXPECT_TRUE(bench::diff(oldd, oldd, DiffOptions{}).ok());
+    // A construction that starts to complete is a changed result too.
+    lb.set("completed", true);
+    row.set("lowerbound", std::move(lb));
+    auto newd = bench::make_doc("lowerbound");
+    results_of(newd)->push_back(std::move(row));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "lowerbound.completed");
+    EXPECT_TRUE(rep.regressions[0].exact);
+    EXPECT_EQ(rep.regressions[0].before_text, "false");
+    EXPECT_EQ(rep.regressions[0].after_text, "true");
+}
+
 // The gates on the checked-in baselines. This test names the fields it
 // expects to be presence-only or wall-clock rates; every other field of
 // every row must be compared exactly. Each case changes one field of one
@@ -502,7 +605,8 @@ INSTANTIATE_TEST_SUITE_P(
     Baselines, BaselineGates,
     ::testing::Values("BENCH_sim.json", "BENCH_dsm.json", "BENCH_recover.json",
                       "BENCH_separation.json", "BENCH_explore.json",
-                      "BENCH_dist.json", "BENCH_abort.json"),
+                      "BENCH_dist.json", "BENCH_abort.json",
+                      "BENCH_lowerbound.json"),
     [](const ::testing::TestParamInfo<const char*>& info) {
         std::string name = info.param;
         return name.substr(6, name.size() - 11);  // BENCH_<name>.json

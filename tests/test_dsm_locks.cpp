@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -106,6 +107,18 @@ TEST(YaTournament, ExhaustiveSmallSchedules) {
     };
     dfs(12);
     EXPECT_GT(schedules, 1000);
+}
+
+TEST(YaTournament, RejectsBadSizesBeforeAllocating) {
+    // 0x80000001 and 0xffffffff used to reach std::bit_ceil(m), whose
+    // result does not fit in 32 bits, before any check.
+    for (const std::uint32_t m : {0u, 0x80000001u, 0xffffffffu}) {
+        System sys(Protocol::Dsm);
+        EXPECT_THROW(YaTournamentSimMutex(sys.memory(), "mx", m, ProcId{0}),
+                     std::invalid_argument)
+            << "m=" << m;
+        EXPECT_EQ(sys.memory().num_variables(), 0u) << "m=" << m;
+    }
 }
 
 TEST(YaTournament, MutualExclusionAndProgressUnderRandomSchedules) {
