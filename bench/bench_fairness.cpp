@@ -8,9 +8,16 @@
 //     "Writers, however, may starve..."). The FAA lock (writer preference)
 //     pushes its writer through the same flood; the reader-preference
 //     baseline starves its writer too, by design.
+//
+// Exit-code checks (exit 1, named on stderr): in (a) every lock's reader
+// and writer minimum is above 0; in (b) the A_f, reader-pref and
+// centralized writers complete 0 passages while their readers complete
+// 600, and the FAA and phase-fair writers complete more than 0.
 #include <iostream>
 #include <memory>
+#include <string>
 
+#include "harness/bench_kit.hpp"
 #include "harness/experiment.hpp"
 #include "harness/locks.hpp"
 #include "harness/table.hpp"
@@ -127,7 +134,8 @@ FloodResult flood(LockKind kind) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    bench::Kit kit("fairness", argc, argv, {});
     std::cout << "bench_fairness: starvation behaviour (E8)\n";
 
     std::cout << "\n=== E8a: fair random scheduling, 2M steps, n=8, m=2 "
@@ -138,6 +146,11 @@ int main() {
         const auto row = fair_run(kind, 8, 2, 2'000'000, 42);
         t.row({to_string(kind), fmt(row.reader_min), fmt(row.reader_max),
                fmt(row.writer_min), fmt(row.writer_max)});
+        kit.check(row.reader_min > 0 && row.writer_min > 0,
+                  "E8a: " + to_string(kind) +
+                      " starved a process (reader min " +
+                      std::to_string(row.reader_min) + ", writer min " +
+                      std::to_string(row.writer_min) + ")");
     }
     t.print();
 
@@ -156,11 +169,23 @@ int main() {
         }
         t2.row({to_string(kind), fmt(res.writer_passages),
                 fmt(res.reader_passages), verdict});
+        const std::string at = "E8b: " + to_string(kind) + " writer " +
+                               std::to_string(res.writer_passages) +
+                               " passages, readers " +
+                               std::to_string(res.reader_passages);
+        if (kind == LockKind::Faa || kind == LockKind::PhaseFair) {
+            kit.check(res.writer_passages > 0,
+                      at + " (its writer must break the flood)");
+        } else {
+            kit.check(res.writer_passages == 0 && res.reader_passages == 600,
+                      at + " (the flood must starve its writer for 600 "
+                           "reader passages)");
+        }
     }
     t2.print();
     std::cout << "\n(A_f: writer starvation under floods is the documented "
                  "cost of reader starvation freedom -- paper Section 6; "
                  "finding a fairer family with the same tradeoff is the "
                  "paper's open problem.)\n";
-    return 0;
+    return kit.finish();
 }

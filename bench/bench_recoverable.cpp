@@ -136,7 +136,7 @@ json::Value* json_row(json::Value* results, const std::string& lock,
                                       res.readers.max_passage_rmrs,
                                       res.writers.mean_passage_rmrs,
                                       res.writers.max_passage_rmrs));
-    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms));
+    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms, res.cpu_ms));
     // Recoverable-tier extras: not interpreted by bench_compare (which only
     // gates the standard metric blocks) but recorded for the E12 tables.
     auto rec = json::Value::object();

@@ -13,9 +13,10 @@
 //   --json <path>  additionally emits the sweep as an "rwr-bench-v1"
 //                  document, one row per (protocol, n, f): sim_rmr and
 //                  proc_rmr (exact, deterministic -- any delta is a real
-//                  protocol change) plus sim_perf {steps, wall_ms,
-//                  steps_per_sec} (engine speed; steps_per_sec is gated by
-//                  bench_compare --max-perf-drop with a wide tolerance).
+//                  protocol change) plus sim_perf {steps, wall_ms, cpu_ms,
+//                  steps_per_sec} (engine speed over the cell's thread CPU
+//                  time; steps_per_sec is gated by bench_compare
+//                  --max-perf-drop with a wide tolerance).
 //   --jobs N       worker threads (default: hardware concurrency). Cell
 //                  results are bit-identical for every N.
 //
@@ -80,7 +81,7 @@ void json_row(json::Value* results, const Cell& c, const ExperimentConfig& cfg,
                                       res.readers.max_passage_rmrs,
                                       res.writers.mean_passage_rmrs,
                                       res.writers.max_passage_rmrs));
-    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms));
+    row.set("sim_perf", bench::sim_perf(res.steps, res.wall_ms, res.cpu_ms));
     row.set("proc_rmr", bench::proc_rmr_to_json(res.proc_rmrs, cfg.n));
     results->push_back(std::move(row));
 }

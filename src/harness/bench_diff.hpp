@@ -32,8 +32,9 @@ namespace rwr::harness::bench {
 
 /// Tolerated fractional drop of a top-level Rate (throughput_ops).
 inline constexpr double kMaxDrop = 0.10;
-/// Rows where either run's wall_ms is below this floor are exempt from the
-/// wall-clock gates (sub-floor cells measure jitter).
+/// Rows where either run's time (a group's cpu_ms where it records one,
+/// else its wall_ms) is below this floor are exempt from the group's Rate
+/// gates (sub-floor cells measure jitter).
 inline constexpr double kMinPerfMs = 5.0;
 
 struct DiffOptions {
@@ -121,14 +122,21 @@ inline void diff_exact(const std::string& key, const std::string& metric,
     }
 }
 
+/// The time a group's rate is taken over: its thread CPU time where it
+/// records one (sim_perf), else its wall time. Null when it has neither.
+inline const json::Value* group_ms(const json::Value& group) {
+    const json::Value* cpu = group.find("cpu_ms");
+    return cpu != nullptr ? cpu : group.find("wall_ms");
+}
+
 /// Whether both runs spent at least kMinPerfMs in a group: sub-floor
 /// cells finish in fractions of a millisecond, and their rates measure
 /// scheduling noise, not engine speed.
 inline bool measurable(const json::Value& base, const json::Value& now) {
-    const json::Value* ow = base.find("wall_ms");
-    const json::Value* nw = now.find("wall_ms");
-    return ow != nullptr && nw != nullptr && ow->as_double() >= kMinPerfMs &&
-           nw->as_double() >= kMinPerfMs;
+    const json::Value* ob = group_ms(base);
+    const json::Value* nb = group_ms(now);
+    return ob != nullptr && nb != nullptr && ob->as_double() >= kMinPerfMs &&
+           nb->as_double() >= kMinPerfMs;
 }
 
 /// Compares each member of a baseline row (group "") or of one of its

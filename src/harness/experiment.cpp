@@ -104,6 +104,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     res.finished = run.finished;
     res.steps = run.steps;
     res.wall_ms = run.wall_ms;
+    res.cpu_ms = run.cpu_ms;
     res.deadline_expired = run.deadline_expired;
     res.progress_diagnosis = std::move(run.diagnosis);
     res.schedule = std::move(run.schedule);

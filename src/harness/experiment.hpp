@@ -75,8 +75,10 @@ struct ExperimentResult {
     bool finished = false;
     std::uint64_t steps = 0;
     /// Wall time of the simulation loop (excludes system construction).
-    /// Feeds the sim_perf JSON rows: steps_per_sec = steps / (wall_ms/1e3).
     double wall_ms = 0;
+    /// The loop's thread CPU time (sim::PlanResult::cpu_ms). Feeds the
+    /// sim_perf JSON rows: steps_per_sec = steps / (cpu_ms/1e3).
+    double cpu_ms = 0;
     RoleStats readers;
     RoleStats writers;
     std::uint32_t max_concurrent_readers = 0;

@@ -99,18 +99,20 @@ class AfLock : private AtomicSteps {
             w_.emplace_back(k_);
         }
         wsig_ = std::make_unique<Signal[]>(groups_);
-        reader_retry_ = std::make_unique<TelemetryFlag[]>(n);
-        writer_retry_ = std::make_unique<TelemetryFlag[]>(m);
         writer_busy_ = std::make_unique<PaddedFlag[]>(m);
     }
 
     /// Attach a telemetry sink (nullptr detaches). Not thread-safe against
     /// concurrent passages; attach before starting the workload. Propagates
     /// to the embedded WL so writer-lock contention shows up under the
-    /// mutex_* counters.
+    /// mutex_* counters. Each attachment allocates fresh abort-retry flags,
+    /// so a sink counts a retry only after an abort it counted; detaching
+    /// frees them.
     void attach_telemetry(LockTelemetry* t) {
-        telemetry_ = t;
+        reader_retry_ = retry_flags(t, params_.n);
+        writer_retry_ = retry_flags(t, params_.m);
         wl_.attach_telemetry(t);
+        telemetry_ = t;
     }
 
     void lock_shared(std::uint32_t reader_id) {
@@ -135,7 +137,7 @@ class AfLock : private AtomicSteps {
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kReader)};
         const bool entered = reader_entry_section(reader_id, a);
-        finish(a.probe, entered, reader_retry_[reader_id]);
+        finish(a.probe, entered, reader_retry_.get(), reader_id);
         return entered;
     }
 
@@ -169,12 +171,12 @@ class AfLock : private AtomicSteps {
         writer_acquire_guard(writer_id);
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kWriter)};
-        a.probe.note_retry(writer_retry_[writer_id]);
+        a.probe.note_retry(writer_retry_.get(), writer_id);
         const bool entered = writer_entry_section(writer_id, a);
         if (!entered) {
             writer_release_guard(writer_id);
         }
-        finish(a.probe, entered, writer_retry_[writer_id]);
+        finish(a.probe, entered, writer_retry_.get(), writer_id);
         return entered;
     }
 
@@ -241,11 +243,11 @@ class AfLock : private AtomicSteps {
         TelemetryProbe probe;  ///< Contended: a line-14, 21 or 36 wait ran.
     };
     static void finish(TelemetryProbe& probe, bool entered,
-                       TelemetryFlag& retry) {
+                       TelemetryFlag* retry, std::uint32_t id) {
         if (entered) {
             probe.acquired();
         } else {
-            probe.aborted(retry);
+            probe.aborted(retry, id);
         }
     }
 
@@ -300,7 +302,7 @@ class AfLock : private AtomicSteps {
     static constexpr bool no_preentry() { return false; }
     static constexpr bool no_exit_help() { return false; }
     void note_reader_retry(Caller id, Attempt& a) {
-        a.probe.note_retry(reader_retry_[id]);
+        a.probe.note_retry(reader_retry_.get(), id);
     }
 
 #define RWR_STEP
@@ -348,7 +350,8 @@ class AfLock : private AtomicSteps {
     alignas(64) ParkingSpot rsig_spot_;
     LockTelemetry* telemetry_ = nullptr;
     /// Per-id "last attempt aborted" flags behind the reader and writer
-    /// abort-retry counters (TelemetryProbe::note_retry).
+    /// abort-retry counters (TelemetryProbe::note_retry); null while no
+    /// sink is attached.
     std::unique_ptr<TelemetryFlag[]> reader_retry_;
     std::unique_ptr<TelemetryFlag[]> writer_retry_;
     static constexpr std::uint32_t kNoHolder = 0xffffffffu;

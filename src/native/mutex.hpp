@@ -46,12 +46,15 @@ class TournamentMutex : private AtomicSteps {
         : shape_(shape_for(m)),
           nodes_(shape_.leaves > 1
                      ? std::make_unique<Node[]>(shape_.leaves - 1)
-                     : nullptr),
-          retry_(std::make_unique<TelemetryFlag[]>(m)) {}
+                     : nullptr) {}
 
     /// Attach a telemetry sink (nullptr detaches); reports under the
-    /// mutex_* counters. Attach before starting the workload.
-    void attach_telemetry(LockTelemetry* t) { telemetry_ = t; }
+    /// mutex_* counters. Attach before starting the workload. Each
+    /// attachment allocates fresh abort-retry flags; detaching frees them.
+    void attach_telemetry(LockTelemetry* t) {
+        retry_ = retry_flags(t, shape_.slots);
+        telemetry_ = t;
+    }
 
     void lock(std::uint32_t slot) { lock_until(slot, Deadline::infinite()); }
 
@@ -75,12 +78,12 @@ class TournamentMutex : private AtomicSteps {
         leaf_of(slot);  // The slot check, before the probe reads retry_.
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kMutex)};
-        a.probe.note_retry(retry_[slot]);
+        a.probe.note_retry(retry_.get(), slot);
         const bool won = climb(ThisThread{}, a, slot);
         if (won) {
             a.probe.acquired();
         } else {
-            a.probe.aborted(retry_[slot]);
+            a.probe.aborted(retry_.get(), slot);
         }
         return won;
     }
@@ -128,7 +131,8 @@ class TournamentMutex : private AtomicSteps {
     Shape shape_;
     std::unique_ptr<Node[]> nodes_;
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-slot "last attempt aborted" flags behind mutex_abort_retries.
+    /// Per-slot "last attempt aborted" flags behind mutex_abort_retries;
+    /// null while no sink is attached.
     std::unique_ptr<TelemetryFlag[]> retry_;
 };
 

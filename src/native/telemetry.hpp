@@ -8,15 +8,19 @@
 // fixed-bucket log2 latency histograms for reader/writer entry and exit.
 //
 // Design constraints, in priority order:
-//   1. A null check when detached. A lock with no sink attached pays one
-//      null check per hook: no atomics, no clock reads, and no read of the
-//      thread-local sampling sequence.
+//   1. A null check and no memory when detached. A lock with no sink
+//      attached pays one null check per hook: no atomics, no clock reads,
+//      and no read of the thread-local sampling sequence. It holds no
+//      telemetry memory either: a lock allocates its per-id abort-retry
+//      flags when a sink is attached and frees them when it is detached,
+//      and a sink allocates a thread's slab on that thread's first report.
 //   2. Low overhead when attached. All writes go to the calling thread's
-//      own cache-line-padded slot with relaxed atomics (racing only if more
+//      own cache-line-padded slab with relaxed atomics (racing only if more
 //      threads than slots exist, which stays correct -- fetch_add -- just
-//      contended). Latency is *sampled*: 1 in kSampleEvery acquisitions
-//      reads the clock, so the steady_clock cost is amortized to noise.
-//   3. Lock-free aggregation on demand. aggregate() sums the slots with
+//      contended); finding the slab costs one acquire load. Latency is
+//      *sampled*: 1 in kSampleEvery acquisitions reads the clock, so the
+//      steady_clock cost is amortized to noise.
+//   3. Lock-free aggregation on demand. aggregate() sums the slabs with
 //      relaxed loads while the workload keeps running; counters are
 //      monotone, so a snapshot is a consistent lower bound at all times.
 //
@@ -33,6 +37,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <new>
 
 #include "native/spin.hpp"
 
@@ -195,7 +200,8 @@ constexpr bool telemetry_enabled() { return true; }
 /// Cache-line-padded per-id flag for the abort-retry tracking arrays: each
 /// flag is written on every attempt by the id's owning thread, so packing
 /// 64 per line would bounce that line across cores (same rationale as the
-/// misuse-check guards in af_lock.hpp).
+/// misuse-check guards in af_lock.hpp). A lock holds its array only while
+/// a sink is attached.
 struct alignas(64) TelemetryFlag {
     std::atomic<std::uint8_t> v{0};
 };
@@ -216,16 +222,23 @@ inline std::uint32_t telemetry_thread_index() {
 
 class LockTelemetry {
    public:
-    /// kSlots per-thread slabs in one allocation. More concurrent threads
+    /// Holds no slab until a thread reports: each thread's slab is
+    /// allocated on its first report (install()). More concurrent threads
     /// than slots stays correct -- the colliding threads share a slab with
     /// relaxed fetch_adds.
-    LockTelemetry() : slots_(std::make_unique<Slot[]>(kSlots)) {}
+    LockTelemetry() = default;
 
     LockTelemetry(const LockTelemetry&) = delete;
     LockTelemetry& operator=(const LockTelemetry&) = delete;
 
+    ~LockTelemetry() {
+        for (const auto& cell : slabs_) {
+            delete cell.load(std::memory_order_acquire);
+        }
+    }
+
     void count(TelemetryCounter c, std::uint64_t delta = 1) {
-        slot().counters[static_cast<std::uint32_t>(c)].fetch_add(
+        slab().counters[static_cast<std::uint32_t>(c)].fetch_add(
             delta, std::memory_order_relaxed);
     }
 
@@ -244,7 +257,7 @@ class LockTelemetry {
     }
 
     void record_ns(TelemetryHisto h, std::uint64_t ns) {
-        slot().histos[static_cast<std::uint32_t>(h)]
+        slab().histos[static_cast<std::uint32_t>(h)]
                      [log2_bucket(ns, kTelemetryBuckets)]
                          .fetch_add(1, std::memory_order_relaxed);
     }
@@ -264,45 +277,94 @@ class LockTelemetry {
         }
     }
 
-    /// Lock-free on-demand aggregation: relaxed-sums every slab. Safe to
-    /// call concurrently with a running workload; counters are monotone so
-    /// the result is a consistent point-in-time lower bound.
+    /// Lock-free on-demand aggregation: relaxed-sums the installed slabs
+    /// and the shared one. Safe to call concurrently with a running
+    /// workload; counters are monotone so the result is a consistent
+    /// point-in-time lower bound.
     [[nodiscard]] TelemetrySnapshot aggregate() const {
         TelemetrySnapshot snap;
-        for (std::uint32_t s = 0; s < kSlots; ++s) {
-            const Slot& slot = slots_[s];
-            for (std::uint32_t c = 0; c < kTelemetryCounters; ++c) {
-                snap.counters[c] +=
-                    slot.counters[c].load(std::memory_order_relaxed);
-            }
-            for (std::uint32_t h = 0; h < kTelemetryHistos; ++h) {
-                for (std::uint32_t b = 0; b < kTelemetryBuckets; ++b) {
-                    snap.histos[h][b] +=
-                        slot.histos[h][b].load(std::memory_order_relaxed);
-                }
+        add_into(shared_, snap);
+        for (const auto& cell : slabs_) {
+            if (const Slab* s = cell.load(std::memory_order_acquire)) {
+                add_into(*s, snap);
             }
         }
         return snap;
+    }
+
+    /// How many per-thread slabs are installed: one per slot index some
+    /// thread has reported from, the shared slab not counted.
+    [[nodiscard]] std::uint32_t slabs() const {
+        return static_cast<std::uint32_t>(
+            std::ranges::count_if(slabs_, [](const auto& cell) {
+                return cell.load(std::memory_order_acquire) != nullptr;
+            }));
     }
 
     static constexpr std::uint32_t kSampleEvery = 16;  // Power of two.
     static constexpr std::uint32_t kSlots = 64;        // Power of two.
 
    private:
-    struct alignas(64) Slot {
+    struct alignas(64) Slab {
         std::atomic<std::uint64_t> counters[kTelemetryCounters]{};
         std::atomic<std::uint64_t> histos[kTelemetryHistos]
                                          [kTelemetryBuckets]{};
     };
-    static_assert(sizeof(Slot) % 64 == 0,
+    static_assert(sizeof(Slab) % 64 == 0,
                   "telemetry slabs must not share cache lines");
 
-    Slot& slot() {
-        return slots_[detail::telemetry_thread_index() & (kSlots - 1)];
+    static void add_into(const Slab& slab, TelemetrySnapshot& snap) {
+        for (std::uint32_t c = 0; c < kTelemetryCounters; ++c) {
+            snap.counters[c] +=
+                slab.counters[c].load(std::memory_order_relaxed);
+        }
+        for (std::uint32_t h = 0; h < kTelemetryHistos; ++h) {
+            for (std::uint32_t b = 0; b < kTelemetryBuckets; ++b) {
+                snap.histos[h][b] +=
+                    slab.histos[h][b].load(std::memory_order_relaxed);
+            }
+        }
     }
 
-    std::unique_ptr<Slot[]> slots_;
+    Slab& slab() {
+        std::atomic<Slab*>& cell =
+            slabs_[detail::telemetry_thread_index() & (kSlots - 1)];
+        Slab* s = cell.load(std::memory_order_acquire);
+        return s != nullptr ? *s : install(cell);
+    }
+
+    /// The first report from `cell`'s slot index: allocates its slab and
+    /// publishes it by CAS. A thread that loses the race to a thread of the
+    /// same index deletes its copy and counts into the winner's. If the
+    /// allocation fails, the report goes to the shared slab, which
+    /// aggregate() also sums, so no report throws out of a lock operation
+    /// and no count is lost; the next report tries to allocate again.
+    /// Out of line: it runs once per thread and slot index.
+    [[gnu::cold, gnu::noinline]] Slab& install(std::atomic<Slab*>& cell) {
+        Slab* fresh = new (std::nothrow) Slab();
+        if (fresh == nullptr) {
+            return shared_;
+        }
+        Slab* seen = nullptr;
+        if (cell.compare_exchange_strong(seen, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+            return *fresh;
+        }
+        delete fresh;
+        return *seen;
+    }
+
+    std::atomic<Slab*> slabs_[kSlots] = {};
+    Slab shared_;
 };
+
+/// A lock's abort-retry flags for `ids` ids while `t` is attached: a fresh,
+/// zeroed array, or none for a detached lock.
+inline std::unique_ptr<TelemetryFlag[]> retry_flags(const LockTelemetry* t,
+                                                    std::uint32_t ids) {
+    return t != nullptr ? std::make_unique<TelemetryFlag[]>(ids) : nullptr;
+}
 
 /// Which of TelemetryCounter's reader, writer and mutex groups a probe
 /// feeds.
@@ -316,7 +378,7 @@ enum class TelemetryRole : std::uint32_t { kReader = 0, kWriter, kMutex };
 ///
 ///   auto probe = TelemetryProbe::entry(telemetry_, TelemetryRole::kReader);
 ///   ... probe.contended(); wait; probe.note_backoff(backoff); ...
-///   probe.acquired();  // or probe.aborted(retry_flag)
+///   probe.acquired();  // or probe.aborted(retry_flags, id)
 class TelemetryProbe {
    public:
     /// An acquisition, timed on the role's entry histogram. A mutex times
@@ -337,12 +399,14 @@ class TelemetryProbe {
     /// The acquisition waited; counted once, if it succeeds.
     void contended() { contended_ = true; }
 
-    /// Counts this attempt as a retry if the id's previous attempt aborted
-    /// (`flag` is the id's), and clears the flag. The counts are exact, not
+    /// Counts this attempt as a retry if the id's previous attempt aborted,
+    /// and clears the id's flag, `flags[id]`. The counts are exact, not
     /// sampled: every abort sets the flag and every attempt clears it.
-    void note_retry(TelemetryFlag& flag) {
+    /// `flags` is the lock's array, allocated while a sink is attached;
+    /// it is indexed only then.
+    void note_retry(TelemetryFlag* flags, std::uint32_t id) {
         if (t_ != nullptr &&
-            flag.v.exchange(0, std::memory_order_relaxed) != 0) {
+            flags[id].v.exchange(0, std::memory_order_relaxed) != 0) {
             t_->count(kRoles[index(role_)].retry);
         }
     }
@@ -370,15 +434,17 @@ class TelemetryProbe {
         }
     }
 
-    /// The acquisition gave up: counts the abort, sets the id's retry
-    /// `flag`, and times the attempt under kAbortLatency instead of the
-    /// entry histogram, so abandoned attempts do not skew its quantiles.
-    void aborted(TelemetryFlag& flag) {
+    /// The acquisition gave up: counts the abort, sets the id's retry flag
+    /// `flags[id]` (indexed only while a sink is attached, as in
+    /// note_retry), and times the attempt under kAbortLatency instead of
+    /// the entry histogram, so abandoned attempts do not skew its
+    /// quantiles.
+    void aborted(TelemetryFlag* flags, std::uint32_t id) {
         if (t_ == nullptr) {
             return;
         }
         t_->count(kRoles[index(role_)].abort);
-        flag.v.store(1, std::memory_order_relaxed);
+        flags[id].v.store(1, std::memory_order_relaxed);
         stop_into(TelemetryHisto::kAbortLatency);
     }
 

@@ -141,6 +141,7 @@ RecoverExperimentResult run_recover_experiment(
     sim::PlanResult run = sim::run_plan(*b->sys, plan);
     RecoverExperimentResult res;
     res.wall_ms = run.wall_ms;
+    res.cpu_ms = run.cpu_ms;
     res.finished = run.finished;
     res.steps = run.steps;
     res.schedule = std::move(run.schedule);

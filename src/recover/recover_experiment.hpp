@@ -72,6 +72,7 @@ struct RecoverExperimentResult {
     bool all_surviving_finished = false;
     std::uint64_t steps = 0;
     double wall_ms = 0;
+    double cpu_ms = 0;  ///< The run loop's thread CPU time.
     harness::RoleStats readers;  ///< Empty for Mutex runs.
     harness::RoleStats writers;
     std::uint64_t total_passages = 0;

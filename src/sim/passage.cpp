@@ -1,5 +1,7 @@
 #include "sim/passage.hpp"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -8,6 +10,17 @@
 #include "sim/scheduler.hpp"
 
 namespace rwr::sim {
+
+namespace {
+
+double thread_cpu_ms() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+}  // namespace
 
 PlanResult run_plan(System& sys, const RunPlan& plan) {
     std::unique_ptr<Scheduler> sched;
@@ -40,6 +53,7 @@ PlanResult run_plan(System& sys, const RunPlan& plan) {
     PlanResult res;
     std::uint64_t remaining = plan.max_steps;
     const auto sim_start = std::chrono::steady_clock::now();
+    const double cpu_start = thread_cpu_ms();
     while (remaining > 0) {
         const std::uint64_t chunk = std::min(remaining, kChunk);
         const RunResult rr = run(sys, *active, chunk);
@@ -58,6 +72,7 @@ PlanResult run_plan(System& sys, const RunPlan& plan) {
             break;
         }
     }
+    res.cpu_ms = thread_cpu_ms() - cpu_start;
     res.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - sim_start)
                       .count();

@@ -185,6 +185,9 @@ struct PlanResult {
     bool finished = false;  ///< Every process finished its task.
     std::uint64_t steps = 0;
     double wall_ms = 0;  ///< The scheduling loop only, not construction.
+    /// The calling thread's CPU time (CLOCK_THREAD_CPUTIME_ID) in the same
+    /// loop: the run's own CPU time, whatever else shares the host.
+    double cpu_ms = 0;
     bool deadline_expired = false;
     std::string diagnosis;              ///< Set when the deadline expired.
     std::vector<std::size_t> schedule;  ///< When record_schedule is set.

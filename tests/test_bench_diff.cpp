@@ -202,6 +202,31 @@ TEST(BenchDiff, PerfDropGatedByWallClockFloor) {
     EXPECT_EQ(rep.regressions[0].key, "t/af/write-back/n8/m1/f1/t9/w-");
 }
 
+TEST(BenchDiff, PerfDropGatedByCpuTimeFloorWhereRecorded) {
+    // sim_perf records the run's thread CPU time, and its floor applies to
+    // that: a row with 100 ms of wall time but 0.5 ms of CPU time spent
+    // most of its wall time descheduled, so its rate is exempt, and a row
+    // with 100 ms of each still flags.
+    auto oldd = bench::make_doc("t");
+    auto newd = bench::make_doc("t");
+    auto* old_rows = results_of(oldd);
+    auto* new_rows = results_of(newd);
+    const auto with_cpu = [](json::Value row, double cpu_ms) {
+        json::Value perf = *row.find("sim_perf");
+        perf.set("cpu_ms", cpu_ms);
+        row.set("sim_perf", std::move(perf));
+        return row;
+    };
+    old_rows->push_back(with_cpu(make_row("af", 8, 10.0, 5.0, 1e6), 100.0));
+    new_rows->push_back(with_cpu(make_row("af", 8, 10.0, 5.0, 4e5), 100.0));
+    old_rows->push_back(with_cpu(make_row("af", 16, 10.0, 5.0, 1e6), 0.5));
+    new_rows->push_back(with_cpu(make_row("af", 16, 10.0, 5.0, 4e5), 0.5));
+    const DiffReport rep = bench::diff(oldd, newd, DiffOptions{});
+    ASSERT_EQ(rep.regressions.size(), 1u);
+    EXPECT_EQ(rep.regressions[0].metric, "sim_perf.steps_per_sec");
+    EXPECT_EQ(rep.regressions[0].key, "t/af/write-back/n8/m1/f1/t9/w-");
+}
+
 json::Value make_dist_row(std::uint64_t sessions, double rmrs_per_op,
                           double ops_per_sec, double wall_ms) {
     auto row = json::Value::object();
@@ -485,7 +510,8 @@ class BaselineGates : public ::testing::TestWithParam<const char*> {};
 
 bool presence_only(const std::string& path) {
     static const std::set<std::string> kInfo = {
-        "sim_perf.wall_ms", "explore.wall_ms", "dist.wall_ms",
+        "sim_perf.wall_ms", "sim_perf.cpu_ms", "explore.wall_ms",
+        "dist.wall_ms",
         "dist.p50_acquire_us", "dist.p99_acquire_us", "dist.sessions",
         "dist.shards", "amortized.ci95", "amortized.trials", "duration_ms",
         "warmup_ms", "think_us", "cs_us", "cpu_s", "reader_ops",
@@ -573,13 +599,16 @@ TEST_P(BaselineGates, EveryFieldOfEveryRowIsGated) {
                 out->push_back(i == r ? row : rows[i]);
             }
             const DiffReport rep = bench::diff(base, doc, DiffOptions{});
-            // A group's rate is gated only above the group's wall floor.
+            // A group's rate is gated only above the floor on the group's
+            // time: its CPU time where it records one, else its wall time.
             bool flags = !presence_only(dotted);
             if (rate && path.size() == 2) {
-                const json::Value* wall =
-                    rows[r].find(path[0])->find("wall_ms");
-                flags = wall != nullptr &&
-                        wall->as_double() >= bench::kMinPerfMs &&
+                const json::Value& group = *rows[r].find(path[0]);
+                const json::Value* ms = group.find("cpu_ms") != nullptr
+                                            ? group.find("cpu_ms")
+                                            : group.find("wall_ms");
+                flags = ms != nullptr &&
+                        ms->as_double() >= bench::kMinPerfMs &&
                         leaf->as_double() > 0;
             }
             const bool ok =

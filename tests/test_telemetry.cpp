@@ -1,9 +1,11 @@
 // LockTelemetry behaviour: one conformance suite run on every native RW
 // lock (exact solo counts, detachment, contended passages, sampled
-// latencies, refused writer ids), exact abort and retry accounting, exact
+// latencies, refused writer ids), exact abort and retry accounting (with a
+// sink attached before or after the lock was used, and no retry flags
+// while detached), slabs installed only for threads that report, exact
 // totals under an 8-thread workload (this test runs under TSan in CI -- any
-// counter race is a bug), histogram bucketing/quantiles, and the parking
-// counters.
+// counter race or slab publication race is a bug), histogram
+// bucketing/quantiles, and the parking counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
@@ -26,6 +29,23 @@
 #include "native/park.hpp"
 #include "native/shared_mutex.hpp"
 #include "native/telemetry.hpp"
+
+/// While set, the over-aligned nothrow operator new fails. In this binary
+/// only LockTelemetry's slab installation calls it (a slab is
+/// alignas(64)), so a test can make exactly that allocation fail.
+std::atomic<bool> g_fail_slab_allocation{false};
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+    if (g_fail_slab_allocation.load()) {
+        return nullptr;
+    }
+    try {
+        return ::operator new(size, align);
+    } catch (...) {
+        return nullptr;
+    }
+}
 
 namespace {
 
@@ -195,6 +215,8 @@ TYPED_TEST(RwLockConformance, SoloPassagesAreCountedExactly) {
     auto lock = D::make();
     lock->attach_telemetry(&telemetry);
     passages<D>(*lock, 10, 7);
+    // One thread reported, into one slab.
+    EXPECT_EQ(telemetry.slabs(), 1u);
     // Nobody waited, parked, woke anyone or aborted.
     expect_counts(telemetry.aggregate(),
                   {{C::kReaderAcquire, 10},
@@ -435,6 +457,204 @@ TEST(TelemetryTest, MutexAbortRetriesAreCountedExactly) {
     EXPECT_EQ(snap.count(TelemetryCounter::kMutexAcquire), 2u);
 }
 
+// A sink attached to a lock that was used detached: the aborts before the
+// attachment set no flag (there is none), so the first attempt after it is
+// never a retry, and every retry after it is counted exactly.
+TEST(TelemetryTest, AbortRetriesAreCountedExactlyAfterALateAttach) {
+    AfLock lock(2, 2, 1);
+    // Detached: an aborted try by reader id 0 and by writer id 0.
+    lock.lock(1);
+    EXPECT_FALSE(lock.try_lock_shared(0));
+    lock.unlock(1);
+    lock.lock_shared(1);
+    EXPECT_FALSE(lock.try_lock(0));
+    lock.unlock_shared(1);
+
+    LockTelemetry telemetry;
+    lock.attach_telemetry(&telemetry);
+    // Neither id's first attached attempt is a retry; reader id 0 then
+    // aborts twice (one retry) and enters (a second retry), writer id 0
+    // aborts twice (one retry).
+    lock.lock_shared(0);
+    lock.unlock_shared(0);
+    lock.lock(1);
+    EXPECT_FALSE(lock.try_lock_shared(0));
+    EXPECT_FALSE(lock.try_lock_shared(0));
+    lock.unlock(1);
+    lock.lock_shared(0);
+    lock.unlock_shared(0);
+    lock.lock_shared(1);
+    EXPECT_FALSE(lock.try_lock(0));
+    EXPECT_FALSE(lock.try_lock(0));
+    lock.unlock_shared(1);
+
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbort), 2u);
+    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbortRetry), 2u);
+    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbort), 2u);
+    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbortRetry), 1u);
+}
+
+// The same for WL's slots, and for a second attachment: detaching frees
+// the flags, so an abort under the first sink is no retry for the second.
+TEST(TelemetryTest, MutexAbortRetriesAreCountedExactlyAfterALateAttach) {
+    TournamentMutex mx(2);
+    mx.lock(0);
+    EXPECT_FALSE(mx.try_lock(1));  // Detached: no flag to set.
+    mx.unlock(0);
+
+    LockTelemetry first;
+    mx.attach_telemetry(&first);
+    mx.lock(0);
+    EXPECT_FALSE(mx.try_lock(1));  // Abort, no retry.
+    EXPECT_FALSE(mx.try_lock(1));  // Abort, retry.
+    mx.unlock(0);
+    mx.attach_telemetry(nullptr);
+
+    LockTelemetry second;
+    mx.attach_telemetry(&second);
+    mx.lock(1);  // Slot 1's previous attempt aborted under `first`.
+    mx.unlock(1);
+
+    const auto a = first.aggregate();
+    EXPECT_EQ(a.count(TelemetryCounter::kMutexAbort), 2u);
+    EXPECT_EQ(a.count(TelemetryCounter::kMutexAbortRetry), 1u);
+    EXPECT_EQ(a.count(TelemetryCounter::kMutexAcquire), 1u);
+    const auto b = second.aggregate();
+    EXPECT_EQ(b.count(TelemetryCounter::kMutexAbortRetry), 0u);
+    EXPECT_EQ(b.count(TelemetryCounter::kMutexAcquire), 1u);
+}
+
+// A detached lock has no retry flags: its aborts and the attempts after
+// them must not index the (null) arrays. An access would fault here, and
+// the ASan/UBSan build reports any offset taken from the null pointer.
+TEST(TelemetryTest, DetachedAbortsTouchNoFlagArray) {
+    AfLock lock(2, 2, 1);
+    lock.lock(0);
+    EXPECT_FALSE(lock.try_lock_shared_for(1, 2ms));  // Times out parked.
+    lock.unlock(0);
+    lock.lock_shared(1);
+    EXPECT_FALSE(lock.try_lock(1));
+    lock.unlock_shared(1);
+    lock.lock(1);
+    lock.unlock(1);
+
+    TournamentMutex mx(4);
+    mx.lock(0);
+    EXPECT_FALSE(mx.try_lock(3));
+    mx.unlock(0);
+    mx.lock(3);
+    mx.unlock(3);
+}
+
+// A sink that nothing reports to allocates no slab, whether or not a lock
+// holds it; aggregate() then sums only the (zero) shared slab.
+TEST(TelemetryTest, SinkNothingReportsToHoldsNoSlab) {
+    LockTelemetry telemetry;
+    AfLock lock(4, 2, 2);
+    lock.attach_telemetry(&telemetry);
+    lock.attach_telemetry(nullptr);
+    lock.lock_shared(0);
+    lock.unlock_shared(0);
+    lock.lock(0);
+    lock.unlock(0);
+    EXPECT_EQ(telemetry.slabs(), 0u);
+    const TelemetrySnapshot snap = telemetry.aggregate();
+    EXPECT_EQ(snap.counters, TelemetrySnapshot{}.counters);
+    EXPECT_EQ(snap.histos, TelemetrySnapshot{}.histos);
+}
+
+// Threads kSlots indices apart share a slot. Their first reports race to
+// install its slab; the loser deletes its copy, and both count into the
+// winner's. The threads in between only take the indices that separate
+// the two, one at a time.
+TEST(TelemetryTest, ThreadsSharingASlotShareOneSlab) {
+    constexpr std::uint64_t kReports = 1000;
+    LockTelemetry indexer;  // Reported to only to take thread indices.
+    LockTelemetry telemetry;
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    const auto reporter = [&] {
+        indexer.count(C::kReaderAcquire);
+        ready.fetch_add(1);
+        while (!go.load()) {
+            std::this_thread::yield();
+        }
+        for (std::uint64_t r = 0; r < kReports; ++r) {
+            telemetry.count(C::kWriterAcquire);
+        }
+    };
+    std::thread first(reporter);
+    while (ready.load() < 1) {
+        std::this_thread::yield();
+    }
+    for (std::uint32_t i = 1; i < LockTelemetry::kSlots; ++i) {
+        std::thread([&] { indexer.count(C::kReaderAcquire); }).join();
+    }
+    std::thread second(reporter);
+    while (ready.load() < 2) {
+        std::this_thread::yield();
+    }
+    go = true;
+    first.join();
+    second.join();
+    EXPECT_EQ(indexer.slabs(), LockTelemetry::kSlots);
+    EXPECT_EQ(telemetry.slabs(), 1u);
+    EXPECT_EQ(telemetry.aggregate().count(C::kWriterAcquire), 2 * kReports);
+}
+
+// A thread whose slab cannot be allocated counts into the sink's shared
+// slab: the lock operation does not throw, every count stays exact, and
+// the thread's next report after the allocator recovers installs its slab.
+TEST(TelemetryTest, FailedSlabAllocationCountsIntoTheSharedSlab) {
+    LockTelemetry telemetry;
+    AfLock lock(2, 1, 1);
+    lock.attach_telemetry(&telemetry);
+    g_fail_slab_allocation = true;
+    EXPECT_NO_THROW({
+        lock.lock_shared(0);
+        lock.unlock_shared(0);
+        lock.lock(0);
+        lock.unlock(0);
+    });
+    g_fail_slab_allocation = false;
+    EXPECT_EQ(telemetry.slabs(), 0u);
+    EXPECT_EQ(telemetry.aggregate().count(C::kReaderAcquire), 1u);
+
+    lock.lock_shared(0);
+    lock.unlock_shared(0);
+    EXPECT_EQ(telemetry.slabs(), 1u);
+    expect_counts(telemetry.aggregate(), {{C::kReaderAcquire, 2},
+                                          {C::kWriterAcquire, 1},
+                                          {C::kMutexAcquire, 1}});
+}
+
+// Each reporting thread installs its own slab on its first report: four
+// threads, four slabs, and the totals stay exact.
+TEST(TelemetryTest, FourReportingThreadsInstallFourSlabs) {
+    constexpr std::uint32_t kThreads = 4;
+    constexpr std::uint64_t kReports = 1000;
+    LockTelemetry telemetry;
+    std::vector<std::thread> threads;
+    for (std::uint32_t i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&] {
+            for (std::uint64_t r = 0; r < kReports; ++r) {
+                telemetry.count(TelemetryCounter::kReaderAcquire);
+                telemetry.record_ns(TelemetryHisto::kReaderEntry, r);
+            }
+        });
+    }
+    for (auto& t : threads) {
+        t.join();
+    }
+    EXPECT_EQ(telemetry.slabs(), kThreads);
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire),
+              kThreads * kReports);
+    EXPECT_EQ(snap.samples(TelemetryHisto::kReaderEntry),
+              kThreads * kReports);
+}
+
 TEST(TelemetryTest, AbortLatencyIsSampled) {
     LockTelemetry telemetry;
     TournamentMutex mx(2);
@@ -497,6 +717,8 @@ TEST(TelemetryTest, MultiThreadedExactTotals) {
         t.join();
     }
 
+    // Every thread reported, each from its own slot index.
+    EXPECT_EQ(telemetry.slabs(), kReaders + kWriters);
     const auto snap = telemetry.aggregate();
     EXPECT_EQ(snap.count(TelemetryCounter::kReaderAcquire),
               static_cast<std::uint64_t>(kReaders) * kPassages);
