@@ -129,9 +129,6 @@ class AfSimLock final : public sim::SimRWLock, private sim::SimSteps {
     [[nodiscard]] bool no_exit_help() const {
         return ablation_ == AfAblation::NoExitHelp;
     }
-    static void note_reader_retry(const sim::Process&, const Attempt&) {}
-    static void note_wl_held(const sim::Process&) {}
-    static void note_wl_released() {}
 
 #define RWR_STEP co_await
 #define RWR_RETURN co_return

@@ -2,7 +2,7 @@
 // lock_serviced and bench_dist so the two emitters cannot drift on field
 // conventions. Row key fields for dist rows:
 //
-//   lock     cell name ("e17-dist-homed", "lockserviced-smoke", ...)
+//   lock     cell name ("e17-dist-homed", "lockserviced-load", ...)
 //   protocol "dsm-sim" (verb layer over Memory/Dsm) or "loopback" (shm+TCP)
 //   n        sessions          m  shards
 //   f        total locks       threads  worker threads (1 on the sim)

@@ -10,12 +10,8 @@
 //       Connects to a daemon, attaches the table, and replays the
 //       deterministic per-session op streams against it.
 //
-//   lock_serviced --smoke [--jobs J] [--json FILE]
-//       Self-contained CI leg: in-process daemon + client over a real TCP
-//       control channel and a real shm attach, >=1k sessions x >=1k ops
-//       (>=1M total acquire/release ops), exit-code-asserting zero witness
-//       violations, a quiesced table, and daemon-side stats that agree
-//       with client-side counts (proof the two sides share the words).
+// bench_dist --smoke runs daemon and client in one process (its
+// e17-loopback-homed cell) and checks the witness and the daemon's STATS.
 //
 // A number that is malformed or out of range (--port > 65535,
 // --reader-pct > 100), an unknown flag or an empty table geometry exits 2
@@ -24,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -43,19 +38,9 @@ namespace {
 using namespace rwr;
 using namespace rwr::dist;
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-    if (!ok) {
-        ++g_failures;
-        std::fprintf(stderr, "CHECK FAILED: %s\n", what.c_str());
-    }
-}
-
 struct Args {
     bool serve = false;
     bool load = false;
-    bool smoke = false;
     bool unhomed = false;
     bool shutdown = false;
     std::uint32_t shards = 8;
@@ -72,7 +57,7 @@ struct Args {
 [[noreturn]] void usage(const std::string& why) {
     std::fprintf(stderr,
                  "lock_serviced: %s\n"
-                 "usage: lock_serviced --serve|--load|--smoke [--shards S] "
+                 "usage: lock_serviced --serve|--load [--shards S] "
                  "[--locks L] [--sessions N] [--port P] [--ops N] "
                  "[--reader-pct 0..100] [--seed S] [--jobs J] [--json FILE] "
                  "[--unhomed] [--shutdown]\n",
@@ -110,8 +95,6 @@ Args parse(int argc, char** argv) {
             a.serve = true;
         } else if (f == "--load") {
             a.load = true;
-        } else if (f == "--smoke") {
-            a.smoke = true;
         } else if (f == "--unhomed") {
             a.unhomed = true;
         } else if (f == "--shutdown") {
@@ -150,23 +133,6 @@ Args parse(int argc, char** argv) {
     return a;
 }
 
-/// Attach a client table and run the load; shared by --load and --smoke.
-LoadResult drive(DistClient& client, const Args& a, TableConfig* cfg_out,
-                 std::uint64_t* net_rmrs_out) {
-    const TableConfig cfg = client.config();
-    *cfg_out = cfg;
-    auto spots = std::make_unique<native::ParkingSpot[]>(cfg.sessions);
-    NativeTable table(client.words(), cfg, spots.get());
-    LoadConfig lc;
-    lc.ops_per_session = a.ops;
-    lc.reader_pct = a.reader_pct;
-    lc.seed = a.seed;
-    lc.jobs = a.jobs;
-    const LoadResult res = run_load(table, lc);
-    *net_rmrs_out = res.merged.network_rmrs;
-    return res;
-}
-
 void print_result(const TableConfig& cfg, const LoadResult& res) {
     std::printf(
         "sessions %u  shards %u  locks %u  ops %llu (%llu rd / %llu wr)\n",
@@ -186,8 +152,8 @@ void print_result(const TableConfig& cfg, const LoadResult& res) {
         static_cast<unsigned long long>(res.witness_violations));
 }
 
-void emit_json(const std::string& path, const std::string& lock,
-               const TableConfig& cfg, const Args& a, const LoadResult& res) {
+void emit_json(const std::string& path, const TableConfig& cfg, const Args& a,
+               const LoadResult& res) {
     namespace bench = harness::bench;
     harness::json::Value doc = bench::make_doc("lock_serviced");
     DistRowMetrics m;
@@ -202,7 +168,8 @@ void emit_json(const std::string& path, const std::string& lock,
     m.wall_ms = res.wall_ms;
     const unsigned jobs = a.jobs == 0 ? harness::default_jobs() : a.jobs;
     doc.set("results", harness::json::Value::array())
-        .push_back(dist_row(lock, "loopback", cfg, a.reader_pct, jobs, m));
+        .push_back(dist_row("lockserviced-load", "loopback", cfg,
+                            a.reader_pct, jobs, m));
     bench::write_file(path, doc);
     std::printf("wrote %s\n", path.c_str());
 }
@@ -226,68 +193,28 @@ int run_serve(const Args& a) {
 int run_loadgen(const Args& a) {
     DistClient client;
     client.connect("127.0.0.1", a.port);
-    TableConfig cfg;
-    std::uint64_t net_rmrs = 0;
-    const LoadResult res = drive(client, a, &cfg, &net_rmrs);
+    const TableConfig cfg = client.config();
+    auto spots = std::make_unique<native::ParkingSpot[]>(cfg.sessions);
+    NativeTable table(client.words(), cfg, spots.get());
+    LoadConfig lc;
+    lc.ops_per_session = a.ops;
+    lc.reader_pct = a.reader_pct;
+    lc.seed = a.seed;
+    lc.jobs = a.jobs;
+    const LoadResult res = run_load(table, lc);
     print_result(cfg, res);
-    check(res.witness_violations == 0, "loopback mutual exclusion (witness)");
+    const bool me_held = res.witness_violations == 0;
+    if (!me_held) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: loopback mutual exclusion (witness)\n");
+    }
     if (!a.json_path.empty()) {
-        emit_json(a.json_path, "lockserviced-load", cfg, a, res);
+        emit_json(a.json_path, cfg, a, res);
     }
     if (a.shutdown) {
         client.shutdown_server();
     }
-    return g_failures == 0 ? 0 : 1;
-}
-
-int run_smoke(const Args& a) {
-    TableConfig cfg;
-    cfg.shards = a.shards;
-    cfg.locks_per_shard = a.locks;
-    cfg.sessions = a.sessions;
-    cfg.homed = true;
-    LockServiceDaemon daemon(cfg);
-    daemon.start();
-
-    DistClient client;
-    client.connect("127.0.0.1", daemon.port());
-    check(client.config().sessions == cfg.sessions &&
-              client.config().shards == cfg.shards &&
-              client.config().locks_per_shard == cfg.locks_per_shard,
-          "HELLO geometry echo");
-
-    TableConfig seen;
-    std::uint64_t net_rmrs = 0;
-    const LoadResult res = drive(client, a, &seen, &net_rmrs);
-    print_result(seen, res);
-
-    // The tentpole's load bar, asserted by exit code.
-    check(seen.sessions >= 1000, ">=1k client sessions");
-    check(res.merged.total_ops() >= 1'000'000, ">=1M total ops on loopback");
-    check(res.witness_violations == 0, "loopback mutual exclusion (witness)");
-
-    // Daemon-side view of the very same words (round-tripped over TCP):
-    // the writer ticket odometer must equal the client's write-op count,
-    // and a finished load leaves no holders behind.
-    const CtrlReply st = client.stats();
-    check(st.ok == 1, "STATS round-trip");
-    check(st.tickets_issued == res.merged.write_ops,
-          "daemon sees the client's writer tickets through shm");
-    check(st.witness_nonzero == 0, "no writer-held locks after quiesce");
-    check(st.readers_active == 0, "no active readers after quiesce");
-
-    if (!a.json_path.empty()) {
-        emit_json(a.json_path, "lockserviced-smoke", seen, a, res);
-    }
-    client.shutdown_server();
-    client.close();
-    daemon.stop();
-    if (g_failures != 0) {
-        std::fprintf(stderr, "%d check(s) failed\n", g_failures);
-        return 1;
-    }
-    std::printf("smoke OK\n");
-    return 0;
+    return me_held ? 0 : 1;
 }
 
 }  // namespace
@@ -300,9 +227,6 @@ int main(int argc, char** argv) {
         }
         if (a.load) {
             return run_loadgen(a);
-        }
-        if (a.smoke) {
-            return run_smoke(a);
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());

@@ -24,6 +24,14 @@ namespace {
     throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+/// die() for a call that failed on `fd`: closes it first, keeping errno.
+[[noreturn]] void close_and_die(int fd, const std::string& what) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    die(what);
+}
+
 /// MSG_NOSIGNAL: a peer that has closed its end fails the write with
 /// EPIPE instead of killing this process with SIGPIPE.
 void write_all(int fd, const void* buf, std::size_t len) {
@@ -189,15 +197,15 @@ void LockServiceDaemon::start() {
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port_);
     if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-        die("bind");
+        close_and_die(lfd, "bind");
     }
     socklen_t alen = sizeof(addr);
     if (::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen) != 0) {
-        die("getsockname");
+        close_and_die(lfd, "getsockname");
     }
     port_ = ntohs(addr.sin_port);
     if (::listen(lfd, 64) != 0) {
-        die("listen");
+        close_and_die(lfd, "listen");
     }
     listen_fd_.store(lfd);
     stopping_.store(false);

@@ -3,10 +3,10 @@
 // The daemon owns the table's words in a POSIX shared-memory segment and
 // serves a tiny fixed-size control protocol on a loopback TCP socket:
 // HELLO hands a client the table geometry and the segment name, STATS
-// returns daemon-side aggregates read from the live words (the smoke
-// harness cross-checks them against client-side counts -- real evidence
-// the two processes share the mapping), SHUTDOWN stops the daemon. The
-// data path never touches the socket: clients mmap the segment and run
+// returns daemon-side aggregates read from the live words (bench_dist's
+// loopback cells cross-check them against client-side counts -- real
+// evidence the two mappings share the words), SHUTDOWN stops the daemon.
+// The data path never touches the socket: clients mmap the segment and run
 // NativeTable verbs directly on it, the loopback stand-in for one-sided
 // RDMA on a remote NIC.
 #pragma once

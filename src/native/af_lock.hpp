@@ -28,8 +28,8 @@
 // recursive lock_shared, an unlock_shared without lock_shared and
 // concurrent reuse of one reader id each fail that CAS; lines 34/37 do the
 // same on W[i]. The writer checks (no concurrent reuse of one writer id,
-// no unlock without lock, no unlock of a WL the caller does not hold) cost
-// an uncontended exchange per call.
+// no unlock without lock, no unlock by an id whose lock() has not
+// returned) cost an uncontended exchange per call.
 //
 // Memory ordering: every access outside telemetry is seq_cst except three
 // kinds of store.
@@ -47,9 +47,13 @@
 //     WSEQ, and only after acquiring WL, whose hand-off already orders the
 //     previous holder's store before the next holder's load; no reader
 //     reads it, so it is in no Dekker pair either.
-//   * The writer misuse record wl_holder_ is stored relaxed. Only
-//     check_wl_held reads it; it has no protocol role, and a thread always
-//     reads its own last store.
+//   * The writer misuse record wl_holder_ is stored relaxed, outside the
+//     text: lock_until stores the writer's id when it returns true, and
+//     unlock resets it right after check_wl_held, before line 25. Only
+//     check_wl_held reads it; it has no protocol role. A holder reads its
+//     own last store, and the next holder's store comes after the reset in
+//     the word's modification order, since WL's hand-off at line 27
+//     orders the reset before the next holder's line 6.
 // What stays seq_cst: the RSIG stores (lines 11, 18, 26), each half of a
 // Dekker pair with a reader's C[i] update followed by its RSIG load, and
 // each followed by a wake_all whose waiter-count read must not pass the
@@ -105,12 +109,8 @@ class AfLock : private AtomicSteps {
     /// Attach a telemetry sink (nullptr detaches). Not thread-safe against
     /// concurrent passages; attach before starting the workload. Propagates
     /// to the embedded WL so writer-lock contention shows up under the
-    /// mutex_* counters. Each attachment allocates fresh abort-retry flags,
-    /// so a sink counts a retry only after an abort it counted; detaching
-    /// frees them.
+    /// mutex_* counters.
     void attach_telemetry(LockTelemetry* t) {
-        reader_retry_ = retry_flags(t, params_.n);
-        writer_retry_ = retry_flags(t, params_.m);
         wl_.attach_telemetry(t);
         telemetry_ = t;
     }
@@ -137,7 +137,7 @@ class AfLock : private AtomicSteps {
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kReader)};
         const bool entered = reader_entry_section(reader_id, a);
-        finish(a.probe, entered, reader_retry_.get(), reader_id);
+        finish(a.probe, entered);
         return entered;
     }
 
@@ -171,18 +171,20 @@ class AfLock : private AtomicSteps {
         writer_acquire_guard(writer_id);
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kWriter)};
-        a.probe.note_retry(writer_retry_.get(), writer_id);
         const bool entered = writer_entry_section(writer_id, a);
-        if (!entered) {
+        if (entered) {
+            wl_holder_.store(writer_id, std::memory_order_relaxed);
+        } else {
             writer_release_guard(writer_id);
         }
-        finish(a.probe, entered, writer_retry_.get(), writer_id);
+        finish(a.probe, entered);
         return entered;
     }
 
     void unlock(std::uint32_t writer_id) {
         check_writer(writer_id);
         check_wl_held(writer_id);
+        wl_holder_.store(kNoHolder, std::memory_order_relaxed);
         auto probe = TelemetryProbe::exit(telemetry_, TelemetryRole::kWriter);
         writer_exit_section(writer_id);
         writer_release_guard(writer_id);
@@ -242,12 +244,11 @@ class AfLock : private AtomicSteps {
         Deadline& deadline;    ///< The caller's, polled by every wait.
         TelemetryProbe probe;  ///< Contended: a line-14, 21 or 36 wait ran.
     };
-    static void finish(TelemetryProbe& probe, bool entered,
-                       TelemetryFlag* retry, std::uint32_t id) {
+    static void finish(TelemetryProbe& probe, bool entered) {
         if (entered) {
             probe.acquired();
         } else {
-            probe.aborted(retry, id);
+            probe.aborted();
         }
     }
 
@@ -301,9 +302,6 @@ class AfLock : private AtomicSteps {
     static void publish_gates(Caller, Word) {}
     static constexpr bool no_preentry() { return false; }
     static constexpr bool no_exit_help() { return false; }
-    void note_reader_retry(Caller id, Attempt& a) {
-        a.probe.note_retry(reader_retry_.get(), id);
-    }
 
 #define RWR_STEP
 #define RWR_RETURN return
@@ -323,16 +321,12 @@ class AfLock : private AtomicSteps {
                 "AfLock: unlock without matching lock");
         }
     }
-    void note_wl_held(std::uint32_t id) {
-        wl_holder_.store(id, std::memory_order_relaxed);
-    }
-    void note_wl_released() {
-        wl_holder_.store(kNoHolder, std::memory_order_relaxed);
-    }
+    /// The id's lock() has returned true and its unlock() has not begun:
+    /// a writer still waiting at line 14 or 21 holds WL but does not pass.
     void check_wl_held(std::uint32_t id) const {
         if (wl_holder_.load() != id) {
             throw std::logic_error(
-                "AfLock: unlock by a writer that does not hold WL");
+                "AfLock: unlock by a writer that does not hold the lock");
         }
     }
 
@@ -349,14 +343,11 @@ class AfLock : private AtomicSteps {
     /// Readers parked at line 36 wait here; every rsig_ store wakes it.
     alignas(64) ParkingSpot rsig_spot_;
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-id "last attempt aborted" flags behind the reader and writer
-    /// abort-retry counters (TelemetryProbe::note_retry); null while no
-    /// sink is attached.
-    std::unique_ptr<TelemetryFlag[]> reader_retry_;
-    std::unique_ptr<TelemetryFlag[]> writer_retry_;
     static constexpr std::uint32_t kNoHolder = 0xffffffffu;
     std::unique_ptr<PaddedFlag[]> writer_busy_;
-    alignas(64) mutable std::atomic<std::uint32_t> wl_holder_{kNoHolder};
+    /// The writer whose passage is in its CS (check_wl_held), else
+    /// kNoHolder.
+    alignas(64) std::atomic<std::uint32_t> wl_holder_{kNoHolder};
 };
 
 }  // namespace rwr::native

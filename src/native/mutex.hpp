@@ -49,12 +49,8 @@ class TournamentMutex : private AtomicSteps {
                      : nullptr) {}
 
     /// Attach a telemetry sink (nullptr detaches); reports under the
-    /// mutex_* counters. Attach before starting the workload. Each
-    /// attachment allocates fresh abort-retry flags; detaching frees them.
-    void attach_telemetry(LockTelemetry* t) {
-        retry_ = retry_flags(t, shape_.slots);
-        telemetry_ = t;
-    }
+    /// mutex_* counters. Attach before starting the workload.
+    void attach_telemetry(LockTelemetry* t) { telemetry_ = t; }
 
     void lock(std::uint32_t slot) { lock_until(slot, Deadline::infinite()); }
 
@@ -75,15 +71,13 @@ class TournamentMutex : private AtomicSteps {
     /// while waiting at some node. A bad slot throws
     /// std::invalid_argument.
     bool lock_until(std::uint32_t slot, Deadline deadline) {
-        leaf_of(slot);  // The slot check, before the probe reads retry_.
         Attempt a{deadline,
                   TelemetryProbe::entry(telemetry_, TelemetryRole::kMutex)};
-        a.probe.note_retry(retry_.get(), slot);
         const bool won = climb(ThisThread{}, a, slot);
         if (won) {
             a.probe.acquired();
         } else {
-            a.probe.aborted(retry_.get(), slot);
+            a.probe.aborted();
         }
         return won;
     }
@@ -131,9 +125,6 @@ class TournamentMutex : private AtomicSteps {
     Shape shape_;
     std::unique_ptr<Node[]> nodes_;
     LockTelemetry* telemetry_ = nullptr;
-    /// Per-slot "last attempt aborted" flags behind mutex_abort_retries;
-    /// null while no sink is attached.
-    std::unique_ptr<TelemetryFlag[]> retry_;
 };
 
 }  // namespace rwr::native

@@ -10,10 +10,9 @@
 // Design constraints, in priority order:
 //   1. A null check and no memory when detached. A lock with no sink
 //      attached pays one null check per hook: no atomics, no clock reads,
-//      and no read of the thread-local sampling sequence. It holds no
-//      telemetry memory either: a lock allocates its per-id abort-retry
-//      flags when a sink is attached and frees them when it is detached,
-//      and a sink allocates a thread's slab on that thread's first report.
+//      and no read of the thread-local sampling sequence. Attaching or
+//      detaching a sink is a pointer store that allocates nothing, and a
+//      sink allocates a thread's slab on that thread's first report.
 //   2. Low overhead when attached. All writes go to the calling thread's
 //      own cache-line-padded slab with relaxed atomics (racing only if more
 //      threads than slots exist, which stays correct -- fetch_add -- just
@@ -36,7 +35,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <new>
 
 #include "native/spin.hpp"
@@ -56,11 +54,6 @@ enum class TelemetryCounter : std::uint32_t {
     kMutexAcquire,        ///< Standalone mutex acquisitions (WL, MCS, ...).
     kMutexContended,      ///< ... of which waited at least once.
     kMutexAbort,          ///< Failed try/timed mutex acquisitions.
-    kReaderAbortRetry,    ///< lock_shared attempts right after an abort by
-                          ///< the same reader id (the amortized-RMR
-                          ///< denominator's retry traffic, E18).
-    kWriterAbortRetry,    ///< Likewise for writer ids.
-    kMutexAbortRetry,     ///< Likewise for standalone mutex slots.
     kBackoffYield,        ///< Waits that escalated pause -> yield.
     kBackoffSleep,        ///< Waits that escalated yield -> sleep.
     kFutexWait,           ///< Kernel (or portable-fallback) parked waits.
@@ -111,9 +104,6 @@ inline const char* to_string(TelemetryCounter c) {
         case TelemetryCounter::kMutexAcquire: return "mutex_acquisitions";
         case TelemetryCounter::kMutexContended: return "mutex_contended";
         case TelemetryCounter::kMutexAbort: return "mutex_aborts";
-        case TelemetryCounter::kReaderAbortRetry: return "reader_abort_retries";
-        case TelemetryCounter::kWriterAbortRetry: return "writer_abort_retries";
-        case TelemetryCounter::kMutexAbortRetry: return "mutex_abort_retries";
         case TelemetryCounter::kBackoffYield: return "backoff_yield_transitions";
         case TelemetryCounter::kBackoffSleep: return "backoff_sleep_transitions";
         case TelemetryCounter::kFutexWait: return "futex_waits";
@@ -196,17 +186,6 @@ struct TelemetrySnapshot {
 /// Telemetry is always compiled in. Kept for code that prints a build's
 /// configuration.
 constexpr bool telemetry_enabled() { return true; }
-
-/// Cache-line-padded per-id flag for the abort-retry tracking arrays: each
-/// flag is written on every attempt by the id's owning thread, so packing
-/// 64 per line would bounce that line across cores (same rationale as the
-/// misuse-check guards in af_lock.hpp). A lock holds its array only while
-/// a sink is attached.
-struct alignas(64) TelemetryFlag {
-    std::atomic<std::uint8_t> v{0};
-};
-static_assert(sizeof(TelemetryFlag) == 64 && alignof(TelemetryFlag) == 64,
-              "retry flags must not share cache lines");
 
 namespace detail {
 /// Process-wide thread index for slot hashing; assigned once per thread on
@@ -359,26 +338,19 @@ class LockTelemetry {
     Slab shared_;
 };
 
-/// A lock's abort-retry flags for `ids` ids while `t` is attached: a fresh,
-/// zeroed array, or none for a detached lock.
-inline std::unique_ptr<TelemetryFlag[]> retry_flags(const LockTelemetry* t,
-                                                    std::uint32_t ids) {
-    return t != nullptr ? std::make_unique<TelemetryFlag[]>(ids) : nullptr;
-}
-
 /// Which of TelemetryCounter's reader, writer and mutex groups a probe
 /// feeds.
 enum class TelemetryRole : std::uint32_t { kReader = 0, kWriter, kMutex };
 
 /// The telemetry of one lock operation, an acquisition or a release: a
-/// sampled stopwatch, the contended flag, the role's acquire, contended,
-/// abort and abort-retry counts, and the backoff stages its waits reached.
+/// sampled stopwatch, the contended flag, the role's acquire, contended and
+/// abort counts, and the backoff stages its waits reached.
 /// It lives on the caller's stack; with no sink attached each hook is one
 /// null check, and the sampling sequence is never read.
 ///
 ///   auto probe = TelemetryProbe::entry(telemetry_, TelemetryRole::kReader);
 ///   ... probe.contended(); wait; probe.note_backoff(backoff); ...
-///   probe.acquired();  // or probe.aborted(retry_flags, id)
+///   probe.acquired();  // or probe.aborted()
 class TelemetryProbe {
    public:
     /// An acquisition, timed on the role's entry histogram. A mutex times
@@ -398,18 +370,6 @@ class TelemetryProbe {
 
     /// The acquisition waited; counted once, if it succeeds.
     void contended() { contended_ = true; }
-
-    /// Counts this attempt as a retry if the id's previous attempt aborted,
-    /// and clears the id's flag, `flags[id]`. The counts are exact, not
-    /// sampled: every abort sets the flag and every attempt clears it.
-    /// `flags` is the lock's array, allocated while a sink is attached;
-    /// it is indexed only then.
-    void note_retry(TelemetryFlag* flags, std::uint32_t id) {
-        if (t_ != nullptr &&
-            flags[id].v.exchange(0, std::memory_order_relaxed) != 0) {
-            t_->count(kRoles[index(role_)].retry);
-        }
-    }
 
     /// Call once per wait, after it ends.
     void note_backoff(const Backoff& b) {
@@ -434,17 +394,14 @@ class TelemetryProbe {
         }
     }
 
-    /// The acquisition gave up: counts the abort, sets the id's retry flag
-    /// `flags[id]` (indexed only while a sink is attached, as in
-    /// note_retry), and times the attempt under kAbortLatency instead of
-    /// the entry histogram, so abandoned attempts do not skew its
-    /// quantiles.
-    void aborted(TelemetryFlag* flags, std::uint32_t id) {
+    /// The acquisition gave up: counts the abort and times the attempt
+    /// under kAbortLatency instead of the entry histogram, so abandoned
+    /// attempts do not skew its quantiles.
+    void aborted() {
         if (t_ == nullptr) {
             return;
         }
         t_->count(kRoles[index(role_)].abort);
-        flags[id].v.store(1, std::memory_order_relaxed);
         stop_into(TelemetryHisto::kAbortLatency);
     }
 
@@ -452,18 +409,18 @@ class TelemetryProbe {
 
    private:
     struct Role {
-        TelemetryCounter acquire, contended, abort, retry;
+        TelemetryCounter acquire, contended, abort;
         TelemetryHisto entry, exit;
     };
     using C = TelemetryCounter;
     using H = TelemetryHisto;
     static constexpr Role kRoles[] = {
         {C::kReaderAcquire, C::kReaderContended, C::kReaderAbort,
-         C::kReaderAbortRetry, H::kReaderEntry, H::kReaderExit},
+         H::kReaderEntry, H::kReaderExit},
         {C::kWriterAcquire, C::kWriterContended, C::kWriterAbort,
-         C::kWriterAbortRetry, H::kWriterEntry, H::kWriterExit},
+         H::kWriterEntry, H::kWriterExit},
         {C::kMutexAcquire, C::kMutexContended, C::kMutexAbort,
-         C::kMutexAbortRetry, H::kAbortLatency, H::kNumHistos},
+         H::kAbortLatency, H::kNumHistos},
     };
 
     static constexpr std::uint32_t index(TelemetryRole r) {

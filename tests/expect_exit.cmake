@@ -2,7 +2,7 @@
 # with EXPECT. An expected exit of 2 must also come with a usage line on
 # stderr.
 #
-#   cmake -DEXE=<program> "-DARGS=--smoke --shards 0" -DEXPECT=2 \
+#   cmake -DEXE=<program> "-DARGS=--load --shards 0" -DEXPECT=2 \
 #         -P expect_exit.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${EXE}" ${args}

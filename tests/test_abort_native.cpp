@@ -16,6 +16,7 @@
 #include <mutex>
 #include <random>
 #include <shared_mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -271,6 +272,46 @@ TEST(AfLockMisuse, UnlockWithoutHoldingWlThrows) {
     lock.lock(0);
     EXPECT_THROW(lock.unlock(1), std::logic_error);  // Wrong writer id.
     lock.unlock(0);
+    expect_lock_intact(lock);
+}
+
+// Writer 0's lock() waits at line 14 holding WL: its id does not hold the
+// lock yet, so an unlock(0) from another thread throws before it touches
+// the lock, and the waiting writer still enters once the reader leaves.
+TEST(AfLockMisuse, UnlockOfAWriterStillWaitingThrows) {
+    ASSERT_TRUE(parking_enabled())
+        << "RWR_PARK=0 leaked into the test environment";
+    LockTelemetry telemetry;
+    AfLock lock(2, 1, 1);
+    lock.attach_telemetry(&telemetry);
+    lock.lock_shared(0);  // C[0] = 1: the writer waits at line 14.
+    std::atomic<bool> entered{false};
+    std::atomic<bool> writer_threw{false};
+    std::thread writer([&] {
+        try {
+            if (lock.try_lock_for(0, 2s)) {
+                entered.store(true);
+                lock.unlock(0);
+            }
+        } catch (const std::logic_error&) {
+            writer_threw.store(true);
+        }
+    });
+    // Only the writer can park here.
+    const auto parked = [&] {
+        return telemetry.aggregate().count(TelemetryCounter::kFutexWait) > 0;
+    };
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!parked() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_TRUE(parked());
+    EXPECT_THROW(lock.unlock(0), std::logic_error);
+    EXPECT_FALSE(entered.load());
+    lock.unlock_shared(0);
+    writer.join();
+    EXPECT_TRUE(entered.load());
+    EXPECT_FALSE(writer_threw.load());
     expect_lock_intact(lock);
 }
 

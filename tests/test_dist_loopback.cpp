@@ -14,7 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -53,7 +55,7 @@ TEST(DistLoopback, HelloAdvertisesGeometryAndSegment) {
 
 TEST(DistLoopback, ClientAndDaemonShareTheWords) {
     // A store through the client's mapping must be visible through the
-    // daemon's -- the property the smoke harness's STATS cross-check
+    // daemon's -- the property bench_dist's loopback STATS cross-check
     // relies on.
     LockServiceDaemon daemon(tiny_cfg(true));
     daemon.start();
@@ -146,6 +148,27 @@ TEST(DistLoopback, SecondDaemonGetsItsOwnPortAndSegment) {
     EXPECT_NE(a.shm_name(), b.shm_name());
     b.stop();
     a.stop();
+}
+
+/// How many file descriptors this process has open.
+std::ptrdiff_t open_fds() {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator{});
+}
+
+TEST(DistLoopback, FailedStartClosesItsSocket) {
+    // A listening port cannot be bound again, SO_REUSEADDR or not: each
+    // start() on it throws, and must not leave its socket open.
+    LockServiceDaemon first(tiny_cfg(true));
+    first.start();
+    const std::ptrdiff_t fds = open_fds();
+    for (int i = 0; i < 3; ++i) {
+        LockServiceDaemon second(tiny_cfg(true), first.port());
+        EXPECT_THROW(second.start(), std::runtime_error);
+        EXPECT_FALSE(second.running());
+    }
+    EXPECT_EQ(open_fds(), fds);
+    first.stop();
 }
 
 /// Connects to `d` and checks that it answers HELLO with its geometry.

@@ -1,16 +1,18 @@
 // LockTelemetry behaviour: one conformance suite run on every native RW
-// lock (exact solo counts, detachment, contended passages, sampled
-// latencies, refused writer ids), exact abort and retry accounting (with a
-// sink attached before or after the lock was used, and no retry flags
-// while detached), slabs installed only for threads that report, exact
-// totals under an 8-thread workload (this test runs under TSan in CI -- any
+// lock (exact solo counts, detachment, attachment without allocation,
+// contended passages, sampled latencies, refused writer ids), exact abort
+// accounting, slabs installed only for threads that report, exact totals
+// under an 8-thread workload (this test runs under TSan in CI -- any
 // counter race or slab publication race is a bug), histogram
 // bucketing/quantiles, and the parking counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <memory>
@@ -30,21 +32,82 @@
 #include "native/shared_mutex.hpp"
 #include "native/telemetry.hpp"
 
+// This binary replaces every global operator new and delete, so that a
+// test can count the allocations a call makes (g_allocations) and fail one
+// kind of them. Every form allocates with aligned_alloc and frees with
+// free, so the sanitizers, which intercept both, see matching pairs.
+
+namespace {
+
+/// Every operator new call so far.
+std::atomic<std::uint64_t> g_allocations{0};
+
 /// While set, the over-aligned nothrow operator new fails. In this binary
 /// only LockTelemetry's slab installation calls it (a slab is
 /// alignas(64)), so a test can make exactly that allocation fail.
 std::atomic<bool> g_fail_slab_allocation{false};
 
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-    if (g_fail_slab_allocation.load()) {
-        return nullptr;
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t a = std::max(static_cast<std::size_t>(align),
+                                   alignof(std::max_align_t));
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    return std::aligned_alloc(a, (std::max<std::size_t>(size, 1) + a - 1) /
+                                     a * a);
+}
+
+void* counted_or_throw(std::size_t size, std::align_val_t align) {
+    if (void* p = counted_alloc(size, align)) {
+        return p;
     }
-    try {
-        return ::operator new(size, align);
-    } catch (...) {
-        return nullptr;
-    }
+    throw std::bad_alloc();
+}
+
+/// Out of line, so that GCC does not see a free() inlined into a delete
+/// expression and warn that it does not match the operator new.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+constexpr std::align_val_t kPlain{alignof(std::max_align_t)};
+
+}  // namespace
+
+using std::align_val_t;
+using std::nothrow_t;
+using std::size_t;
+
+void* operator new(size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new[](size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new(size_t n, align_val_t a) { return counted_or_throw(n, a); }
+void* operator new[](size_t n, align_val_t a) {
+    return counted_or_throw(n, a);
+}
+void* operator new(size_t n, const nothrow_t&) noexcept {
+    return counted_alloc(n, kPlain);
+}
+void* operator new[](size_t n, const nothrow_t&) noexcept {
+    return counted_alloc(n, kPlain);
+}
+void* operator new(size_t n, align_val_t a, const nothrow_t&) noexcept {
+    return g_fail_slab_allocation.load() ? nullptr : counted_alloc(n, a);
+}
+void* operator new[](size_t n, align_val_t a, const nothrow_t&) noexcept {
+    return counted_alloc(n, a);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, size_t) noexcept { release(p); }
+void operator delete[](void* p, size_t) noexcept { release(p); }
+void operator delete(void* p, align_val_t) noexcept { release(p); }
+void operator delete[](void* p, align_val_t) noexcept { release(p); }
+void operator delete(void* p, size_t, align_val_t) noexcept { release(p); }
+void operator delete[](void* p, size_t, align_val_t) noexcept { release(p); }
+void operator delete(void* p, const nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const nothrow_t&) noexcept { release(p); }
+void operator delete(void* p, align_val_t, const nothrow_t&) noexcept {
+    release(p);
+}
+void operator delete[](void* p, align_val_t, const nothrow_t&) noexcept {
+    release(p);
 }
 
 namespace {
@@ -253,6 +316,25 @@ TYPED_TEST(RwLockConformance, DetachingStopsAllCounting) {
     EXPECT_EQ(after.histos, before.histos);
 }
 
+// Attaching a sink and detaching it are pointer stores: neither allocates,
+// and only a thread's first report to the sink does (its slab).
+TYPED_TEST(RwLockConformance, AttachingAndDetachingAllocateNothing) {
+    using D = TypeParam;
+    LockTelemetry telemetry;
+    auto lock = D::make();
+    std::uint64_t before = g_allocations.load();
+    lock->attach_telemetry(&telemetry);
+    lock->attach_telemetry(nullptr);
+    lock->attach_telemetry(&telemetry);
+    EXPECT_EQ(g_allocations.load(), before);
+    passages<D>(*lock, 1, 1);
+    EXPECT_EQ(telemetry.slabs(), 1u);
+    EXPECT_GT(g_allocations.load(), before);
+    before = g_allocations.load();
+    lock->attach_telemetry(nullptr);
+    EXPECT_EQ(g_allocations.load(), before);
+}
+
 TYPED_TEST(RwLockConformance, ReaderParkedBehindAWriterIsCountedOnce) {
     using D = TypeParam;
     ASSERT_TRUE(parking_enabled())
@@ -404,147 +486,26 @@ TEST(TelemetryTest, AbortsAreCounted) {
     EXPECT_EQ(snap.count(TelemetryCounter::kWriterAcquire), 1u);
 }
 
-TEST(TelemetryTest, AbortRetriesAreCountedExactly) {
+TEST(TelemetryTest, AttachingATournamentMutexAllocatesNothing) {
     LockTelemetry telemetry;
-    AfLock lock(2, 2, 1);
-    lock.attach_telemetry(&telemetry);
-
-    // Writer in its CS: two failed reader tries by id 0 (the second is a
-    // retry), one by id 1 (no retry), then a successful lock_shared by id
-    // 0 -- also a retry: the flag records "previous attempt aborted", not
-    // the new attempt's outcome.
-    lock.lock(0);
-    EXPECT_FALSE(lock.try_lock_shared(0));
-    EXPECT_FALSE(lock.try_lock_shared(0));
-    EXPECT_FALSE(lock.try_lock_shared(1));
-    lock.unlock(0);
-    lock.lock_shared(0);
-    lock.unlock_shared(0);
-
-    // Reader present: writer tries fail past the WL; the second try by
-    // writer id 0 is a retry. This lock_shared(1) is reader id 1's first
-    // attempt since its aborted try above -- a third reader retry.
-    lock.lock_shared(1);
-    EXPECT_FALSE(lock.try_lock(0));
-    EXPECT_FALSE(lock.try_lock(0));
-    EXPECT_FALSE(lock.try_lock(1));
-    lock.unlock_shared(1);
-
-    const auto snap = telemetry.aggregate();
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbort), 3u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbortRetry), 3u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbort), 3u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbortRetry), 1u);
-    // The writer tries won the (uncontended) WL before aborting at the
-    // reader-group handshake: WL acquisitions, no WL aborts.
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAbort), 0u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAbortRetry), 0u);
-}
-
-TEST(TelemetryTest, MutexAbortRetriesAreCountedExactly) {
-    LockTelemetry telemetry;
-    TournamentMutex mx(2);
-    mx.attach_telemetry(&telemetry);
-    mx.lock(0);
-    EXPECT_FALSE(mx.try_lock(1));  // Abort, no retry.
-    EXPECT_FALSE(mx.try_lock(1));  // Abort, retry.
-    mx.unlock(0);
-    mx.lock(1);  // Retry that succeeds.
-    mx.unlock(1);
-    const auto snap = telemetry.aggregate();
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAbort), 2u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAbortRetry), 2u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAcquire), 2u);
-}
-
-// A sink attached to a lock that was used detached: the aborts before the
-// attachment set no flag (there is none), so the first attempt after it is
-// never a retry, and every retry after it is counted exactly.
-TEST(TelemetryTest, AbortRetriesAreCountedExactlyAfterALateAttach) {
-    AfLock lock(2, 2, 1);
-    // Detached: an aborted try by reader id 0 and by writer id 0.
-    lock.lock(1);
-    EXPECT_FALSE(lock.try_lock_shared(0));
-    lock.unlock(1);
-    lock.lock_shared(1);
-    EXPECT_FALSE(lock.try_lock(0));
-    lock.unlock_shared(1);
-
-    LockTelemetry telemetry;
-    lock.attach_telemetry(&telemetry);
-    // Neither id's first attached attempt is a retry; reader id 0 then
-    // aborts twice (one retry) and enters (a second retry), writer id 0
-    // aborts twice (one retry).
-    lock.lock_shared(0);
-    lock.unlock_shared(0);
-    lock.lock(1);
-    EXPECT_FALSE(lock.try_lock_shared(0));
-    EXPECT_FALSE(lock.try_lock_shared(0));
-    lock.unlock(1);
-    lock.lock_shared(0);
-    lock.unlock_shared(0);
-    lock.lock_shared(1);
-    EXPECT_FALSE(lock.try_lock(0));
-    EXPECT_FALSE(lock.try_lock(0));
-    lock.unlock_shared(1);
-
-    const auto snap = telemetry.aggregate();
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbort), 2u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kReaderAbortRetry), 2u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbort), 2u);
-    EXPECT_EQ(snap.count(TelemetryCounter::kWriterAbortRetry), 1u);
-}
-
-// The same for WL's slots, and for a second attachment: detaching frees
-// the flags, so an abort under the first sink is no retry for the second.
-TEST(TelemetryTest, MutexAbortRetriesAreCountedExactlyAfterALateAttach) {
-    TournamentMutex mx(2);
-    mx.lock(0);
-    EXPECT_FALSE(mx.try_lock(1));  // Detached: no flag to set.
-    mx.unlock(0);
-
-    LockTelemetry first;
-    mx.attach_telemetry(&first);
-    mx.lock(0);
-    EXPECT_FALSE(mx.try_lock(1));  // Abort, no retry.
-    EXPECT_FALSE(mx.try_lock(1));  // Abort, retry.
-    mx.unlock(0);
-    mx.attach_telemetry(nullptr);
-
-    LockTelemetry second;
-    mx.attach_telemetry(&second);
-    mx.lock(1);  // Slot 1's previous attempt aborted under `first`.
-    mx.unlock(1);
-
-    const auto a = first.aggregate();
-    EXPECT_EQ(a.count(TelemetryCounter::kMutexAbort), 2u);
-    EXPECT_EQ(a.count(TelemetryCounter::kMutexAbortRetry), 1u);
-    EXPECT_EQ(a.count(TelemetryCounter::kMutexAcquire), 1u);
-    const auto b = second.aggregate();
-    EXPECT_EQ(b.count(TelemetryCounter::kMutexAbortRetry), 0u);
-    EXPECT_EQ(b.count(TelemetryCounter::kMutexAcquire), 1u);
-}
-
-// A detached lock has no retry flags: its aborts and the attempts after
-// them must not index the (null) arrays. An access would fault here, and
-// the ASan/UBSan build reports any offset taken from the null pointer.
-TEST(TelemetryTest, DetachedAbortsTouchNoFlagArray) {
-    AfLock lock(2, 2, 1);
-    lock.lock(0);
-    EXPECT_FALSE(lock.try_lock_shared_for(1, 2ms));  // Times out parked.
-    lock.unlock(0);
-    lock.lock_shared(1);
-    EXPECT_FALSE(lock.try_lock(1));
-    lock.unlock_shared(1);
-    lock.lock(1);
-    lock.unlock(1);
-
     TournamentMutex mx(4);
+    const std::uint64_t before = g_allocations.load();
+    mx.attach_telemetry(&telemetry);
+    mx.attach_telemetry(nullptr);
+    mx.attach_telemetry(&telemetry);
+    EXPECT_EQ(g_allocations.load(), before);
+    // Aborted and successful climbs of the attached mutex are counted.
     mx.lock(0);
     EXPECT_FALSE(mx.try_lock(3));
     mx.unlock(0);
     mx.lock(3);
     mx.unlock(3);
+    const auto snap = telemetry.aggregate();
+    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAcquire), 2u);
+    EXPECT_EQ(snap.count(TelemetryCounter::kMutexAbort), 1u);
+    const std::uint64_t attached = g_allocations.load();
+    mx.attach_telemetry(nullptr);
+    EXPECT_EQ(g_allocations.load(), attached);
 }
 
 // A sink that nothing reports to allocates no slab, whether or not a lock
